@@ -15,42 +15,38 @@ strings, and numbers (see docs/scenarios.md for the exact schema):
     tolerances: {pass: 1.0e-9, violation: 1.0e-3}
     report: witten.report.txt
 
+Check entries (``verify.CHECKS`` names the checks) follow four rules:
+
+* ``expect`` applies to every check: it replaces the expectation of each
+  relation expected to pass, while built-in ``violated`` (gauge Q^2) and
+  ``exploratory`` relations keep theirs;
+* a per-check ``tol`` can only tighten the pass gate, never loosen it;
+* with ``expect: any`` at least one relation must come out violated,
+  else the check adds a failing ``<check>: no relation violated`` record;
+* an unknown check name, ``expect`` value, entry key or operator name, a
+  missing ``equal`` operand, ``points < 1``, a ``box`` key that is not a
+  model coordinate, and a box with ``lo >= hi`` are scenario errors.
+
 Exit status is 0 iff every non-exploratory check passes (expected
-violations count as passing their contract).
+violations count as passing their contract), 1 if one fails, and 2 on a
+scenario error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import yaml
 
 from . import verify, zoo
-from .diffop import Exclusion, SampleSpec, is_zero, pretty
+from .diffop import Exclusion, SampleSpec, pretty
 from .expr import parse as parse_expr
-from .report import TOL_PASS, TOL_VIOLATION, make_report, render_report
+from .report import EXPECTATIONS, TOL_PASS, TOL_VIOLATION, render_report
 
 _SCENARIO_KEYS = {"name", "model", "checks", "box", "exclusions", "seed",
                   "points", "tolerances", "report"}
-
-_CHECK_FNS = {
-    "suite": lambda m, s, tols, expect: verify.run_suite(m, s, tols=tols),
-    "n2": lambda m, s, tols, expect: verify.check_n2(m, s, tols=tols),
-    "extended": lambda m, s, tols, expect: verify.check_extended(
-        m, s, expected=expect or "pass", tols=tols),
-    "central": lambda m, s, tols, expect: verify.check_central(m, s, tols=tols),
-    "theorem1": lambda m, s, tols, expect: verify.check_theorem1(
-        m, s, expected=expect or "pass", tols=tols),
-    "theorem2": lambda m, s, tols, expect: verify.check_theorem2(
-        m, s, expected=expect or "pass", tols=tols),
-    "instanton_su2": lambda m, s, tols, expect: verify.check_instanton(
-        m, s, tols=tols),
-    "exploratory": lambda m, s, tols, expect: verify.check_exploratory(
-        m, s, tols=tols),
-    "wz_similarity": lambda m, s, tols, expect: verify.check_wz_similarity(
-        m, s, tols=tols),
-}
 
 
 class ScenarioError(ValueError):
@@ -99,12 +95,21 @@ def build_model(model_section):
 def build_sample_spec(doc, model, seed=None, points=None):
     seed = seed if seed is not None else int(doc.get("seed", 0))
     points = points if points is not None else int(doc.get("points", 20))
+    if points < 1:
+        raise ScenarioError(f"points must be at least 1, got {points}")
     box_map = doc.get("box") or {}
+    unknown = set(box_map) - set(model.coords)
+    if unknown:
+        raise ScenarioError(f"box keys {sorted(unknown)} are not coordinates "
+                            f"of model {model.name} {list(model.coords)}")
     box = []
     for i, cname in enumerate(model.coords):
         if cname in box_map:
-            lo, hi = box_map[cname]
-            box.append((float(lo), float(hi)))
+            lo, hi = (float(v) for v in box_map[cname])
+            if lo >= hi:
+                raise ScenarioError(f"box {cname}: need lo < hi, got "
+                                    f"[{lo}, {hi}]")
+            box.append((lo, hi))
         elif model.default_box:
             box.append(model.default_box[i])
         else:
@@ -117,29 +122,37 @@ def build_sample_spec(doc, model, seed=None, points=None):
                       exclusions=tuple(exclusions))
 
 
+def _check_entry(chk):
+    """(name, expect, params) of one check entry, validated against the
+    check's signature."""
+    if isinstance(chk, str):
+        name, params = chk, {}
+    else:
+        params = dict(chk)
+        name = params.pop("name", None)
+    expect = params.pop("expect", None)
+    if name not in verify.CHECKS:
+        raise ScenarioError(f"unknown check {name!r}")
+    if expect is not None and expect not in EXPECTATIONS:
+        raise ScenarioError(f"check {name!r}: unknown expect {expect!r}, "
+                            f"use one of {list(EXPECTATIONS)}")
+    try:
+        inspect.signature(verify.CHECKS[name]).bind(None, **params)
+    except TypeError as exc:
+        raise ScenarioError(f"check {name!r}: {exc}") from None
+    return name, expect, params
+
+
 def run_checks(doc, model, spec, tols):
+    entries = [_check_entry(chk) for chk in doc.get("checks") or ["suite"]]
     reports = []
-    checks = doc.get("checks") or ["suite"]
-    for chk in checks:
-        if isinstance(chk, str):
-            name, expect, extra = chk, None, {}
-        else:
-            extra = dict(chk)
-            name = extra.pop("name")
-            expect = extra.pop("expect", None)
-        if name == "equal":
-            a = model.op(extra["a"])
-            b = model.op(extra["b"])
-            tol = float(extra.get("tol", tols[0]))
-            _ok, res = is_zero(a - b, spec, tol)
-            reports.append(make_report(
-                f"{extra['a']} == {extra['b']}", name, res, spec,
-                expected=expect or "pass", tol_pass=tol,
-                tol_violation=tols[1]))
-            continue
-        if name not in _CHECK_FNS:
-            raise ScenarioError(f"unknown check {name!r}")
-        reports.extend(_CHECK_FNS[name](model, spec, tols, expect))
+    for name, expect, params in entries:
+        try:
+            reports.extend(verify.run_check(name, model, spec, tols, expect,
+                                            **params))
+        except KeyError as exc:
+            raise ScenarioError(f"check {name!r} on model {model.name}: "
+                                f"{exc.args[0]}") from None
     return reports
 
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (EvalContext, Field, ZeroField, fconj_t, fconst, fderiv,
-                     fdiag, fexp, fidentity, fmatmul, fpow, frestrict, fscale,
-                     fsum)
+from .fields import (EvalContext, ZeroField, fconj_t, fderiv, fdiag, fexp,
+                     fidentity, fmatmul, fpow, frestrict, fscale, fsum)
 from .jets import MAX_ORDER
 
 
@@ -363,22 +362,13 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
     if fixed is None:
         fixed = [0.0] * A.ncoords
 
-    points = spec.points()
-    tracker_scale = 0.0
-    worst = 0.0
-    for p in points:
-        ctx = EvalContext(p)
-        for alpha, F in A.terms.items():
-            for dpos in dropped_pos:
-                dF = fderiv(F, unit_index(A.ncoords, dpos))
-                if isinstance(dF, ZeroField):
-                    continue
-                val = dF.eval_jet(ctx, 0)
-                worst = max(worst, float(np.max(np.abs(val))))
-        tracker_scale = max(tracker_scale, ctx.max_mag)
-    if worst > tol * (1.0 + tracker_scale):
-        raise ReductionError(
-            f"operator depends on dropped coordinates (residual {worst:.3e})")
+    derivs = [fderiv(F, unit_index(A.ncoords, dpos))
+              for F in A.terms.values() for dpos in dropped_pos]
+    res = sampled_residual(
+        [dF for dF in derivs if not isinstance(dF, ZeroField)], spec)
+    if res.max_abs > tol * (1.0 + res.scale):
+        raise ReductionError("operator depends on dropped coordinates "
+                             f"(residual {res.max_abs:.3e})")
 
     new_coords = [A.coords[i] for i in keep_pos]
     new_terms = {}
@@ -401,27 +391,36 @@ def rename_coords(A, names):
     return DiffOp(tuple(names), A.rep, dict(A.terms))
 
 
+def sampled_residual(fields, spec):
+    """Largest entry magnitude of the fields' values over the sample
+    points, with its point and the scale (largest magnitude met while
+    evaluating).  Each point gets one fresh evaluation cache.  The point
+    is None when every sampled entry is exactly 0, and the first sample
+    point when there are no fields."""
+    points = spec.points()
+    if not fields:
+        return Residual(0.0, points[0] if points else (), 0.0)
+    max_abs = 0.0
+    argmax = None
+    scale = 0.0
+    for p in points:
+        ctx = EvalContext(p)
+        for f in fields:
+            m = float(np.max(np.abs(f.eval_jet(ctx, 0))))
+            if m > max_abs:
+                max_abs = m
+                argmax = p
+        scale = max(scale, ctx.max_mag)
+    return Residual(max_abs, argmax, scale)
+
+
 def is_zero(A, spec, tol=1e-9):
     """Evaluate all coefficients at sampled points; pass iff the largest
     entry magnitude stays below tol * (1 + scale)."""
     if len(spec.box) != A.ncoords:
         raise OpError("sample box does not match operator coordinates")
-    max_abs = 0.0
-    argmax = None
-    scale = 0.0
-    points = spec.points()
-    if A.is_structurally_zero():
-        return True, Residual(0.0, points[0] if points else (), 0.0)
-    for p in points:
-        ctx = EvalContext(p)
-        for alpha, F in A.terms.items():
-            val = F.eval_jet(ctx, 0)
-            m = float(np.max(np.abs(val)))
-            if m > max_abs:
-                max_abs = m
-                argmax = p
-        scale = max(scale, ctx.max_mag)
-    return max_abs <= tol * (1.0 + scale), Residual(max_abs, argmax, scale)
+    res = sampled_residual(list(A.terms.values()), spec)
+    return res.max_abs <= tol * (1.0 + res.scale), res
 
 
 def op_equal(A, B, spec, tol=1e-9):

@@ -619,10 +619,6 @@ class RestrictField(Field):
 # folding constructors
 
 
-def fzero(shape, ncoords):
-    return ZeroField(shape, ncoords)
-
-
 def fconst(matrix, ncoords, name=None):
     m = np.asarray(matrix, dtype=np.complex128)
     if not m.any():
@@ -782,10 +778,6 @@ def fdet(field):
 
 def flog(field):
     return ScalarFnField("log", field)
-
-
-def fsqrt(field):
-    return ScalarFnField("sqrt", field)
 
 
 def fpow(field, p, q=1):

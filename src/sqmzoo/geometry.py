@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .diffop import unit_index
+from .diffop import sampled_residual, unit_index
 from .expr import Coord, Const
 from .fields import (EvalContext, ZeroField, fconj_t, fconst, fderiv, fdet,
                      fentry, fexp, fexpr, fgrid, fidentity, finv, fmatmul,
                      fpow, fscale, fsum, ftranspose)
-from .report import field_residual, make_report
+from .report import make_report
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class GeometryData:
     hermitian_metric: object = None   # complex case: h = e^{omega^+} e^omega
     kind: str = "real_symmetric"
     christoffel_entries: dict = None  # scalar fields keyed (N, M, K)
-
-    @property
-    def has_real_metric(self):
-        return self.metric is not None
 
     def sqrt_det_metric(self):
         return fpow(fdet(self.metric), 1, 2)
@@ -245,16 +241,16 @@ def check_complex_structure(I, geo, spec, expected="pass"):
     """Reports for I^2 = -1, antisymmetry of I_MN, and covariant constancy."""
     dim, nc = geo.dim, geo.ncoords
     sq = fsum([fmatmul(I.matrix, I.matrix), fidentity(dim, nc)], (dim, dim), nc)
-    r_sq = field_residual([sq], spec)
+    r_sq = sampled_residual([sq], spec)
     ilow = lowered(I, geo)
     asym = fsum([ilow, ftranspose(ilow)], (dim, dim), nc)
-    r_asym = field_residual([asym], spec)
-    r_cov = field_residual(covariant_derivative_fields(I, geo), spec)
+    r_asym = sampled_residual([asym], spec)
+    r_cov = sampled_residual(covariant_derivative_fields(I, geo), spec)
     tag = f"I{I.label}" if I.label else "I"
     return [
-        make_report(f"{tag}^2 = -1", tag, r_sq, spec),
-        make_report(f"{tag}_MN antisymmetric", tag, r_asym, spec),
-        make_report(f"cov-const {tag}", tag, r_cov, spec, expected=expected),
+        make_report(f"{tag}^2 = -1", r_sq, spec),
+        make_report(f"{tag}_MN antisymmetric", r_asym, spec),
+        make_report(f"cov-const {tag}", r_cov, spec, expected=expected),
     ]
 
 
@@ -274,9 +270,8 @@ def check_quaternion(i1, i2, i3, spec, ncoords=None, expected="pass"):
                 if eps[a, b, c]:
                     parts.append(fscale(-eps[a, b, c], trio[c].matrix))
             fields.append(fsum(parts, (dim, dim), nc))
-    r = field_residual(fields, spec)
-    return make_report("quaternion algebra", "I1,I2,I3", r, spec,
-                       expected=expected)
+    r = sampled_residual(fields, spec)
+    return make_report("quaternion algebra", r, spec, expected=expected)
 
 
 def metric_compatibility_fields(geo):
@@ -297,10 +292,6 @@ def metric_compatibility_fields(geo):
 
 # ---------------------------------------------------------------------------
 # Gibbons-Hawking metrics
-
-
-def _coord(i, ncoords, name=None):
-    return Coord(i, name)
 
 
 def gibbons_hawking(centers, weights, eps=1.0):
@@ -359,7 +350,7 @@ def select_orientation(geo, spec, tol=1e-8):
                 for a, c in enumerate(consts)]
         worst = 0.0
         for s in trio:
-            r = field_residual(covariant_derivative_fields(s, geo), spec)
+            r = sampled_residual(covariant_derivative_fields(s, geo), spec)
             worst = max(worst, r.max_abs / (1.0 + r.scale))
         if worst <= tol:
             return trio, variant

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffop import Residual, SampleSpec
-from .fields import EvalContext
 
 TOL_PASS = 1e-9
 TOL_VIOLATION = 1e-3
@@ -25,11 +22,13 @@ FAIL = "fail"
 VIOLATED = "violated-as-expected"
 EXPLORATORY = "exploratory"
 
+# what a relation may be expected to do; see classify
+EXPECTATIONS = ("pass", "violated", "any", "exploratory")
+
 
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    operands: str
     residual: Residual
     tol: float
     verdict: str
@@ -61,7 +60,8 @@ def classify(residual, expected="pass", tol_pass=TOL_PASS,
         return FAIL, tol_violation
     if expected == "any":
         # negative controls: every relation must either hold cleanly or be
-        # violated decisively; the caller asserts at least one violation
+        # violated decisively; verify.run_check asserts at least one
+        # violation per check
         if residual.max_abs <= gate_pass:
             return PASS, tol_pass
         if residual.max_abs >= gate_violation:
@@ -70,30 +70,10 @@ def classify(residual, expected="pass", tol_pass=TOL_PASS,
     raise ValueError(f"unknown expectation {expected!r}")
 
 
-def make_report(name, operands, residual, samples, expected="pass",
-                tol_pass=TOL_PASS, tol_violation=TOL_VIOLATION):
+def make_report(name, residual, samples, expected="pass", tol_pass=TOL_PASS,
+                tol_violation=TOL_VIOLATION):
     verdict, tol = classify(residual, expected, tol_pass, tol_violation)
-    return CheckReport(name, operands, residual, tol, verdict, samples)
-
-
-def field_residual(fields, spec):
-    """Largest entry magnitude of the given fields over sampled points."""
-    max_abs = 0.0
-    argmax = None
-    scale = 0.0
-    pts = spec.points()
-    for p in pts:
-        ctx = EvalContext(p)
-        for f in fields:
-            val = f.eval_jet(ctx, 0)
-            m = float(np.max(np.abs(val))) if val.size else 0.0
-            if m > max_abs:
-                max_abs = m
-                argmax = p
-        scale = max(scale, ctx.max_mag)
-    if argmax is None:
-        argmax = pts[0] if pts else ()
-    return Residual(max_abs, argmax, scale)
+    return CheckReport(name, residual, tol, verdict, samples)
 
 
 def render_report(reports, header=None):

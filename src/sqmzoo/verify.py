@@ -1,9 +1,12 @@
-"""Superalgebra suites and theorem checkers.
+"""Superalgebra checks as data, and the one function that evaluates them.
 
-Every suite turns operator relations into CheckReports via seeded
-sampling; reports are deterministic given the sample spec.  Sign
-conventions frozen by flat-space computation (and asserted there by the
-test suite):
+A check is a function ``(model, **params) -> list[Relation]``: it builds
+the operators that a claimed relation says must vanish and labels them,
+but samples nothing.  ``CHECKS`` maps each check name to its function;
+``run_check`` evaluates a check's relations at the sample points of a
+spec and turns each into a CheckReport.  Reports are deterministic given
+the sample spec.  Sign conventions frozen by flat-space computation (and
+asserted there by the test suite):
 
 * [F+, F-] = F0 - D/2,
 * [S^a, F^b+] = delta^ab Qbar + eps^abc Sbar^c  (and the conjugate with
@@ -13,51 +16,55 @@ test suite):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .clifford import const_tensor
-from .diffop import (DiffOp, anticommutator, commutator, compose, is_zero,
-                     momentum_op, mult_op, naive_dagger, zero_op)
-from .fields import EvalContext, fidentity
-from .report import (EXPLORATORY, FAIL, PASS, TOL_PASS, TOL_VIOLATION,
-                     VIOLATED, CheckReport, all_ok, classify, make_report,
-                     render_report)
+from .diffop import (anticommutator, commutator, compose, is_zero,
+                     momentum_op, mult_op, naive_dagger, similarity, zero_op)
+from .fields import EvalContext, fexpr, fidentity
+from .report import (EXPECTATIONS, FAIL, TOL_PASS, TOL_VIOLATION, VIOLATED,
+                     CheckReport, make_report)
 
 _EPS3 = const_tensor("epsilon3")
 _SIGMA = const_tensor("sigma_pauli")
 
 
-def _residual_report(name, op, spec, expected="pass", tols=None):
-    tol_pass, tol_violation = tols or (TOL_PASS, TOL_VIOLATION)
-    _ok, res = is_zero(op, spec, tol_pass)
-    return make_report(name, name, res, spec, expected=expected,
-                       tol_pass=tol_pass, tol_violation=tol_violation)
+@dataclass(frozen=True)
+class Relation:
+    """A claimed operator identity: ``op`` is the operator that must
+    vanish.  ``expected`` is what the relation should do (see
+    ``report.classify``); ``tol``, when set, tightens the pass tolerance
+    for this relation only."""
+
+    label: str
+    op: object                # DiffOp
+    expected: str = "pass"
+    tol: float = None
 
 
-def check_n2(m, spec, tols=None):
+def check_n2(m):
     """Q^2 = Qbar^2 = 0 and {Qbar, Q} = 2H for the first supercharge pair.
 
     Gauge models expect the violated Q^2 and instead assert the operator
     identity Q^2 = A_- . G."""
     name, q, qb = m.supercharges[0]
     gauge = m.expected_algebra == "gauge"
-    out = []
-    out.append(_residual_report(
-        f"{name}^2", compose(q, q), spec,
-        expected="violated" if gauge else "pass", tols=tols))
-    out.append(_residual_report(
-        f"{name}bar^2", compose(qb, qb), spec,
-        expected="violated" if gauge else "pass", tols=tols))
+    nilpotent = "violated" if gauge else "pass"
     h = m.extra.get("H_direct", m.hamiltonian)
-    out.append(_residual_report(
-        f"{{{name}bar,{name}}} - 2H", anticommutator(qb, q) - 2.0 * h,
-        spec, tols=tols))
+    out = [
+        Relation(f"{name}^2", compose(q, q), nilpotent),
+        Relation(f"{name}bar^2", compose(qb, qb), nilpotent),
+        Relation(f"{{{name}bar,{name}}} - 2H",
+                 anticommutator(qb, q) - 2.0 * h),
+    ]
     if gauge:
-        out.extend(check_gauge(m, spec, tols=tols))
+        out.extend(_gauge_constraints(m))
     return out
 
 
-def check_gauge(m, spec, tols=None):
+def _gauge_constraints(m):
     """Constraint algebra of the gauge model: Q^2 = A_- . G,
     [G^a, H] = 0, [G^a, G^b] = i eps^abc G^c."""
     _name, q, _qb = m.supercharges[0]
@@ -66,28 +73,23 @@ def check_gauge(m, spec, tols=None):
     for a in range(3):
         rhs = rhs + compose(mult_op(m.meta["a_minus"][a], m.coords, m.rep),
                             g_ops[a])
-    out = [_residual_report("Q^2 - A_-.G", compose(q, q) - rhs, spec, tols=tols)]
+    out = [Relation("Q^2 - A_-.G", compose(q, q) - rhs)]
     for a in range(3):
-        out.append(_residual_report(
-            f"[G{a + 1},H]", commutator(g_ops[a], m.hamiltonian), spec, tols=tols))
+        out.append(Relation(f"[G{a + 1},H]",
+                            commutator(g_ops[a], m.hamiltonian)))
     for a in range(3):
         for b in range(a + 1, 3):
             comm = commutator(g_ops[a], g_ops[b])
             for c in range(3):
                 if _EPS3[a, b, c]:
                     comm = comm - (1j * _EPS3[a, b, c]) * g_ops[c]
-            out.append(_residual_report(
-                f"[G{a + 1},G{b + 1}] - i eps G", comm, spec, tols=tols))
+            out.append(Relation(f"[G{a + 1},G{b + 1}] - i eps G", comm))
     return out
 
 
-def check_extended(m, spec, expected="pass", tols=None):
+def check_extended(m):
     """All pairwise relations of the extended algebra:
-    {Q_a, Q_b} = 0 and {Q_a, Qbar_b} = 2 delta_ab H.
-
-    With expected="any", relations may individually land on pass or
-    violated-as-expected; gray-zone residuals still fail (used for
-    negative controls, where at least one violation must appear)."""
+    {Q_a, Q_b} = 0 and {Q_a, Qbar_b} = 2 delta_ab H."""
     out = []
     h = m.hamiltonian
     if m.hermitian_charges:
@@ -97,28 +99,24 @@ def check_extended(m, spec, expected="pass", tols=None):
                 lhs = anticommutator(qa, qb)
                 if na == nb:
                     lhs = lhs - 2.0 * h
-                out.append(_residual_report(
-                    f"{{{na},{nb}}}" + (" - 2H" if na == nb else ""),
-                    lhs, spec, expected=expected, tols=tols))
+                out.append(Relation(
+                    f"{{{na},{nb}}}" + (" - 2H" if na == nb else ""), lhs))
         return out
     pairs = list(m.supercharges)
-    for i, (na, qa, qba) in enumerate(pairs):
+    for i, (na, qa, _qba) in enumerate(pairs):
         for j, (nb, qb, qbb) in enumerate(pairs):
             if j >= i:
-                out.append(_residual_report(
-                    f"{{{na},{nb}}}", anticommutator(qa, qb), spec,
-                    expected=expected, tols=tols))
+                out.append(Relation(f"{{{na},{nb}}}", anticommutator(qa, qb)))
             lhs = anticommutator(qa, qbb)
             label = f"{{{na},{nb}bar}}"
             if i == j:
                 lhs = lhs - 2.0 * h
                 label += " - 2H"
-            out.append(_residual_report(label, lhs, spec,
-                                        expected=expected, tols=tols))
+            out.append(Relation(label, lhs))
     return out
 
 
-def check_central(m, spec, tols=None):
+def check_central(m):
     """Central-charge algebra {Q_a, Qbar_b} = 2(delta_ab H + sigma_j P_j),
     with the momenta commuting with the supercharges."""
     h = m.extra.get("H_direct", m.hamiltonian)
@@ -135,24 +133,20 @@ def check_central(m, spec, tols=None):
                 c = 2.0 * _SIGMA[j][a, b]
                 if c:
                     rhs = rhs + c * p_ops[j]
-            out.append(_residual_report(
-                f"{{Q{a + 1},Qbar{b + 1}}} - 2(dH + sP)",
-                anticommutator(qs[a], qbs[b]) - rhs, spec, tols=tols))
+            out.append(Relation(f"{{Q{a + 1},Qbar{b + 1}}} - 2(dH + sP)",
+                                anticommutator(qs[a], qbs[b]) - rhs))
             if b >= a:
-                out.append(_residual_report(
-                    f"{{Q{a + 1},Q{b + 1}}}",
-                    anticommutator(qs[a], qs[b]), spec, tols=tols))
+                out.append(Relation(f"{{Q{a + 1},Q{b + 1}}}",
+                                    anticommutator(qs[a], qs[b])))
     for j in range(3):
         for a in range(2):
-            out.append(_residual_report(
-                f"[P{j + 1},Q{a + 1}]", commutator(p_ops[j], qs[a]),
-                spec, tols=tols))
-        out.append(_residual_report(
-            f"[P{j + 1},H]", commutator(p_ops[j], h), spec, tols=tols))
+            out.append(Relation(f"[P{j + 1},Q{a + 1}]",
+                                commutator(p_ops[j], qs[a])))
+        out.append(Relation(f"[P{j + 1},H]", commutator(p_ops[j], h)))
     return out
 
 
-def check_theorem1(m, spec, expected="pass", tols=None):
+def check_theorem1(m):
     """Kahler theorem: su(2) triplet of F's plus the four mixing brackets
     and the N=4 closure.
 
@@ -166,27 +160,20 @@ def check_theorem1(m, spec, expected="pass", tols=None):
     dim_half = 0.5 * len(m.coords)
     shift = mult_op(fidentity(m.rep.dim, len(m.coords)), m.coords, m.rep)
     out = [
-        _residual_report("[F+,F-] - (F0 - D/2)",
-                         commutator(fp, fm) - (f0 - dim_half * shift),
-                         spec, tols=tols),
-        _residual_report("[S,F+] - Qbar", commutator(s, fp) - qb, spec,
-                         expected=expected, tols=tols),
-        _residual_report("[Q,F+] + Sbar", commutator(q, fp) + sb, spec,
-                         expected=expected, tols=tols),
-        _residual_report("[Qbar,F-] + S", commutator(qb, fm) + s, spec,
-                         expected=expected, tols=tols),
-        _residual_report("[Sbar,F-] - Q", commutator(sb, fm) - q, spec,
-                         expected=expected, tols=tols),
-        _residual_report("[Q,F-]", commutator(q, fm), spec,
-                         expected=expected, tols=tols),
-        _residual_report("[Qbar,F+]", commutator(qb, fp), spec,
-                         expected=expected, tols=tols),
+        Relation("[F+,F-] - (F0 - D/2)",
+                 commutator(fp, fm) - (f0 - dim_half * shift)),
+        Relation("[S,F+] - Qbar", commutator(s, fp) - qb),
+        Relation("[Q,F+] + Sbar", commutator(q, fp) + sb),
+        Relation("[Qbar,F-] + S", commutator(qb, fm) + s),
+        Relation("[Sbar,F-] - Q", commutator(sb, fm) - q),
+        Relation("[Q,F-]", commutator(q, fm)),
+        Relation("[Qbar,F+]", commutator(qb, fp)),
     ]
-    out.extend(check_extended(m, spec, expected=expected, tols=tols))
+    out.extend(check_extended(m))
     return out
 
 
-def check_theorem2(m, spec, expected="pass", tols=None):
+def check_theorem2(m):
     """Hyper-Kahler theorem: N=8 closure plus all nine F-brackets,
 
     [S^a, F^b+] = delta^ab Qbar + eps^abc Sbar^c,
@@ -212,25 +199,19 @@ def check_theorem2(m, spec, expected="pass", tols=None):
                 if _EPS3[a, b, c]:
                     rhs_p = rhs_p + _EPS3[a, b, c] * sbs[c]
                     rhs_m = rhs_m + _EPS3[a, b, c] * ss[c]
-            out.append(_residual_report(
-                f"[S{a + 1},F{b + 1}+] - rhs",
-                commutator(ss[a], fbp) - rhs_p, spec, expected=expected,
-                tols=tols))
-            out.append(_residual_report(
-                f"[Sbar{a + 1},F{b + 1}-] - rhs",
-                commutator(sbs[a], fbm) - rhs_m, spec, expected=expected,
-                tols=tols))
-            out.append(_residual_report(
-                f"[S{a + 1},F{b + 1}-]", commutator(ss[a], fbm), spec,
-                expected=expected, tols=tols))
-            out.append(_residual_report(
-                f"[Sbar{a + 1},F{b + 1}+]", commutator(sbs[a], fbp), spec,
-                expected=expected, tols=tols))
-    out.extend(check_extended(m, spec, expected=expected, tols=tols))
+            out.append(Relation(f"[S{a + 1},F{b + 1}+] - rhs",
+                                commutator(ss[a], fbp) - rhs_p))
+            out.append(Relation(f"[Sbar{a + 1},F{b + 1}-] - rhs",
+                                commutator(sbs[a], fbm) - rhs_m))
+            out.append(Relation(f"[S{a + 1},F{b + 1}-]",
+                                commutator(ss[a], fbm)))
+            out.append(Relation(f"[Sbar{a + 1},F{b + 1}+]",
+                                commutator(sbs[a], fbp)))
+    out.extend(check_extended(m))
     return out
 
 
-def check_instanton(m, spec, tols=None):
+def check_instanton(m):
     """su(2) invariance of the self-dual model: the generators commute
     with the supercharges and close as [L^a, L^b] = 2i eps^abc L^c (the
     factor 2 is the normalisation the color term 2t^a carries)."""
@@ -238,85 +219,122 @@ def check_instanton(m, spec, tols=None):
     out = []
     for a in range(3):
         for alpha in (1, 2):
-            out.append(_residual_report(
-                f"[L{a + 1},Q{alpha}]",
-                commutator(l_ops[a], m.op(f"Q{alpha}")), spec, tols=tols))
-        out.append(_residual_report(
-            f"[L{a + 1},H]", commutator(l_ops[a], m.hamiltonian), spec,
-            tols=tols))
+            out.append(Relation(f"[L{a + 1},Q{alpha}]",
+                                commutator(l_ops[a], m.op(f"Q{alpha}"))))
+        out.append(Relation(f"[L{a + 1},H]",
+                            commutator(l_ops[a], m.hamiltonian)))
     for a in range(3):
         for b in range(a + 1, 3):
             comm = commutator(l_ops[a], l_ops[b])
             for c in range(3):
                 if _EPS3[a, b, c]:
                     comm = comm - (2j * _EPS3[a, b, c]) * l_ops[c]
-            out.append(_residual_report(
-                f"[L{a + 1},L{b + 1}] - 2i eps L", comm, spec, tols=tols))
+            out.append(Relation(f"[L{a + 1},L{b + 1}] - 2i eps L", comm))
     return out
 
 
-def check_exploratory(m, spec, tols=None):
+def check_exploratory(m):
     """Report-only residuals for the gauge-fixed model: nilpotency and
     the cyclicity of alpha in the Hamiltonian are printed, not asserted."""
     name, q, qb = m.supercharges[0]
     p_al = momentum_op(m.coords, m.rep, "alpha")
     return [
-        _residual_report(f"{name}^2 (exploratory)", compose(q, q), spec,
-                         expected="exploratory", tols=tols),
-        _residual_report(f"{name}bar^2 (exploratory)", compose(qb, qb), spec,
-                         expected="exploratory", tols=tols),
-        _residual_report("[p_alpha, H] (exploratory)",
-                         commutator(p_al, m.hamiltonian), spec,
-                         expected="exploratory", tols=tols),
+        Relation(f"{name}^2 (exploratory)", compose(q, q), "exploratory"),
+        Relation(f"{name}bar^2 (exploratory)", compose(qb, qb),
+                 "exploratory"),
+        Relation("[p_alpha, H] (exploratory)",
+                 commutator(p_al, m.hamiltonian), "exploratory"),
     ]
 
 
-def check_wz_similarity(m, spec, tols=None):
+def check_wz_similarity(m):
     """Mode-sum supercharge: nilpotency, the per-mode closure, and the
     similarity relation Qcal = e^W Qcal0 e^-W."""
-    from .diffop import similarity
-    from .fields import fexpr
-
-    out = []
     qcal = m.op("Qcal")
     h = m.op("H_direct")
-    out.append(_residual_report("Qcal^2", compose(qcal, qcal), spec, tols=tols))
-    out.append(_residual_report(
-        "{Qcal,Qcalbar} - 2H", anticommutator(qcal, naive_dagger(qcal)) - 2.0 * h,
-        spec, tols=tols))
+    out = [
+        Relation("Qcal^2", compose(qcal, qcal)),
+        Relation("{Qcal,Qcalbar} - 2H",
+                 anticommutator(qcal, naive_dagger(qcal)) - 2.0 * h),
+    ]
     for mvec in m.meta["modes"]:
         label = "m" + "".join(str(x) for x in mvec)
         qn = m.op(f"Qcal_{label}")
         hn = m.op(f"H_{label}")
-        out.append(_residual_report(
-            f"{{Qcal_{label}, bar}} - 2H_{label}",
-            anticommutator(qn, naive_dagger(qn)) - 2.0 * hn, spec, tols=tols))
+        out.append(Relation(f"{{Qcal_{label}, bar}} - 2H_{label}",
+                            anticommutator(qn, naive_dagger(qn)) - 2.0 * hn))
     wf = fexpr(m.meta["superpotential"], len(m.coords), "W")
     q_sim = similarity(m.op("Qcal0"), wf)
-    tol_pair = tols or (TOL_PASS, TOL_VIOLATION)
-    out.append(_residual_report(
-        "Qcal - e^W Qcal0 e^-W", qcal - q_sim, spec,
-        tols=(min(tol_pair[0], 1e-10), tol_pair[1])))
+    out.append(Relation("Qcal - e^W Qcal0 e^-W", qcal - q_sim, tol=1e-10))
     return out
 
 
-SUITES = {
-    "N2": lambda m, s, tols=None: check_n2(m, s, tols=tols),
-    "N4": lambda m, s, tols=None: check_n2(m, s, tols=tols)
-    + check_extended(m, s, tols=tols),
-    "N8": lambda m, s, tols=None: check_n2(m, s, tols=tols)
-    + check_extended(m, s, tols=tols),
-    "N8-hermitian": lambda m, s, tols=None: check_extended(m, s, tols=tols),
-    "central": lambda m, s, tols=None: check_central(m, s, tols=tols)
-    + check_wz_similarity(m, s, tols=tols),
-    "gauge": lambda m, s, tols=None: check_n2(m, s, tols=tols),
-    "exploratory": lambda m, s, tols=None: check_exploratory(m, s, tols=tols),
+def check_equal(m, a, b, tol=None):
+    """Operator comparison: the named operators a and b coincide."""
+    return [Relation(f"{a} == {b}", m.op(a) - m.op(b),
+                     tol=None if tol is None else float(tol))]
+
+
+# the checks each declared algebra runs by default, in report order
+SUITE_CHECKS = {
+    "N2": ("n2",),
+    "N4": ("n2", "extended"),
+    "N8": ("n2", "extended"),
+    "N8-hermitian": ("extended",),
+    "central": ("central", "wz_similarity"),
+    "gauge": ("n2",),
+    "exploratory": ("exploratory",),
 }
 
 
-def run_suite(m, spec, tols=None):
-    """The default relation suite for the model's declared algebra."""
-    return SUITES[m.expected_algebra](m, spec, tols=tols)
+def check_suite(m):
+    """The default relations for the model's declared algebra."""
+    return [rel for name in SUITE_CHECKS[m.expected_algebra]
+            for rel in CHECKS[name](m)]
+
+
+CHECKS = {
+    "suite": check_suite,
+    "n2": check_n2,
+    "extended": check_extended,
+    "central": check_central,
+    "theorem1": check_theorem1,
+    "theorem2": check_theorem2,
+    "instanton_su2": check_instanton,
+    "exploratory": check_exploratory,
+    "wz_similarity": check_wz_similarity,
+    "equal": check_equal,
+}
+
+
+def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
+              **params):
+    """Evaluate the relations of check ``name`` at the points of ``spec``.
+
+    ``tols`` is the (pass, violation) tolerance pair; a relation's own
+    ``tol`` can only tighten the pass tolerance.  ``expect``, when given,
+    replaces the expectation of every relation expected to pass; the
+    built-in violated and exploratory expectations stay.  With
+    ``expect="any"`` at least one relation must come out violated, else
+    a failing record ``<name>: no relation violated`` is appended.
+    """
+    if expect is not None and expect not in EXPECTATIONS:
+        raise ValueError(f"unknown expectation {expect!r}")
+    tol_pass, tol_violation = tols
+    reports = []
+    for rel in CHECKS[name](model, **params):
+        expected = (expect if expect is not None and rel.expected == "pass"
+                    else rel.expected)
+        tol = tol_pass if rel.tol is None else min(tol_pass, rel.tol)
+        _ok, res = is_zero(rel.op, spec, tol)
+        reports.append(make_report(rel.label, res, spec, expected, tol,
+                                   tol_violation))
+    if expect == "any" and not any(r.verdict == VIOLATED for r in reports):
+        worst = max((r.residual for r in reports),
+                    key=lambda res: res.max_abs / (1.0 + res.scale))
+        reports.append(CheckReport(f"{name}: no relation violated", worst,
+                                   tol_violation, FAIL, spec))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import clifford, geometry
+from . import geometry
 from .clifford import bilinear, complex_fermions, const_tensor, hermitian_fermions, linear
 from .diffop import (DiffOp, Exclusion, SampleSpec, adjoint_with_measure,
-                     anticommutator, commutator, compose, momentum_op,
-                     mult_op, naive_dagger, partial_op, reduce_cyclic,
-                     rename_coords, similarity, unit_index, zero_op)
-from .expr import Const, Coord, Expr, parse
+                     anticommutator, compose, momentum_op, mult_op,
+                     naive_dagger, reduce_cyclic, rename_coords,
+                     sampled_residual, similarity, unit_index, zero_op)
+from .expr import Const, Coord, parse
 from .fields import (ScalarFnField, ZeroField, fconst, fconj_t, fderiv, fdet,
                      fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
-                     fmatmul, fpow, fscale, fscalarmul, fsum, ftranspose)
+                     fmatmul, fscale, fscalarmul, fsum, ftranspose)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -480,9 +480,9 @@ def hyperkahler(geo, triple, omega=None, spec=None):
         qrep = geometry.check_quaternion(*triple, spec)
         if not qrep.ok:
             raise ValueError(f"triple fails the quaternion algebra: {qrep.line()}")
-        from .report import field_residual
         for s in triple:
-            r = field_residual(geometry.covariant_derivative_fields(s, geo), spec)
+            r = sampled_residual(geometry.covariant_derivative_fields(s, geo),
+                                 spec)
             if r.max_abs > 1e-8 * (1.0 + r.scale):
                 structure_ok = False
     Q = geometric_charge(geo, rep)
@@ -1070,6 +1070,17 @@ def torsion_rotate(model, B, kind="holomorphic"):
 # geometry-backed convenience constructors (scenario-friendly parameters)
 
 
+def _warped_geometry(u):
+    """Geometry of e^{2u}((dx1)^2+(dx2)^2) + (dx3)^2 + (dx4)^2 from the
+    log-vielbein omega = diag(-u, -u, 0, 0); returns (geometry, omega)."""
+    coords = ("x1", "x2", "x3", "x4")
+    mu = fscale(-1.0, fexpr(_expr(u, coords), 4, "u"))
+    z = ZeroField((1, 1), 4)
+    om = fgrid([[mu, z, z, z], [z, mu, z, z],
+                [z, z, z, z], [z, z, z, z]])
+    return geometry.from_omega(om, "real_symmetric"), om
+
+
 def kahler_warped(u="0.3*sin(x1) + 0.2*x2^2"):
     """Warped product metric e^{2u}((dx1)^2+(dx2)^2) + (dx3)^2 + (dx4)^2
     with the block complex structure pairing (1,2) and (3,4).
@@ -1077,13 +1088,7 @@ def kahler_warped(u="0.3*sin(x1) + 0.2*x2^2"):
     Kahler iff u is independent of x3, x4; a u depending on x3 serves as
     the negative control (covariant constancy and the extended algebra
     then fail)."""
-    coords = ("x1", "x2", "x3", "x4")
-    uf = fexpr(_expr(u, coords), 4, "u")
-    z = ZeroField((1, 1), 4)
-    mu = fscale(-1.0, uf)
-    om = fgrid([[mu, z, z, z], [z, mu, z, z],
-                [z, z, z, z], [z, z, z, z]])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo, om = _warped_geometry(u)
     I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
     m = kahler(geo, I, omega=om)
     m.meta["ctor"] = ("kahler_warped", {"u": u})
@@ -1132,13 +1137,7 @@ def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):
     """Negative control: warped Kahler metric with the flat canonical
     triple; only one structure is covariantly constant, so parts of the
     N=8 algebra must fail."""
-    coords = ("x1", "x2", "x3", "x4")
-    uf = fexpr(_expr(u, coords), 4, "u")
-    z = ZeroField((1, 1), 4)
-    mu_ = fscale(-1.0, uf)
-    om = fgrid([[mu_, z, z, z], [z, mu_, z, z],
-                [z, z, z, z], [z, z, z, z]])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo, _om = _warped_geometry(u)
     trio = [geometry.constant_structure(c, 4, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(4))]
     spec = SampleSpec(box=((-0.9, 0.9),) * 4, n_points=6, seed=3)

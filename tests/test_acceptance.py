@@ -61,7 +61,8 @@ def test_criterion_01_witten():
 def test_criterion_02_free_complex_n4():
     m = zoo.free_complex(2)
     spec = m.sample_spec(n_points=N_POINTS, seed=102)
-    reports = verify.check_n2(m, spec) + verify.check_extended(m, spec)
+    reports = (verify.run_check("n2", m, spec)
+               + verify.run_check("extended", m, spec))
     ok = all(r.verdict == "pass" for r in reports)
     _line(2, "free flat complex d=2: N=2 and N=4 closure with the S-pair", ok,
           f"{len(reports)} relations")
@@ -73,10 +74,10 @@ def test_criterion_03_dolbeault_twist():
     plain = zoo.dolbeault(omega, d=2)
     spec = plain.sample_spec(n_points=N_POINTS, seed=103)
     ok = all(r.verdict == "pass"
-             for r in verify.check_n2(plain, spec))
+             for r in verify.run_check("n2", plain, spec))
     twisted = zoo.dolbeault(omega, d=2, W="0.3*x1*y1 + 0.1*x2^3")
     ok &= all(r.verdict == "pass"
-              for r in verify.check_n2(twisted, spec))
+              for r in verify.run_check("n2", twisted, spec))
     _line(3, "dolbeault d=2 nondiagonal: N=2 with det-h adjoint, twist keeps N=2",
           ok)
 
@@ -96,7 +97,8 @@ def test_criterion_04_de_rham_identification():
         spec = m.sample_spec(n_points=N_POINTS if D == 2 else 8, seed=104)
         f1, r1 = _zero(m.op("Q") - m.op("Q_geometric"), spec)
         f2, r2 = _zero(m.op("Qbar") - m.op("Qbar_geometric"), spec)
-        n2_ok = all(r.verdict == "pass" for r in verify.check_n2(m, spec))
+        n2_ok = all(r.verdict == "pass"
+                    for r in verify.run_check("n2", m, spec))
         ok &= f1 and f2 and n2_ok and r1.max_abs < 1e-9 * (1 + r1.scale)
         detail.append(f"D={D}: {max(r1.max_abs, r2.max_abs):.2e}")
     _line(4, "de Rham D=2,4: similarity == spin connection, N=2 with sqrt(det g)",
@@ -115,13 +117,13 @@ def test_criterion_05_rhombus():
 def test_criterion_06_theorem1():
     m = zoo.kahler_warped()
     spec = m.sample_spec(n_points=N_POINTS, seed=106)
-    good = verify.check_theorem1(m, spec)
+    good = verify.run_check("theorem1", m, spec)
     ok = all(r.verdict == "pass" for r in good)
     bad = zoo.kahler_warped(u="0.3*sin(x1) + 0.2*x3^2")
     spec_b = bad.sample_spec(n_points=N_POINTS, seed=106)
     fb, rb = _zero(anticommutator(bad.op("Q"), bad.op("Sbar")), spec_b)
     violated = (not fb) and rb.max_abs >= 1e-3 * (1 + rb.scale)
-    reports_b = verify.check_theorem1(bad, spec_b, expected="any")
+    reports_b = verify.run_check("theorem1", bad, spec_b, expect="any")
     ok &= violated and any(r.verdict == VIOLATED for r in reports_b) \
         and all_ok(reports_b)
     _line(6, "theorem 1: warped Kahler passes, non-Kahler deformation violated",
@@ -131,7 +133,8 @@ def test_criterion_06_theorem1():
 def test_criterion_07_theorem2():
     flat = zoo.hyperkahler_flat()
     spec_f = flat.sample_spec(n_points=6, seed=107)
-    ok = all(r.verdict == "pass" for r in verify.check_theorem2(flat, spec_f))
+    ok = all(r.verdict == "pass"
+             for r in verify.run_check("theorem2", flat, spec_f))
     m = zoo.hyperkahler_gibbons_hawking()
     spec = m.sample_spec(n_points=N_POINTS, seed=107)
     trio = m.meta["triple"]
@@ -141,7 +144,7 @@ def test_criterion_07_theorem2():
     for s in trio:
         reps = geometry.check_complex_structure(s, geo, spec)
         ok &= all(r.verdict == "pass" for r in reps)
-    reports = verify.check_theorem2(m, spec)
+    reports = verify.run_check("theorem2", m, spec)
     ok &= all(r.verdict == "pass" for r in reports)
     _line(7, "theorem 2: Gibbons-Hawking quaternion + covariant constancy + N=8",
           ok, f"{len(reports)} algebra relations")
@@ -150,7 +153,8 @@ def test_criterion_07_theorem2():
 def test_criterion_08_hkt():
     m = zoo.hkt_conformal("0.1*(x1^2 + x2^2 + y1^2 + y2^2)")
     spec = m.sample_spec(n_points=N_POINTS, seed=108)
-    reports = verify.check_n2(m, spec) + verify.check_extended(m, spec)
+    reports = (verify.run_check("n2", m, spec)
+               + verify.run_check("extended", m, spec))
     ok = all(r.verdict == "pass" for r in reports)
     f1, r1 = _zero(m.op("Q") - m.op("Q_direct"), spec, tol=1e-10)
     f2, r2 = _zero(m.op("S") - m.op("S_direct"), spec, tol=1e-10)
@@ -162,7 +166,7 @@ def test_criterion_08_hkt():
 def test_criterion_09_okt():
     m = zoo.okt_flat()
     spec = m.sample_spec(n_points=6, seed=109)
-    reports = verify.check_extended(m, spec)
+    reports = verify.run_check("extended", m, spec)
     ok = all(r.verdict == "pass" for r in reports) and len(reports) == 36
     gam = const_tensor("gamma7")
     eps3 = const_tensor("epsilon3")
@@ -188,8 +192,9 @@ def test_criterion_09_okt():
 def test_criterion_10_instanton():
     m = zoo.instanton(rho=1.0)
     spec = m.sample_spec(n_points=N_POINTS, seed=110)
-    reports = (verify.check_n2(m, spec) + verify.check_extended(m, spec)
-               + verify.check_instanton(m, spec))
+    reports = (verify.run_check("n2", m, spec)
+               + verify.run_check("extended", m, spec)
+               + verify.run_check("instanton_su2", m, spec))
     ok = all(r.verdict == "pass" for r in reports)
     _line(10, "instanton rho=1: N=4, [L,Q]=0, su(2) closure", ok,
           f"{len(reports)} relations")
@@ -198,7 +203,7 @@ def test_criterion_10_instanton():
 def test_criterion_11_gauge_sym3():
     m = zoo.gauge_sym3()
     spec = m.sample_spec(n_points=N_POINTS, seed=111)
-    reports = verify.run_suite(m, spec)
+    reports = verify.run_check("suite", m, spec)
     by_name = {r.name: r for r in reports}
     ok = all(r.ok for r in reports)
     ok &= by_name["Q^2"].verdict == "violated-as-expected"
@@ -210,7 +215,8 @@ def test_criterion_11_gauge_sym3():
 def test_criterion_12_wz_modes():
     m = zoo.wz_modes([(1, 0, 0), (0, 1, 0), (1, 1, 1)])
     spec = m.sample_spec(n_points=8, seed=112)
-    reports = verify.check_central(m, spec) + verify.check_wz_similarity(m, spec)
+    reports = (verify.run_check("central", m, spec)
+               + verify.run_check("wz_similarity", m, spec))
     ok = all(r.verdict == "pass" for r in reports)
     wf = fexpr(m.meta["superpotential"], len(m.coords), "W")
     f, r = _zero(m.op("Qcal") - similarity(m.op("Qcal0"), wf), spec, tol=1e-10)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from sqmzoo import verify
 from sqmzoo.cli import main, run_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.yaml"))
 
 
@@ -20,6 +23,9 @@ def test_every_shipped_scenario_passes(path, tmp_path):
     code, text = run_scenario(str(path), report_path=str(tmp_path / "r.txt"))
     assert code == 0, text
     assert (tmp_path / "r.txt").read_text() == text
+    # byte identity with the committed report: same labels, verdicts,
+    # residual digits, tolerances and argmax points
+    assert text == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
 
 
 def test_report_bytes_reproducible(tmp_path):
@@ -108,6 +114,82 @@ def test_failing_expectation_nonzero_exit(tmp_path):
     code, text = run_scenario(str(bad))
     assert code == 1
     assert "verdict: fail" in text
+
+
+def _scenario(tmp_path, model, checks, extra=""):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"name: t\nmodel: {model}\nchecks: {checks}\n"
+                    f"seed: 3\npoints: 3\n{extra}")
+    return str(path)
+
+
+WITTEN = "{constructor: witten}"
+FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
+
+
+@pytest.mark.parametrize("model, checks, message", [
+    (FREE_COMPLEX, "[{name: n2, typo_key: 1, expect: passs}]", "expect"),
+    (FREE_COMPLEX, "[{name: n2, typo_key: 1}]", "typo_key"),
+    (FREE_COMPLEX, "[{name: extended, expect: passs}]", "expect"),
+    (WITTEN, "[{name: equal, a: Q}]", "'b'"),
+    (WITTEN, "[{name: equal, a: Q, b: Qnope}]", "Qnope"),
+    (WITTEN, "[nonsense]", "unknown check"),
+], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
+        "unknown-operator", "unknown-check"])
+def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
+                                           message):
+    assert main(["run", _scenario(tmp_path, model, checks)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_expect_applies_to_every_check(tmp_path):
+    # n2 relations hold exactly on free flat dynamics, so asking for a
+    # violation must fail the run instead of being dropped
+    code, text = run_scenario(_scenario(
+        tmp_path, FREE_COMPLEX, "[{name: n2, expect: violated}]"))
+    assert code == 1
+    assert text.count("verdict: fail") == 3
+
+
+def test_expect_any_requires_a_violation(tmp_path):
+    # the Kahler warped metric satisfies theorem 1, so a negative control
+    # that finds no violation proves nothing and must fail
+    code, text = run_scenario(_scenario(
+        tmp_path, "{constructor: kahler_warped}",
+        "[{name: theorem1, expect: any}]"))
+    assert code == 1
+    last = text.splitlines()[-2]
+    assert last.startswith("relation: theorem1: no relation violated")
+    assert "tol: 1.0e-03" in last and last.endswith("verdict: fail")
+
+
+@pytest.mark.parametrize("extra, argv, message", [
+    ("", ["--points", "0"], "points"),
+    ("", ["--points", "-3"], "points"),
+    ("box: {zz: [0, 1]}\n", [], "zz"),
+    ("box: {x: [1, 1]}\n", [], "lo < hi"),
+    ("box: {x: [1, -1]}\n", [], "lo < hi"),
+], ids=["points-0", "points-negative", "unknown-box-key", "empty-box",
+        "reversed-box"])
+def test_vacuous_sample_is_scenario_error(tmp_path, capsys, extra, argv,
+                                          message):
+    path = _scenario(tmp_path, WITTEN, "[suite]", extra)
+    assert main(["run", path, *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_points_zero_in_file_is_scenario_error(tmp_path, capsys):
+    path = tmp_path / "s.yaml"
+    path.write_text("name: t\nmodel: {constructor: witten}\npoints: 0\n")
+    assert main(["run", str(path)]) == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_docs_check_table_lists_every_check():
+    text = (ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
+    listed = [line.split("`")[1] for line in text.splitlines()
+              if line.startswith("| `")]
+    assert listed == list(verify.CHECKS)
 
 
 def test_console_script_entry_point():

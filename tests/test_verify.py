@@ -39,7 +39,7 @@ def test_scale_relative_thresholds():
 
 def test_report_line_stable():
     spec = SampleSpec(box=((-1, 1),), n_points=2, seed=1)
-    r = make_report("demo", "demo", Residual(1.5e-12, (0.25,), 2.0), spec)
+    r = make_report("demo", Residual(1.5e-12, (0.25,), 2.0), spec)
     line = r.line()
     assert "demo" in line and "1.500000e-12" in line and "pass" in line
     text1 = render_report([r], header="h")
@@ -49,26 +49,28 @@ def test_report_line_stable():
 
 def test_suite_dispatch_matches_algebra():
     m = zoo.witten()
-    reports = verify.run_suite(m, m.sample_spec(n_points=6, seed=2))
+    reports = verify.run_check("suite", m, m.sample_spec(n_points=6, seed=2))
     assert {r.name for r in reports} == {"Q^2", "Qbar^2", "{Qbar,Q} - 2H"}
     m4 = zoo.free_complex(2)
-    reports4 = verify.run_suite(m4, m4.sample_spec(n_points=4, seed=3))
+    reports4 = verify.run_check("suite", m4,
+                                m4.sample_spec(n_points=4, seed=3))
     assert any("{Q,Sbar}" in r.name for r in reports4)
 
 
 def test_suites_deterministic_given_seed():
     m = zoo.dolbeault([["0.2*(x1^2 + y1^2)"]], d=1)
     spec = m.sample_spec(n_points=6, seed=11)
-    r1 = render_report(verify.run_suite(m, spec))
-    r2 = render_report(verify.run_suite(m, spec))
+    r1 = render_report(verify.run_check("suite", m, spec))
+    r2 = render_report(verify.run_check("suite", m, spec))
     assert r1 == r2
-    r3 = render_report(verify.run_suite(m, m.sample_spec(n_points=6, seed=12)))
+    r3 = render_report(verify.run_check(
+        "suite", m, m.sample_spec(n_points=6, seed=12)))
     assert r1 != r3   # different seed samples different points
 
 
 def test_okt_suite():
     m = zoo.okt_flat()
-    reports = verify.run_suite(m, m.sample_spec(n_points=2, seed=4))
+    reports = verify.run_check("suite", m, m.sample_spec(n_points=2, seed=4))
     assert len(reports) == 36
     assert all(r.verdict == PASS for r in reports)
 

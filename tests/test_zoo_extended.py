@@ -49,7 +49,7 @@ def test_flat_kahler_t_combinations():
 def test_warped_kahler_theorem1_passes():
     m = zoo.kahler_warped()
     spec = m.sample_spec(n_points=8, seed=2)
-    reports = verify.check_theorem1(m, spec)
+    reports = verify.run_check("theorem1", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 
@@ -67,7 +67,7 @@ def test_non_kahler_deformation_violates():
     flag, res = is_zero(anticommutator(m.op("Q"), m.op("Sbar")), spec)
     assert not flag
     assert res.max_abs >= 1e-3 * (1 + res.scale)
-    reports = verify.check_theorem1(m, spec, expected="any")
+    reports = verify.run_check("theorem1", m, spec, expect="any")
     assert any(r.verdict == VIOLATED for r in reports)
     assert all_ok(reports)
 
@@ -78,7 +78,7 @@ def test_non_kahler_deformation_violates():
 def test_flat_hyperkahler_n8_and_theorem2():
     m = zoo.hyperkahler_flat()
     spec = m.sample_spec(n_points=4, seed=5)
-    reports = verify.check_theorem2(m, spec)
+    reports = verify.run_check("theorem2", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 
@@ -88,7 +88,7 @@ def test_gibbons_hawking_theorem2():
     assert m.meta["structure_ok"]
     assert m.meta["orientation"] in ("eta", "eta_bar")
     spec = m.sample_spec(n_points=3, seed=6)
-    reports = verify.check_theorem2(m, spec)
+    reports = verify.run_check("theorem2", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 
@@ -107,7 +107,7 @@ def test_kahler_but_not_hyperkahler_violates():
                                              m.op(f"S{b + 1}bar")), spec)
             worst = max(worst, res.max_abs / (1 + res.scale))
     assert worst >= 1e-3
-    reports = verify.check_theorem2(m, spec, expected="any")
+    reports = verify.run_check("theorem2", m, spec, expect="any")
     assert any(r.verdict == VIOLATED for r in reports)
 
 
@@ -223,7 +223,7 @@ def test_instanton_n4():
 def test_instanton_su2_and_invariance():
     m = zoo.instanton(rho=1.0)
     spec = m.sample_spec(n_points=5, seed=15)
-    reports = verify.check_instanton(m, spec)
+    reports = verify.run_check("instanton_su2", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 

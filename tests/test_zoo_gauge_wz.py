@@ -67,7 +67,7 @@ def test_sym3_constraints_annihilate_gauge_invariants():
 
 def test_sym3_suite_verdicts():
     m = zoo.gauge_sym3()
-    reports = verify.run_suite(m, m.sample_spec(n_points=6, seed=5))
+    reports = verify.run_check("suite", m, m.sample_spec(n_points=6, seed=5))
     by_name = {r.name: r for r in reports}
     assert by_name["Q^2"].verdict == "violated-as-expected"
     assert by_name["Q^2 - A_-.G"].verdict == "pass"
@@ -88,7 +88,7 @@ def test_resolved_constructs_and_prints():
 def test_resolved_exploratory_reports():
     m = zoo.gauge_sym3_resolved(g0=1.0)
     spec = m.sample_spec(n_points=20, seed=6)
-    reports = verify.check_exploratory(m, spec)
+    reports = verify.run_check("exploratory", m, spec)
     assert all(r.verdict == "exploratory" for r in reports)
     by_name = {r.name: r for r in reports}
     # the verbatim charges come out exactly nilpotent at samples
@@ -134,7 +134,8 @@ def test_wz_single_mode_eigenvalue_machinery():
 
 def test_wz_single_mode_central_algebra():
     m = zoo.wz_modes([(1, 0, 0)])
-    reports = verify.check_central(m, m.sample_spec(n_points=8, seed=10))
+    reports = verify.run_check("central", m,
+                               m.sample_spec(n_points=8, seed=10))
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 
@@ -142,7 +143,8 @@ def test_wz_single_mode_central_algebra():
 def test_wz_three_modes_full_suite():
     m = zoo.wz_modes([(1, 0, 0), (0, 1, 0), (1, 1, 1)])
     spec = m.sample_spec(n_points=4, seed=11)
-    reports = verify.check_central(m, spec) + verify.check_wz_similarity(m, spec)
+    reports = (verify.run_check("central", m, spec)
+               + verify.run_check("wz_similarity", m, spec))
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
 
