@@ -15,7 +15,8 @@ strings, and numbers (see docs/scenarios.md for the exact schema):
     tolerances: {pass: 1.0e-9, violation: 1.0e-3}
     report: witten.report.txt
 
-Check entries (``verify.CHECKS`` names the checks) follow four rules:
+Check entries (``verify.CHECKS`` names the checks) and values follow
+five rules:
 
 * ``expect`` applies to every check: it replaces the expectation of each
   relation expected to pass, while built-in ``violated`` (gauge Q^2) and
@@ -23,9 +24,15 @@ Check entries (``verify.CHECKS`` names the checks) follow four rules:
 * a per-check ``tol`` can only tighten the pass gate, never loosen it;
 * with ``expect: any`` at least one relation must come out violated,
   else the check adds a failing ``<check>: no relation violated`` record;
+* the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
+  ``0 < pass < violation``, so no gate can pass a violated relation;
 * an unknown check name, ``expect`` value, entry key or operator name, a
-  missing ``equal`` operand, ``points < 1``, a ``box`` key that is not a
-  model coordinate, and a box with ``lo >= hi`` are scenario errors.
+  missing ``equal`` operand, ``points < 1``, a negative ``seed``, a
+  ``box`` key that is not a model coordinate, a box value that is not a
+  list of two numbers ``lo < hi``, an ``exclusions`` entry without a
+  parsable ``expr``, and a ``points``, ``seed``, tolerance, exclusion
+  ``min`` or check ``tol`` that is not a number (``points`` and ``seed``
+  whole, a ``tol`` positive) are scenario errors.
 
 Exit status is 0 iff every non-exploratory check passes (expected
 violations count as passing their contract), 1 if one fails, and 2 on a
@@ -36,13 +43,14 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 
 import yaml
 
 from . import verify, zoo
 from .diffop import Exclusion, SampleSpec, pretty
-from .expr import parse as parse_expr
+from .expr import ExprError, parse as parse_expr
 from .report import EXPECTATIONS, TOL_PASS, TOL_VIOLATION, render_report
 
 _SCENARIO_KEYS = {"name", "model", "checks", "box", "exclusions", "seed",
@@ -92,12 +100,48 @@ def build_model(model_section):
         raise ScenarioError(f"{ctor_name}: {exc}") from exc
 
 
+def _number(value, what, kind=float):
+    """``value`` as a finite ``kind``, else a ScenarioError naming it."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (isinstance(value, float) and x != value):
+        raise ScenarioError(f"{what} must be a finite "
+                            f"{'integer' if kind is int else 'number'}, got "
+                            f"{value!r}")
+    return x
+
+
+def build_tolerances(doc, tol=None):
+    """The (pass, violation) gates of a scenario; ``tol`` overrides the
+    pass gate, and the pair must satisfy 0 < pass < violation."""
+    section = doc.get("tolerances") or {}
+    if not isinstance(section, dict):
+        raise ScenarioError(f"tolerances must be a mapping, got {section!r}")
+    tol_pass = _number(tol if tol is not None
+                       else section.get("pass", TOL_PASS), "tolerances.pass")
+    tol_violation = _number(section.get("violation", TOL_VIOLATION),
+                            "tolerances.violation")
+    if not 0 < tol_pass < tol_violation:
+        raise ScenarioError(f"tolerances need 0 < pass < violation, got pass "
+                            f"{tol_pass:g} and violation {tol_violation:g}")
+    return tol_pass, tol_violation
+
+
 def build_sample_spec(doc, model, seed=None, points=None):
-    seed = seed if seed is not None else int(doc.get("seed", 0))
-    points = points if points is not None else int(doc.get("points", 20))
+    seed = _number(seed if seed is not None else doc.get("seed", 0), "seed",
+                   int)
+    if seed < 0:
+        raise ScenarioError(f"seed must not be negative, got {seed}")
+    points = _number(points if points is not None else doc.get("points", 20),
+                     "points", int)
     if points < 1:
         raise ScenarioError(f"points must be at least 1, got {points}")
     box_map = doc.get("box") or {}
+    if not isinstance(box_map, dict):
+        raise ScenarioError(f"box must map coordinates to [lo, hi], got "
+                            f"{box_map!r}")
     unknown = set(box_map) - set(model.coords)
     if unknown:
         raise ScenarioError(f"box keys {sorted(unknown)} are not coordinates "
@@ -105,7 +149,11 @@ def build_sample_spec(doc, model, seed=None, points=None):
     box = []
     for i, cname in enumerate(model.coords):
         if cname in box_map:
-            lo, hi = (float(v) for v in box_map[cname])
+            value = box_map[cname]
+            if not isinstance(value, list) or len(value) != 2:
+                raise ScenarioError(f"box {cname}: need a list [lo, hi] of "
+                                    f"two numbers, got {value!r}")
+            lo, hi = (_number(v, f"box {cname}") for v in value)
             if lo >= hi:
                 raise ScenarioError(f"box {cname}: need lo < hi, got "
                                     f"[{lo}, {hi}]")
@@ -115,9 +163,19 @@ def build_sample_spec(doc, model, seed=None, points=None):
         else:
             box.append((-1.0, 1.0))
     exclusions = list(model.default_exclusions)
-    for exc in doc.get("exclusions") or []:
-        expr = parse_expr(exc["expr"], model.coords)
-        exclusions.append(Exclusion(expr, float(exc.get("min", 0.1))))
+    entries = doc.get("exclusions") or []
+    if not isinstance(entries, list):
+        raise ScenarioError(f"exclusions must be a list, got {entries!r}")
+    for exc in entries:
+        if not isinstance(exc, dict) or "expr" not in exc:
+            raise ScenarioError(f"exclusion needs {{expr: ..., min: ...}}, "
+                                f"got {exc!r}")
+        try:
+            expr = parse_expr(exc["expr"], model.coords)
+        except ExprError as err:
+            raise ScenarioError(f"exclusion {exc['expr']!r}: {err}") from None
+        exclusions.append(Exclusion(expr, _number(exc.get("min", 0.1),
+                                                  "exclusion min")))
     return SampleSpec(box=tuple(box), n_points=points, seed=seed,
                       exclusions=tuple(exclusions))
 
@@ -140,6 +198,11 @@ def _check_entry(chk):
         inspect.signature(verify.CHECKS[name]).bind(None, **params)
     except TypeError as exc:
         raise ScenarioError(f"check {name!r}: {exc}") from None
+    if "tol" in params:
+        params["tol"] = _number(params["tol"], f"check {name!r}: tol")
+        if params["tol"] <= 0:
+            raise ScenarioError(f"check {name!r}: tol must be positive, got "
+                                f"{params['tol']:g}")
     return name, expect, params
 
 
@@ -159,11 +222,9 @@ def run_checks(doc, model, spec, tols):
 def run_scenario(path, seed=None, points=None, tol=None, report_path=None,
                  fail_on_gray=False):
     doc = load_scenario(path)
+    tols = build_tolerances(doc, tol)
     model = build_model(doc["model"])
     spec = build_sample_spec(doc, model, seed=seed, points=points)
-    tol_section = doc.get("tolerances") or {}
-    tols = (float(tol if tol is not None else tol_section.get("pass", TOL_PASS)),
-            float(tol_section.get("violation", TOL_VIOLATION)))
     reports = run_checks(doc, model, spec, tols)
     header = (f"scenario: {doc.get('name', path)} | model: {model.name} | "
               f"seed: {spec.seed} | points: {spec.n_points}")

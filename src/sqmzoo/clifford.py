@@ -305,6 +305,9 @@ class FermionBilinearField(Field):
         mjet = self.mfield.eval_jet(ctx, order)
         return np.einsum("abt,abrc->rct", mjet, self._pairs)
 
+    def deps(self, order):
+        return ((self.mfield, order),)
+
     def describe(self):
         names = {"pb": "psi.psibar", "bp": "psibar.psi",
                  "pp": "psi.psi", "bb": "psibar.psibar"}
@@ -332,6 +335,9 @@ class FermionLinearField(Field):
     def _compute(self, ctx, order):
         vjet = self.vfield.eval_jet(ctx, order)
         return np.einsum("at,arc->rct", vjet[0], self._ops)
+
+    def deps(self, order):
+        return ((self.vfield, order),)
 
     def describe(self):
         return f"[{self.vfield.describe()}]*{self.kind}"

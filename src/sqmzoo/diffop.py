@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (EvalContext, ZeroField, fconj_t, fderiv, fdiag, fexp,
-                     fidentity, fmatmul, fpow, frestrict, fscale, fsum)
+from .fields import (EvalContext, PlanError, ZeroField, fconj_t, fderiv,
+                     fdiag, fexp, fidentity, fmatmul, fpow, frestrict, fscale,
+                     fsum, plan_requests)
 from .jets import MAX_ORDER
 
 
@@ -364,8 +365,8 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
 
     derivs = [fderiv(F, unit_index(A.ncoords, dpos))
               for F in A.terms.values() for dpos in dropped_pos]
-    res = sampled_residual(
-        [dF for dF in derivs if not isinstance(dF, ZeroField)], spec)
+    res, = sampled_residual(
+        [[dF for dF in derivs if not isinstance(dF, ZeroField)]], spec)
     if res.max_abs > tol * (1.0 + res.scale):
         raise ReductionError("operator depends on dropped coordinates "
                              f"(residual {res.max_abs:.3e})")
@@ -391,35 +392,54 @@ def rename_coords(A, names):
     return DiffOp(tuple(names), A.rep, dict(A.terms))
 
 
-def sampled_residual(fields, spec):
-    """Largest entry magnitude of the fields' values over the sample
-    points, with its point and the scale (largest magnitude met while
-    evaluating).  Each point gets one fresh evaluation cache.  The point
-    is None when every sampled entry is exactly 0, and the first sample
-    point when there are no fields."""
+def sampled_residual(groups, spec):
+    """Residual of each group of fields at the sample points of ``spec``,
+    all groups evaluated in one pass.
+
+    A group's residual is the largest entry magnitude of its fields'
+    values, the first point where it is met, and the scale: the largest
+    value magnitude among all the jets the group's fields are computed
+    from.  The point is None when every sampled entry is exactly 0, and
+    the first sample point when the group is empty.  Each point gets one
+    evaluation context, planned over every group, so a node the groups
+    share is computed once per point and its jet freed after its last
+    use."""
+    groups = [list(fields) for fields in groups]
     points = spec.points()
-    if not fields:
-        return Residual(0.0, points[0] if points else (), 0.0)
-    max_abs = 0.0
-    argmax = None
-    scale = 0.0
+    plan = plan_requests([f for fields in groups for f in fields])
+    found = [[0.0, None, 0.0] for _ in groups]
     for p in points:
-        ctx = EvalContext(p)
-        for f in fields:
-            m = float(np.max(np.abs(f.eval_jet(ctx, 0))))
-            if m > max_abs:
-                max_abs = m
-                argmax = p
-        scale = max(scale, ctx.max_mag)
-    return Residual(max_abs, argmax, scale)
+        ctx = EvalContext(p, plan)
+        for fields, acc in zip(groups, found):
+            if not fields:
+                continue
+            jets, scale = ctx.values(fields)
+            for jet in jets:
+                m = float(np.abs(jet).max())
+                if m > acc[0]:
+                    acc[0] = m
+                    acc[1] = p
+            acc[2] = max(acc[2], scale)
+        if ctx.cache:
+            raise PlanError(f"{len(ctx.cache)} planned jets never requested "
+                            "at a sample point")
+    return [Residual(*acc) if fields
+            else Residual(0.0, points[0] if points else (), 0.0)
+            for fields, acc in zip(groups, found)]
+
+
+def op_residuals(ops, spec):
+    """Residual of each operator's coefficients, in one sampled pass."""
+    for A in ops:
+        if len(spec.box) != A.ncoords:
+            raise OpError("sample box does not match operator coordinates")
+    return sampled_residual([A.terms.values() for A in ops], spec)
 
 
 def is_zero(A, spec, tol=1e-9):
     """Evaluate all coefficients at sampled points; pass iff the largest
     entry magnitude stays below tol * (1 + scale)."""
-    if len(spec.box) != A.ncoords:
-        raise OpError("sample box does not match operator coordinates")
-    res = sampled_residual(list(A.terms.values()), spec)
+    res, = op_residuals([A], spec)
     return res.max_abs <= tol * (1.0 + res.scale), res
 
 

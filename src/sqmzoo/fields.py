@@ -4,9 +4,20 @@ A Field is an immutable DAG node: an expression grid, or a composite
 (sum, product, scalar multiple, matrix exponential, inverse, conjugate
 transpose, derivative, determinant, restriction).  Evaluation at a
 point produces a jet matrix carrying exact partial derivatives up to a
-requested order; shared nodes are evaluated once per point via the
-evaluation context cache.  Fields are pure and safe to evaluate
-concurrently.
+requested order.
+
+All evaluation at one sample point goes through one EvalContext, which
+caches jets by ``(id(node), order)`` so a node shared by many parents,
+or by many relations of one check, is computed once per point.  Each
+node declares in :meth:`Field.deps` the ``(child, order)`` requests its
+``_compute`` makes; :func:`plan_requests` counts them over a batch of
+roots before the first point, and a context built with that count
+stores only the jets requested more than once and drops each one at its
+last request.  Every cache entry also carries its subtree maximum, the
+largest ``|value|`` of its own jet and of every jet it was computed
+from, which is the scale a residual is measured against.  Fields
+themselves hold no evaluation state; a context belongs to one point and
+one caller.
 """
 
 from __future__ import annotations
@@ -21,8 +32,12 @@ class OrderOverflow(ValueError):
     """A derivative request exceeded the engine's jet-order cap."""
 
 
+class PlanError(RuntimeError):
+    """A node requested a jet its declared dependencies do not count."""
+
+
 class _Mag:
-    """Shared tracker for the largest value magnitude seen in a DAG walk."""
+    """Largest value magnitude met in one subtree of a DAG walk."""
 
     __slots__ = ("value",)
 
@@ -31,18 +46,49 @@ class _Mag:
 
     def update(self, arr):
         if arr.size:
-            m = float(np.max(np.abs(arr[..., 0])))
+            m = float(np.abs(arr[..., 0]).max())
             if m > self.value:
                 self.value = m
 
 
-class EvalContext:
-    """Per-point evaluation cache (jets keyed by node and order)."""
+def plan_requests(roots):
+    """Number of times evaluating each of ``roots`` at order 0 requests
+    each ``(id(node), order)``, from the nodes' declared dependencies.
 
-    def __init__(self, point, tracker=None):
+    The nodes must outlive every context that uses the plan, so that no
+    id is reused while the plan is in force."""
+    counts = {}
+    todo = [(f, 0) for f in roots]
+    while todo:
+        node, order = todo.pop()
+        key = (id(node), order)
+        n = counts.get(key)
+        if n is None:
+            counts[key] = 1
+            todo.extend(node.deps(order))
+        else:
+            counts[key] = n + 1
+    return counts
+
+
+class EvalContext:
+    """Evaluation state of one sample point.
+
+    ``cache`` maps ``(id(node), order)`` to ``(jet, subtree maximum)``.
+    With a ``plan`` from :func:`plan_requests`, an entry is stored only
+    when more requests for it are still to come and is dropped at the
+    last one, and a request the plan does not count raises PlanError.
+    Without a plan every entry is kept while the context lives.
+    """
+
+    def __init__(self, point, plan=None):
         self.point = tuple(float(x) for x in point)
         self.cache = {}
-        self.tracker = tracker if tracker is not None else _Mag()
+        # requests still to come per key, counted down as they arrive
+        self.left = None if plan is None else dict(plan)
+        # one _Mag per node being computed; the bottom one collects the
+        # roots of a group (see values)
+        self.frames = [_Mag()]
         self._subs = {}
         self._coord_jets = {}
 
@@ -55,36 +101,72 @@ class EvalContext:
         return jets
 
     def sub(self, point):
+        """Unplanned context at another point whose subtree maxima count
+        towards the node that asked for it."""
         key = tuple(point)
         ctx = self._subs.get(key)
         if ctx is None:
-            ctx = EvalContext(key, self.tracker)
+            ctx = EvalContext(key)
+            ctx.frames = self.frames
             self._subs[key] = ctx
         return ctx
 
-    @property
-    def max_mag(self):
-        return self.tracker.value
+    def values(self, fields, order=0):
+        """Jets of ``fields`` and the largest ``|value|`` met while
+        evaluating them, cached subtrees included."""
+        mag = _Mag()
+        self.frames.append(mag)
+        try:
+            jets = [f.eval_jet(self, order) for f in fields]
+        finally:
+            self.frames.pop()
+        return jets, mag.value
 
 
 class Field:
-    """Base class; subclasses set ``shape`` and ``ncoords`` and implement
-    :meth:`_compute`."""
+    """Base class; subclasses set ``shape`` and ``ncoords``, implement
+    :meth:`_compute`, and list in :meth:`deps` every jet it requests."""
 
     shape = (1, 1)
     ncoords = 0
 
     def eval_jet(self, ctx, order=0):
         key = (id(self), order)
-        res = ctx.cache.get(key)
-        if res is None:
-            res = self._compute(ctx, order)
-            ctx.tracker.update(res)
-            ctx.cache[key] = res
+        left = ctx.left
+        if left is not None:
+            n = left.get(key, 0) - 1
+            if n < 0:
+                raise PlanError(f"{self!r} at order {order} requested more "
+                                "often than the declared dependencies say")
+            left[key] = n
+        entry = ctx.cache.get(key)
+        if entry is None:
+            mag = _Mag()
+            frames = ctx.frames
+            frames.append(mag)
+            try:
+                res = self._compute(ctx, order)
+            finally:
+                frames.pop()
+            mag.update(res)
+            entry = (res, mag.value)
+            if left is None or n:
+                ctx.cache[key] = entry
+        elif left is not None and not n:
+            del ctx.cache[key]
+        res, m = entry
+        top = ctx.frames[-1]
+        if m > top.value:
+            top.value = m
         return res
 
     def _compute(self, ctx, order):
         raise NotImplementedError
+
+    def deps(self, order):
+        """The ``(child, order)`` jets :meth:`_compute` requests from
+        ``ctx`` at ``order``, once per request."""
+        return ()
 
     @property
     def is_scalar(self):
@@ -206,6 +288,10 @@ class GridField(Field):
                 out[r, c, :] = e.eval_jet(ctx, order)[0, 0, :]
         return out
 
+
+    def deps(self, order):
+        return [(e, order) for row in self.entries for e in row]
+
     def deriv(self, gamma):
         if not any(gamma):
             return self
@@ -235,6 +321,10 @@ class SumField(Field):
             out += ch.eval_jet(ctx, order)
         return out
 
+
+    def deps(self, order):
+        return [(ch, order) for ch in self.children]
+
     def deriv(self, gamma):
         if not any(gamma):
             return self
@@ -258,6 +348,10 @@ class ScaleField(Field):
 
     def _compute(self, ctx, order):
         return self.coeff * self.child.eval_jet(ctx, order)
+
+
+    def deps(self, order):
+        return ((self.child, order),)
 
     def deriv(self, gamma):
         if not any(gamma):
@@ -286,6 +380,10 @@ class MatMulField(Field):
         space = jet_space(self.ncoords, order)
         return space.mul(self.a.eval_jet(ctx, order), self.b.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.a, order), (self.b, order))
+
     def conj_t(self):
         return fmatmul(self.b.conj_t(), self.a.conj_t())
 
@@ -309,6 +407,10 @@ class ScalarMulField(Field):
         return space.scal_mul(self.scalar.eval_jet(ctx, order),
                               self.child.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.scalar, order), (self.child, order))
+
     def conj_t(self):
         return ScalarMulField(self.scalar.conj_t(), self.child.conj_t())
 
@@ -325,6 +427,10 @@ class ConjTransposeField(Field):
     def _compute(self, ctx, order):
         jet = self.child.eval_jet(ctx, order)
         return np.conj(np.swapaxes(jet, 0, 1))
+
+
+    def deps(self, order):
+        return ((self.child, order),)
 
     def deriv(self, gamma):
         if not any(gamma):
@@ -348,6 +454,10 @@ class TransposeField(Field):
 
     def _compute(self, ctx, order):
         return np.swapaxes(self.child.eval_jet(ctx, order), 0, 1)
+
+
+    def deps(self, order):
+        return ((self.child, order),)
 
     def deriv(self, gamma):
         if not any(gamma):
@@ -376,6 +486,10 @@ class DerivativeField(Field):
         target = jet_space(self.ncoords, order)
         return parent.extract(self.child.eval_jet(ctx, total), self.gamma, target)
 
+
+    def deps(self, order):
+        return ((self.child, order + sum(self.gamma)),)
+
     def deriv(self, gamma):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
         return DerivativeField(self.child, merged)
@@ -400,6 +514,10 @@ class MatExpField(Field):
         space = jet_space(self.ncoords, order)
         return space.matrix_exp(self.child.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.child, order),)
+
     def conj_t(self):
         return MatExpField(self.child.conj_t())
 
@@ -419,6 +537,10 @@ class InverseField(Field):
         space = jet_space(self.ncoords, order)
         return space.matrix_inv(self.child.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.child, order),)
+
     def describe(self):
         return f"inv({self.child.describe()})"
 
@@ -434,6 +556,10 @@ class DetField(Field):
     def _compute(self, ctx, order):
         space = jet_space(self.ncoords, order)
         return space.det(self.child.eval_jet(ctx, order))
+
+
+    def deps(self, order):
+        return ((self.child, order),)
 
     def describe(self):
         return f"det({self.child.describe()})"
@@ -455,6 +581,10 @@ class ScalarFnField(Field):
         space = jet_space(self.ncoords, order)
         return getattr(space, self.op)(self.child.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.child, order),)
+
     def describe(self):
         return f"{self.op}({self.child.describe()})"
 
@@ -473,6 +603,10 @@ class PowField(Field):
     def _compute(self, ctx, order):
         space = jet_space(self.ncoords, order)
         return space.powr(self.child.eval_jet(ctx, order), self.p, self.q)
+
+
+    def deps(self, order):
+        return ((self.child, order),)
 
     def describe(self):
         return f"({self.child.describe()})^({self.p}/{self.q})"
@@ -496,6 +630,10 @@ class PositiveGuardField(Field):
                 f"{self.what} must be positive, got {v:g} at {ctx.point}")
         return jet
 
+
+    def deps(self, order):
+        return ((self.child, order),)
+
     def describe(self):
         return self.child.describe()
 
@@ -512,6 +650,10 @@ class EntryField(Field):
     def _compute(self, ctx, order):
         jet = self.parent.eval_jet(ctx, order)
         return jet[self.r:self.r + 1, self.c:self.c + 1, :]
+
+
+    def deps(self, order):
+        return ((self.parent, order),)
 
     def deriv(self, gamma):
         if not any(gamma):
@@ -541,6 +683,10 @@ class DiagField(Field):
             out[k, k, :] = s[0, 0, :]
         return out
 
+
+    def deps(self, order):
+        return ((self.scalar, order),)
+
     def deriv(self, gamma):
         if not any(gamma):
             return self
@@ -563,6 +709,10 @@ class ScalarConjField(Field):
     def _compute(self, ctx, order):
         return np.conj(self.child.eval_jet(ctx, order))
 
+
+    def deps(self, order):
+        return ((self.child, order),)
+
     def deriv(self, gamma):
         if not any(gamma):
             return self
@@ -579,6 +729,8 @@ class RestrictField(Field):
     other parent coordinates are frozen at ``fixed`` values.  Only valid
     when the parent does not actually depend on the frozen coordinates
     (the reduction machinery verifies this before constructing one).
+    The parent is evaluated in an unplanned sub-context at the full
+    point, so this node declares no dependencies in its own context.
     """
 
     def __init__(self, child, keep, fixed):

@@ -241,11 +241,10 @@ def check_complex_structure(I, geo, spec, expected="pass"):
     """Reports for I^2 = -1, antisymmetry of I_MN, and covariant constancy."""
     dim, nc = geo.dim, geo.ncoords
     sq = fsum([fmatmul(I.matrix, I.matrix), fidentity(dim, nc)], (dim, dim), nc)
-    r_sq = sampled_residual([sq], spec)
     ilow = lowered(I, geo)
     asym = fsum([ilow, ftranspose(ilow)], (dim, dim), nc)
-    r_asym = sampled_residual([asym], spec)
-    r_cov = sampled_residual(covariant_derivative_fields(I, geo), spec)
+    r_sq, r_asym, r_cov = sampled_residual(
+        [[sq], [asym], covariant_derivative_fields(I, geo)], spec)
     tag = f"I{I.label}" if I.label else "I"
     return [
         make_report(f"{tag}^2 = -1", r_sq, spec),
@@ -270,7 +269,7 @@ def check_quaternion(i1, i2, i3, spec, ncoords=None, expected="pass"):
                 if eps[a, b, c]:
                     parts.append(fscale(-eps[a, b, c], trio[c].matrix))
             fields.append(fsum(parts, (dim, dim), nc))
-    r = sampled_residual(fields, spec)
+    r, = sampled_residual([fields], spec)
     return make_report("quaternion algebra", r, spec, expected=expected)
 
 
@@ -349,8 +348,8 @@ def select_orientation(geo, spec, tol=1e-8):
         trio = [frame_structure(geo, c, label=a + 1)
                 for a, c in enumerate(consts)]
         worst = 0.0
-        for s in trio:
-            r = sampled_residual(covariant_derivative_fields(s, geo), spec)
+        for r in sampled_residual(
+                [covariant_derivative_fields(s, geo) for s in trio], spec):
             worst = max(worst, r.max_abs / (1.0 + r.scale))
         if worst <= tol:
             return trio, variant

@@ -22,7 +22,8 @@ import numpy as np
 
 from .clifford import const_tensor
 from .diffop import (anticommutator, commutator, compose, is_zero,
-                     momentum_op, mult_op, naive_dagger, similarity, zero_op)
+                     momentum_op, mult_op, naive_dagger, op_residuals,
+                     similarity, zero_op)
 from .fields import EvalContext, fexpr, fidentity
 from .report import (EXPECTATIONS, FAIL, TOL_PASS, TOL_VIOLATION, VIOLATED,
                      CheckReport, make_report)
@@ -311,6 +312,12 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
               **params):
     """Evaluate the relations of check ``name`` at the points of ``spec``.
 
+    All relations go through one ``op_residuals`` pass: each sample point
+    gets one evaluation context shared by every relation of the check, so
+    an operator that several relations contain is evaluated once per
+    point, and each relation's scale is still taken over its own DAG
+    only.
+
     ``tols`` is the (pass, violation) tolerance pair; a relation's own
     ``tol`` can only tighten the pass tolerance.  ``expect``, when given,
     replaces the expectation of every relation expected to pass; the
@@ -321,12 +328,13 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
     if expect is not None and expect not in EXPECTATIONS:
         raise ValueError(f"unknown expectation {expect!r}")
     tol_pass, tol_violation = tols
+    relations = CHECKS[name](model, **params)
+    residuals = op_residuals([rel.op for rel in relations], spec)
     reports = []
-    for rel in CHECKS[name](model, **params):
+    for rel, res in zip(relations, residuals):
         expected = (expect if expect is not None and rel.expected == "pass"
                     else rel.expected)
         tol = tol_pass if rel.tol is None else min(tol_pass, rel.tol)
-        _ok, res = is_zero(rel.op, spec, tol)
         reports.append(make_report(rel.label, res, spec, expected, tol,
                                    tol_violation))
     if expect == "any" and not any(r.verdict == VIOLATED for r in reports):

@@ -480,9 +480,9 @@ def hyperkahler(geo, triple, omega=None, spec=None):
         qrep = geometry.check_quaternion(*triple, spec)
         if not qrep.ok:
             raise ValueError(f"triple fails the quaternion algebra: {qrep.line()}")
-        for s in triple:
-            r = sampled_residual(geometry.covariant_derivative_fields(s, geo),
-                                 spec)
+        for r in sampled_residual(
+                [geometry.covariant_derivative_fields(s, geo) for s in triple],
+                spec):
             if r.max_abs > 1e-8 * (1.0 + r.scale):
                 structure_ok = False
     Q = geometric_charge(geo, rep)

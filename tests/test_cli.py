@@ -134,8 +134,10 @@ FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
     (WITTEN, "[{name: equal, a: Q}]", "'b'"),
     (WITTEN, "[{name: equal, a: Q, b: Qnope}]", "Qnope"),
     (WITTEN, "[nonsense]", "unknown check"),
+    (WITTEN, "[{name: equal, a: Q, b: Q, tol: abc}]", "tol"),
+    (WITTEN, "[{name: equal, a: Q, b: Q, tol: 0}]", "tol"),
 ], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
-        "unknown-operator", "unknown-check"])
+        "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol"])
 def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
                                            message):
     assert main(["run", _scenario(tmp_path, model, checks)]) == 2
@@ -169,8 +171,34 @@ def test_expect_any_requires_a_violation(tmp_path):
     ("box: {zz: [0, 1]}\n", [], "zz"),
     ("box: {x: [1, 1]}\n", [], "lo < hi"),
     ("box: {x: [1, -1]}\n", [], "lo < hi"),
+    ("box: {x: 5}\n", [], "box x"),
+    ("box: {x: [1]}\n", [], "box x"),
+    ("box: {x: [-1, 1, 2]}\n", [], "box x"),
+    ("box: {x: [a, 1]}\n", [], "box x"),
+    ("box: {x: [-.inf, 1]}\n", [], "box x"),
+    ("box: [-1, 1]\n", [], "box must map"),
+    ("points: abc\n", [], "points"),
+    ("points: 2.5\n", [], "points"),
+    ("exclusions: [{expr: x, min: abc}]\n", [], "exclusion min"),
+    ("exclusions: [{min: 0.1}]\n", [], "exclusion needs"),
+    ("exclusions: [{expr: \"x +\"}]\n", [], "exclusion 'x +'"),
+    ("exclusions: 5\n", [], "exclusions must be a list"),
+    ("seed: abc\n", [], "seed"),
+    ("seed: -1\n", [], "seed"),
+    ("tolerances: {pass: abc}\n", [], "tolerances.pass"),
+    ("tolerances: {violation: [1]}\n", [], "tolerances.violation"),
+    ("tolerances: {pass: 1.0, violation: 1.0e-3}\n", [], "pass < violation"),
+    ("tolerances: {pass: 0}\n", [], "pass < violation"),
+    ("", ["--tol", "0.5"], "pass < violation"),
+    ("", ["--tol=-1e-9"], "pass < violation"),
 ], ids=["points-0", "points-negative", "unknown-box-key", "empty-box",
-        "reversed-box"])
+        "reversed-box", "box-number", "box-one-number", "box-three-numbers",
+        "box-not-numeric", "box-infinite", "box-not-mapping",
+        "points-not-numeric", "points-fractional", "exclusion-min-not-numeric",
+        "exclusion-without-expr", "exclusion-unparsable", "exclusions-not-list",
+        "seed-not-numeric", "seed-negative",
+        "pass-not-numeric", "violation-not-numeric", "pass-above-violation",
+        "pass-zero", "tol-option-above-violation", "tol-option-negative"])
 def test_vacuous_sample_is_scenario_error(tmp_path, capsys, extra, argv,
                                           message):
     path = _scenario(tmp_path, WITTEN, "[suite]", extra)

@@ -46,7 +46,7 @@ def test_one_dimensional_closed_forms():
     assert evaluate(geo.metric, (x,))[0, 0, 0] == pytest.approx(np.exp(-2 * w))
     assert evaluate(geo.christoffel[0], (x,))[0, 0, 0] == pytest.approx(-wp)
     spec = SampleSpec(box=((-1.1, 1.1),), n_points=10, seed=3)
-    r = sampled_residual(geometry.metric_compatibility_fields(geo), spec)
+    r, = sampled_residual([geometry.metric_compatibility_fields(geo)], spec)
     assert r.max_abs < 1e-10 * (1 + r.scale)
 
 
@@ -96,7 +96,8 @@ def test_christoffel_symmetric_and_metric_compatible():
     for n in range(4):
         g = evaluate(geo.christoffel[n], p)[:, :, 0]
         assert np.abs(g - g.T).max() == 0.0
-    r = sampled_residual(geometry.metric_compatibility_fields(geo), SPEC4)
+    r, = sampled_residual([geometry.metric_compatibility_fields(geo)],
+                          SPEC4)
     assert r.max_abs <= 1e-9 * (1 + r.scale)
 
 
@@ -172,8 +173,8 @@ def test_gh_flat_limit_both_orientations():
         trio = [geometry.frame_structure(geo, c, label=i + 1)
                 for i, c in enumerate(geometry.canonical_triple(4, variant))]
         for s in trio:
-            r = sampled_residual(geometry.covariant_derivative_fields(s, geo),
-                                 spec)
+            r, = sampled_residual(
+                [geometry.covariant_derivative_fields(s, geo)], spec)
             assert r.max_abs < 1e-12
 
 
@@ -202,8 +203,8 @@ def test_gh_one_center_selects_orientation():
     q = geometry.check_quaternion(*trio, GH_SPEC)
     assert q.verdict == "pass"
     for s in trio:
-        r = sampled_residual(geometry.covariant_derivative_fields(s, geo),
-                             GH_SPEC)
+        r, = sampled_residual(
+            [geometry.covariant_derivative_fields(s, geo)], GH_SPEC)
         assert r.max_abs < 1e-8 * (1 + r.scale)
 
 
@@ -212,8 +213,8 @@ def test_gh_two_centers():
         [(0.0, 0.0, 0.0), (2.5, 0.0, 0.0)], [0.4, 0.3], eps=1.0)
     trio, _variant = geometry.select_orientation(geo, GH_SPEC)
     for s in trio:
-        r = sampled_residual(geometry.covariant_derivative_fields(s, geo),
-                             GH_SPEC)
+        r, = sampled_residual(
+            [geometry.covariant_derivative_fields(s, geo)], GH_SPEC)
         assert r.max_abs < 1e-8 * (1 + r.scale)
 
 
