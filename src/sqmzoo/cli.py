@@ -26,8 +26,9 @@ five rules:
   else the check adds a failing ``<check>: no relation violated`` record;
 * the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
   ``0 < pass < violation``, so no gate can pass a violated relation;
-* an unknown check name, ``expect`` value, entry key or operator name, a
-  missing ``equal`` operand, ``points < 1``, a negative ``seed``, a
+* a model param the constructor does not take, a missing or unparsable
+  one, an unknown check name, ``expect`` value, entry key or operator
+  name, a missing ``equal`` operand, ``points < 1``, a negative ``seed``, a
   ``box`` key that is not a model coordinate, a box value that is not a
   list of two numbers ``lo < hi``, an ``exclusions`` entry without a
   parsable ``expr``, and a ``points``, ``seed``, tolerance, exclusion
@@ -83,20 +84,18 @@ def load_scenario(path):
 def build_model(model_section):
     ctor_name = model_section["constructor"]
     params = dict(model_section.get("params") or {})
-    if ctor_name == "torsion_rotate":
-        base = params.pop("base", None)
-        if not base:
-            raise ScenarioError("torsion_rotate needs a 'base' model block")
-        base_model = build_model(base)
-        return zoo.torsion_rotate(base_model, params["B"],
-                                  params.get("kind", "holomorphic"))
     try:
         ctor = zoo.CATALOG[ctor_name][0]
     except KeyError:
         raise ScenarioError(f"unknown constructor {ctor_name!r}") from None
+    if ctor_name == "torsion_rotate":
+        base = params.pop("base", None)
+        if not base:
+            raise ScenarioError("torsion_rotate needs a 'base' model block")
+        params["model"] = build_model(base)
     try:
         return ctor(**params)
-    except TypeError as exc:
+    except (TypeError, ExprError) as exc:
         raise ScenarioError(f"{ctor_name}: {exc}") from exc
 
 

@@ -399,11 +399,12 @@ def sampled_residual(groups, spec):
     A group's residual is the largest entry magnitude of its fields'
     values, the first point where it is met, and the scale: the largest
     value magnitude among all the jets the group's fields are computed
-    from.  The point is None when every sampled entry is exactly 0, and
-    the first sample point when the group is empty.  Each point gets one
-    evaluation context, planned over every group, so a node the groups
-    share is computed once per point and its jet freed after its last
-    use."""
+    from.  A NaN ranks above every number, so the first NaN met is kept
+    with its point.  The point is None when every sampled entry is
+    exactly 0, and the first sample point when the group is empty.  Each
+    point gets one evaluation context, planned over every group, so a
+    node the groups share is computed once per point and its jet freed
+    after its last use."""
     groups = [list(fields) for fields in groups]
     points = spec.points()
     plan = plan_requests([f for fields in groups for f in fields])
@@ -416,10 +417,11 @@ def sampled_residual(groups, spec):
             jets, scale = ctx.values(fields)
             for jet in jets:
                 m = float(np.abs(jet).max())
-                if m > acc[0]:
+                if m > acc[0] or (m != m and acc[0] == acc[0]):
                     acc[0] = m
                     acc[1] = p
-            acc[2] = max(acc[2], scale)
+            if scale > acc[2] or scale != scale:
+                acc[2] = scale
         if ctx.cache:
             raise PlanError(f"{len(ctx.cache)} planned jets never requested "
                             "at a sample point")

@@ -37,7 +37,8 @@ class PlanError(RuntimeError):
 
 
 class _Mag:
-    """Largest value magnitude met in one subtree of a DAG walk."""
+    """Largest value magnitude met in one subtree of a DAG walk; a NaN,
+    once met, stays."""
 
     __slots__ = ("value",)
 
@@ -47,7 +48,7 @@ class _Mag:
     def update(self, arr):
         if arr.size:
             m = float(np.abs(arr[..., 0]).max())
-            if m > self.value:
+            if m > self.value or m != m:
                 self.value = m
 
 
@@ -156,7 +157,7 @@ class Field:
             del ctx.cache[key]
         res, m = entry
         top = ctx.frames[-1]
-        if m > top.value:
+        if m > top.value or m != m:
             top.value = m
         return res
 

@@ -9,6 +9,15 @@ Matrix jets are complex ndarrays of shape ``(rows, cols, nterms)``
 whose last axis runs over the multi-index basis of a :class:`JetSpace`
 in graded lexicographic order (so index 0 is always the plain value).
 Scalar jets are 1x1 matrix jets.
+
+Products (:meth:`JetSpace.mul`, :meth:`JetSpace.scal_mul`) run over
+the term pairs ``(alpha, beta)`` with ``|alpha + beta| <= order`` and
+multiply only the pairs whose two terms are both live, i.e. not
+entirely zero in their factor.  A skipped pair would only add exact
+zeros, and the kept pairs are summed in the same order as the full
+table, so the result is bit for bit the dense one for finite factors.
+(A dense product also turns ``0 * inf`` into NaN; a skipped pair does
+not.)
 """
 
 from __future__ import annotations
@@ -22,6 +31,13 @@ import numpy as np
 # Hard cap on derivative order carried through the engine.  Second-order
 # operators conjugated once need jets of order ~3; 4 leaves headroom.
 MAX_ORDER = 4
+
+# Terms of the matrix_exp Taylor series, the identity included.
+_EXP_TERMS = 40
+
+
+class SeriesError(ArithmeticError):
+    """A jet series did not converge within its term budget."""
 
 
 def _multi_indices(nvars, order):
@@ -100,24 +116,28 @@ class JetSpace:
         """Matrix product of jets: (r,m,T) x (m,c,T) -> (r,c,T)."""
         if self.nterms == 1:
             return A[:, :, 0].dot(B[:, :, 0])[:, :, None]
-        Ap = np.moveaxis(A[:, :, self._ii], 2, 0)  # (P, r, m)
-        Bp = np.moveaxis(B[:, :, self._jj], 2, 0)  # (P, m, c)
+        live = A.any(axis=(0, 1))[self._ii] & B.any(axis=(0, 1))[self._jj]
+        Ap = A[:, :, self._ii[live]].transpose(2, 0, 1)  # (P, r, m)
+        Bp = B[:, :, self._jj[live]].transpose(2, 0, 1)  # (P, m, c)
         prod = np.matmul(Ap, Bp)
-        prod *= self._ww[:, None, None]
-        out = np.zeros((self.nterms,) + prod.shape[1:], dtype=np.complex128)
-        np.add.at(out, self._kk, prod)
-        return np.moveaxis(out, 0, 2)
+        prod *= self._ww[live, None, None]
+        return self._scatter(self._kk[live], prod)
 
     def scal_mul(self, s, A):
         """Multiply matrix jet A by scalar jet s (shape (1,1,T))."""
         if self.nterms == 1:
             return s[0, 0, 0] * A
-        sp = s[0, 0, self._ii] * self._ww  # (P,)
-        Ap = np.moveaxis(A[:, :, self._jj], 2, 0)
-        prod = sp[:, None, None] * Ap
+        live = (s[0, 0] != 0)[self._ii] & A.any(axis=(0, 1))[self._jj]
+        sp = s[0, 0, self._ii[live]] * self._ww[live]  # (P,)
+        Ap = A[:, :, self._jj[live]].transpose(2, 0, 1)
+        return self._scatter(self._kk[live], sp[:, None, None] * Ap)
+
+    def _scatter(self, kk, prod):
+        """Sum the pair products ``prod`` (P, r, c) into their terms
+        ``kk``, in pair order, as an (r, c, T) jet."""
         out = np.zeros((self.nterms,) + prod.shape[1:], dtype=np.complex128)
-        np.add.at(out, self._kk, prod)
-        return np.moveaxis(out, 0, 2)
+        np.add.at(out, kk, prod)
+        return out.transpose(1, 2, 0)
 
     # -- derivative extraction -----------------------------------------
 
@@ -226,11 +246,17 @@ class JetSpace:
         M = A / (2.0 ** s)
         out = self.const(np.eye(n))
         term = self.const(np.eye(n))
-        for k in range(1, 40):
+        for k in range(1, _EXP_TERMS):
             term = self.mul(term, M) / k
             out = out + term
-            if float(np.max(np.abs(term))) < 1e-18:
+            size = float(np.max(np.abs(term)))
+            # a non-finite term goes on into the result, whose residual
+            # then fails its relation
+            if size < 1e-18 or not math.isfinite(size):
                 break
+        else:
+            raise SeriesError(f"matrix_exp: Taylor series not converged after "
+                              f"{_EXP_TERMS} terms (last term {size:.3e})")
         for _ in range(s):
             out = self.mul(out, out)
         return out

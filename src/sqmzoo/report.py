@@ -5,11 +5,14 @@ residual stays below tol_pass * (1 + scale); a negative control is
 "violated-as-expected" only when the residual clears the much larger
 tol_violation * (1 + scale).  Residuals in the gap between the two
 thresholds are a gray zone and fail the run so they get investigated.
-Exploratory relations only report their residual.
+Exploratory relations only report their residual.  A residual or
+scale that is NaN or infinite fails every other expectation: no gate
+computed from it means anything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .diffop import Residual, SampleSpec
@@ -50,6 +53,10 @@ def classify(residual, expected="pass", tol_pass=TOL_PASS,
     """Verdict for a residual given what the relation is expected to do."""
     if expected == "exploratory":
         return EXPLORATORY, tol_pass
+    if expected not in EXPECTATIONS:
+        raise ValueError(f"unknown expectation {expected!r}")
+    if not (math.isfinite(residual.max_abs) and math.isfinite(residual.scale)):
+        return FAIL, (tol_violation if expected == "violated" else tol_pass)
     gate_pass = tol_pass * (1.0 + residual.scale)
     gate_violation = tol_violation * (1.0 + residual.scale)
     if expected == "pass":
@@ -58,16 +65,14 @@ def classify(residual, expected="pass", tol_pass=TOL_PASS,
         if residual.max_abs >= gate_violation:
             return VIOLATED, tol_violation
         return FAIL, tol_violation
-    if expected == "any":
-        # negative controls: every relation must either hold cleanly or be
-        # violated decisively; verify.run_check asserts at least one
-        # violation per check
-        if residual.max_abs <= gate_pass:
-            return PASS, tol_pass
-        if residual.max_abs >= gate_violation:
-            return VIOLATED, tol_violation
-        return FAIL, tol_pass
-    raise ValueError(f"unknown expectation {expected!r}")
+    # "any", for negative controls: every relation must either hold
+    # cleanly or be violated decisively; verify.run_check asserts at least
+    # one violation per check
+    if residual.max_abs <= gate_pass:
+        return PASS, tol_pass
+    if residual.max_abs >= gate_violation:
+        return VIOLATED, tol_violation
+    return FAIL, tol_pass
 
 
 def make_report(name, residual, samples, expected="pass", tol_pass=TOL_PASS,

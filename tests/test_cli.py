@@ -136,12 +136,34 @@ FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
     (WITTEN, "[nonsense]", "unknown check"),
     (WITTEN, "[{name: equal, a: Q, b: Q, tol: abc}]", "tol"),
     (WITTEN, "[{name: equal, a: Q, b: Q, tol: 0}]", "tol"),
+    ("{constructor: witten, params: {W: \"x +\"}}", "[suite]",
+     "unexpected token"),
+    ("{constructor: torsion_rotate, params: {base: " + FREE_COMPLEX + "}}",
+     "[n2]", "'B'"),
 ], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
-        "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol"])
+        "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol",
+        "unparsable-model-param", "missing-model-param"])
 def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
                                            message):
     assert main(["run", _scenario(tmp_path, model, checks)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_fails(tmp_path):
+    # exp(800 x) overflows inside the box, so the sampled jets carry inf
+    # and NaN; a dropped NaN or an infinite scale would pass all three
+    code, text = run_scenario(_scenario(
+        tmp_path, "{constructor: witten, params: {W: \"exp(800*x)\"}}",
+        "[suite]"))
+    assert code == 1
+    lines = [ln for ln in text.splitlines() if ln.startswith("relation:")]
+    assert len(lines) == 3
+    for line in lines:
+        fields = dict(part.split(": ", 1) for part in line.split(" | "))
+        assert {fields["residual"], fields["scale"]} & {"nan", "inf"}, line
+        assert fields["point"] != "()", line
+        assert fields["verdict"] == "fail", line
 
 
 def test_expect_applies_to_every_check(tmp_path):

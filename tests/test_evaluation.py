@@ -210,3 +210,19 @@ def test_batched_check_matches_brute_force():
         res = rep.residual
         assert (res.max_abs, res.argmax_point, res.scale) == \
             _brute_residual(list(rel.op.terms.values()), points)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_reach_residual_and_scale():
+    # exp(800 x) overflows to inf for x > 0.8873, where a - a is NaN; the
+    # NaN must not be dropped, and the first point where it is met stays
+    a = fields.fexpr(parse("exp(800*x)", ["x"]), 1)
+    spec = SampleSpec(box=((0.5, 1.0),), n_points=12, seed=0)
+    over = [p for p in spec.points() if p[0] > 709.8 / 800]
+    assert 2 <= len(over) < 12
+    res, = sampled_residual([[fields.fsum([a, fields.fscale(-1.0, a)])]], spec)
+    assert np.isnan(res.max_abs) and np.isnan(res.scale)
+    assert res.argmax_point == over[0]
+    inf, = sampled_residual([[fields.fscale(0.5, a)]], spec)
+    assert inf.max_abs == inf.scale == np.inf
+    assert inf.argmax_point == over[0]

@@ -200,3 +200,73 @@ def test_order_cap_enforced():
     g = fderiv(f, (3,))
     with pytest.raises(OrderOverflow):
         evaluate(g, (0.5,), order=2)
+
+
+def test_matexp_nonconvergence_raises():
+    # a derivative part of 1e15 makes the order-2 terms of the scaled
+    # series shrink only like 1e30 / k!, still above 1e-18 at 40 terms
+    from sqmzoo.jets import SeriesError
+    space = jet_space(1, 2)
+    a = space.const([[0.9]])
+    a[0, 0, 1] = 1e15
+    with pytest.raises(SeriesError, match="40 terms"):
+        space.matrix_exp(a)
+    a[0, 0, 1] = 1.0
+    out = space.matrix_exp(a)
+    assert out[0, 0, 0] == pytest.approx(np.exp(0.9), rel=1e-14)
+    assert out[0, 0, 1] == pytest.approx(np.exp(0.9), rel=1e-14)
+
+
+# -- term-sparse products against the per-pair formula ---------------------
+
+
+def _ref_mul(space, a, b):
+    """Pair by pair in table order, added into zeros: the dense formula."""
+    out = np.zeros((a.shape[0], b.shape[1], space.nterms), dtype=np.complex128)
+    for i, j, k, w in zip(space._ii, space._jj, space._kk, space._ww):
+        out[:, :, k] += np.matmul(a[:, :, i], b[:, :, j]) * w
+    return out
+
+
+def _ref_scal_mul(space, s, a):
+    out = np.zeros(a.shape, dtype=np.complex128)
+    for i, j, k, w in zip(space._ii, space._jj, space._kk, space._ww):
+        out[:, :, k] += (s[0, 0, i] * w) * a[:, :, j]
+    return out
+
+
+def _sparse_jets(space, rows, cols, seed):
+    """Random jets whose dead terms are exactly zero: all terms live, a
+    random half, the value only, one random term, and none."""
+    rng = np.random.default_rng(seed)
+    masks = [np.ones(space.nterms, bool), rng.random(space.nterms) < 0.5,
+             np.arange(space.nterms) == 0,
+             np.arange(space.nterms) == rng.integers(space.nterms),
+             np.zeros(space.nterms, bool)]
+    shape = (rows, cols, space.nterms)
+    for live in masks:
+        jet = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        jet[:, :, ~live] = 0.0
+        yield jet
+
+
+KERNEL_CASES = pytest.mark.parametrize(
+    "order, dim", [(k, d) for k in range(5) for d in (1, 4, 16)],
+    ids=[f"K{k}-{d}x{d}" for k in range(5) for d in (1, 4, 16)])
+
+
+@KERNEL_CASES
+def test_mul_bit_identical_to_pair_formula(order, dim):
+    space = jet_space(3, order)
+    for n, a in enumerate(_sparse_jets(space, dim, dim, seed=order)):
+        for b in _sparse_jets(space, dim, dim, seed=10 + n):
+            assert np.array_equal(space.mul(a, b), _ref_mul(space, a, b))
+
+
+@KERNEL_CASES
+def test_scal_mul_bit_identical_to_pair_formula(order, dim):
+    space = jet_space(3, order)
+    for n, s in enumerate(_sparse_jets(space, 1, 1, seed=order)):
+        for a in _sparse_jets(space, dim, dim, seed=10 + n):
+            assert np.array_equal(space.scal_mul(s, a),
+                                  _ref_scal_mul(space, s, a))

@@ -37,6 +37,17 @@ def test_scale_relative_thresholds():
     assert classify(res(1e-8, scale=1e-3), "pass")[0] == FAIL
 
 
+@pytest.mark.parametrize("max_abs, scale", [
+    (0.0, np.inf), (np.nan, 1.0), (np.inf, 1.0), (np.inf, np.inf),
+    (0.0, np.nan)], ids=["inf-scale", "nan", "inf", "inf-both", "nan-scale"])
+def test_classify_non_finite_fails(max_abs, scale):
+    # an infinite scale would open every gate, and an infinite residual
+    # would clear the violation gate, so neither may decide a verdict
+    for expected in ("pass", "violated", "any"):
+        assert classify(res(max_abs, scale), expected)[0] == FAIL
+    assert classify(res(max_abs, scale), "exploratory")[0] == EXPLORATORY
+
+
 def test_report_line_stable():
     spec = SampleSpec(box=((-1, 1),), n_points=2, seed=1)
     r = make_report("demo", Residual(1.5e-12, (0.25,), 2.0), spec)
