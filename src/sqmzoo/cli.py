@@ -16,7 +16,7 @@ strings, and numbers (see docs/scenarios.md for the exact schema):
     report: witten.report.txt
 
 Check entries (``verify.CHECKS`` names the checks) and values follow
-five rules:
+six rules:
 
 * ``expect`` applies to every check: it replaces the expectation of each
   relation expected to pass, while built-in ``violated`` (gauge Q^2) and
@@ -27,13 +27,18 @@ five rules:
 * the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
   ``0 < pass < violation``, so no gate can pass a violated relation;
 * a model param the constructor does not take, a missing or unparsable
-  one, an unknown check name, ``expect`` value, entry key or operator
-  name, a missing ``equal`` operand, ``points < 1``, a negative ``seed``, a
-  ``box`` key that is not a model coordinate, a box value that is not a
-  list of two numbers ``lo < hi``, an ``exclusions`` entry without a
-  parsable ``expr``, and a ``points``, ``seed``, tolerance, exclusion
-  ``min`` or check ``tol`` that is not a number (``points`` and ``seed``
-  whole, a ``tol`` positive) are scenario errors.
+  one, a param value the constructor rejects with a ValueError or
+  ArithmeticError, an unknown check name, ``expect`` value, entry key or
+  operator name, a missing ``equal`` operand, ``points < 1``, a negative
+  ``seed``, a ``box`` key that is not a model coordinate, a box value
+  that is not a list of two numbers ``lo < hi``, an ``exclusions`` entry
+  without a parsable ``expr``, and a ``points``, ``seed``, tolerance,
+  exclusion ``min`` or check ``tol`` that is not a number (``points``
+  and ``seed`` whole, a ``tol`` positive) are scenario errors;
+* a relation whose evaluation raises a ValueError or ArithmeticError at
+  a sample point (a failed positivity guard, an order overflow, a
+  non-converging series, a division by zero) is a scenario error that
+  names the check, the relation and the point.
 
 Exit status is 0 iff every non-exploratory check passes (expected
 violations count as passing their contract), 1 if one fails, and 2 on a
@@ -50,7 +55,7 @@ import sys
 import yaml
 
 from . import verify, zoo
-from .diffop import Exclusion, SampleSpec, pretty
+from .diffop import EvaluationError, Exclusion, SampleSpec, pretty
 from .expr import ExprError, parse as parse_expr
 from .report import EXPECTATIONS, TOL_PASS, TOL_VIOLATION, render_report
 
@@ -95,7 +100,7 @@ def build_model(model_section):
         params["model"] = build_model(base)
     try:
         return ctor(**params)
-    except (TypeError, ExprError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"{ctor_name}: {exc}") from exc
 
 
@@ -215,6 +220,8 @@ def run_checks(doc, model, spec, tols):
         except KeyError as exc:
             raise ScenarioError(f"check {name!r} on model {model.name}: "
                                 f"{exc.args[0]}") from None
+        except EvaluationError as exc:
+            raise ScenarioError(f"check {name!r}: {exc}") from exc
     return reports
 
 

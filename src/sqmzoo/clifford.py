@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Field, fconst
+from .jets import _perm_sign
 
 FOCK_DIM_CAP = 4096
 
@@ -176,24 +177,8 @@ def levi_civita(n):
     """Totally antisymmetric epsilon with eps[0,1,...,n-1] = 1."""
     eps = np.zeros((n,) * n)
     for perm in itertools.permutations(range(n)):
-        eps[perm] = _parity(perm)
+        eps[perm] = _perm_sign(perm)
     return eps
-
-
-def _parity(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _gamma7():
@@ -284,6 +269,7 @@ class FermionBilinearField(Field):
             raise ValueError("hermitian fermions have no psibar ordering")
         self.rep = rep
         self.mfield = mfield
+        self.children = (mfield,)
         self.ordering = ordering
         self.shape = (rep.dim, rep.dim)
         self.ncoords = mfield.ncoords
@@ -305,9 +291,6 @@ class FermionBilinearField(Field):
         mjet = self.mfield.eval_jet(ctx, order)
         return np.einsum("abt,abrc->rct", mjet, self._pairs)
 
-    def deps(self, order):
-        return ((self.mfield, order),)
-
     def describe(self):
         names = {"pb": "psi.psibar", "bp": "psibar.psi",
                  "pp": "psi.psi", "bb": "psibar.psibar"}
@@ -326,6 +309,7 @@ class FermionLinearField(Field):
             raise ValueError(f"need a 1 x {rep.n} row of coefficients")
         self.rep = rep
         self.vfield = vfield
+        self.children = (vfield,)
         self.kind = kind
         self.shape = (rep.dim, rep.dim)
         self.ncoords = vfield.ncoords
@@ -335,9 +319,6 @@ class FermionLinearField(Field):
     def _compute(self, ctx, order):
         vjet = self.vfield.eval_jet(ctx, order)
         return np.einsum("at,arc->rct", vjet[0], self._ops)
-
-    def deps(self, order):
-        return ((self.vfield, order),)
 
     def describe(self):
         return f"[{self.vfield.describe()}]*{self.kind}"

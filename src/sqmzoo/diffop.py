@@ -19,16 +19,15 @@ measure, so seeded random sample points give a sound practical test.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (EvalContext, PlanError, ZeroField, fconj_t, fderiv,
-                     fdiag, fexp, fidentity, fmatmul, fpow, frestrict, fscale,
-                     fsum, plan_requests)
-from .jets import MAX_ORDER
+from .fields import (EvalContext, PlanError, ZeroField, fdiag, fexp,
+                     fidentity, fmatmul, fpow, frestrict, fscale, fsum,
+                     plan_requests)
+from .jets import MAX_ORDER, _binom_multi
 
 
 class OpError(ValueError):
@@ -38,6 +37,26 @@ class OpError(ValueError):
 class ReductionError(OpError):
     """A cyclic reduction was requested along a coordinate the operator
     actually depends on."""
+
+
+class EvaluationError(OpError):
+    """Evaluating group ``group`` at sample point ``point`` raised the
+    ValueError or ArithmeticError ``cause``; a caller that knows the
+    group's name sets ``relation``."""
+
+    def __init__(self, group, point, cause):
+        super().__init__(group, point, cause)
+        self.group = group
+        self.point = point
+        self.cause = cause
+        self.relation = None
+
+    def __str__(self):
+        where = (f"group {self.group}" if self.relation is None
+                 else f"relation {self.relation!r}")
+        pt = ",".join(f"{x:.6g}" for x in self.point)
+        return (f"{where} at point ({pt}): {type(self.cause).__name__}: "
+                f"{self.cause}")
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +71,6 @@ def _sub_indices(alpha):
     """All gamma with gamma <= alpha componentwise."""
     ranges = [range(a + 1) for a in alpha]
     return itertools.product(*ranges)
-
-
-def _binom(alpha, gamma):
-    w = 1
-    for a, g in zip(alpha, gamma):
-        w *= math.comb(a, g)
-    return w
 
 
 def _idx_add(a, b):
@@ -235,8 +247,8 @@ def compose(A, B):
                 raise OpError(
                     f"composition order {sum(alpha) + sum(beta)} exceeds cap {MAX_ORDER}")
             for gamma in _sub_indices(alpha):
-                w = _binom(alpha, gamma)
-                dG = fderiv(G, _idx_sub(alpha, gamma))
+                w = _binom_multi(alpha, gamma)
+                dG = G.deriv(_idx_sub(alpha, gamma))
                 if isinstance(dG, ZeroField):
                     continue
                 acc[_idx_add(gamma, beta)].append(fscale(w, fmatmul(F, dG)))
@@ -267,10 +279,10 @@ def naive_dagger(A):
     acc = defaultdict(list)
     for alpha, F in A.terms.items():
         sign = (-1.0) ** sum(alpha)
-        Fd = fconj_t(F)
+        Fd = F.conj_t()
         for gamma in _sub_indices(alpha):
-            w = _binom(alpha, gamma)
-            dF = fderiv(Fd, _idx_sub(alpha, gamma))
+            w = _binom_multi(alpha, gamma)
+            dF = Fd.deriv(_idx_sub(alpha, gamma))
             if isinstance(dF, ZeroField):
                 continue
             acc[gamma].append(fscale(sign * w, dF))
@@ -311,7 +323,7 @@ def similarity(A, R):
     if R.shape == (1, 1):
         def conj(F):
             return F
-        cs = [fdiag(fscale(-1.0, fderiv(R, unit_index(n, m))), dim)
+        cs = [fdiag(fscale(-1.0, R.deriv(unit_index(n, m))), dim)
               for m in range(n)]
     elif R.shape == (dim, dim):
         exp_r = fexp(R)
@@ -320,7 +332,7 @@ def similarity(A, R):
         def conj(F):
             return fmatmul(exp_r, F, exp_mr)
 
-        cs = [fmatmul(exp_r, fderiv(exp_mr, unit_index(n, m)))
+        cs = [fmatmul(exp_r, exp_mr.deriv(unit_index(n, m)))
               for m in range(n)]
     else:
         raise OpError(f"similarity generator shape {R.shape} unsupported")
@@ -363,7 +375,7 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
     if fixed is None:
         fixed = [0.0] * A.ncoords
 
-    derivs = [fderiv(F, unit_index(A.ncoords, dpos))
+    derivs = [F.deriv(unit_index(A.ncoords, dpos))
               for F in A.terms.values() for dpos in dropped_pos]
     res, = sampled_residual(
         [[dF for dF in derivs if not isinstance(dF, ZeroField)]], spec)
@@ -404,17 +416,23 @@ def sampled_residual(groups, spec):
     exactly 0, and the first sample point when the group is empty.  Each
     point gets one evaluation context, planned over every group, so a
     node the groups share is computed once per point and its jet freed
-    after its last use."""
+    after its last use.  A ValueError or ArithmeticError raised while a
+    group is evaluated (a failed positivity guard, an order overflow, a
+    series that does not converge, a division by zero) becomes an
+    EvaluationError that carries the group's index and the point."""
     groups = [list(fields) for fields in groups]
     points = spec.points()
     plan = plan_requests([f for fields in groups for f in fields])
     found = [[0.0, None, 0.0] for _ in groups]
     for p in points:
         ctx = EvalContext(p, plan)
-        for fields, acc in zip(groups, found):
+        for g, (fields, acc) in enumerate(zip(groups, found)):
             if not fields:
                 continue
-            jets, scale = ctx.values(fields)
+            try:
+                jets, scale = ctx.values(fields)
+            except (ValueError, ArithmeticError) as exc:
+                raise EvaluationError(g, p, exc) from exc
             for jet in jets:
                 m = float(np.abs(jet).max())
                 if m > acc[0] or (m != m and acc[0] == acc[0]):

@@ -6,11 +6,18 @@ transpose, derivative, determinant, restriction).  Evaluation at a
 point produces a jet matrix carrying exact partial derivatives up to a
 requested order.
 
+Every node has the same form: it lists the nodes it is computed from in
+``children`` (leaves list none), and :meth:`Field.deps` turns that list
+into the ``(child, order)`` requests its ``_compute`` makes, each child
+at the node's own order.  Only a derivative asks for more (its child at
+``order + |gamma|``), and a restriction lists no children because its
+child runs in a sub-context.  So a node is determined by its type, its
+own parameters and its children.
+
 All evaluation at one sample point goes through one EvalContext, which
 caches jets by ``(id(node), order)`` so a node shared by many parents,
-or by many relations of one check, is computed once per point.  Each
-node declares in :meth:`Field.deps` the ``(child, order)`` requests its
-``_compute`` makes; :func:`plan_requests` counts them over a batch of
+or by many relations of one check, is computed once per point.
+:func:`plan_requests` counts the declared requests over a batch of
 roots before the first point, and a context built with that count
 stores only the jets requested more than once and drops each one at its
 last request.  Every cache entry also carries its subtree maximum, the
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr
+from .expr import Expr, to_text
 from .jets import MAX_ORDER, jet_space
 
 
@@ -125,11 +132,14 @@ class EvalContext:
 
 
 class Field:
-    """Base class; subclasses set ``shape`` and ``ncoords``, implement
-    :meth:`_compute`, and list in :meth:`deps` every jet it requests."""
+    """Base class.  A subclass sets ``shape`` and ``ncoords``, lists the
+    nodes it is computed from in ``children`` and implements
+    :meth:`_compute`, which requests each child once at its own order
+    (see :meth:`deps`)."""
 
     shape = (1, 1)
     ncoords = 0
+    children = ()
 
     def eval_jet(self, ctx, order=0):
         key = (id(self), order)
@@ -167,15 +177,20 @@ class Field:
     def deps(self, order):
         """The ``(child, order)`` jets :meth:`_compute` requests from
         ``ctx`` at ``order``, once per request."""
-        return ()
+        return [(c, order) for c in self.children]
 
     @property
     def is_scalar(self):
         return self.shape == (1, 1)
 
     def deriv(self, gamma):
+        """The partial derivative d^gamma of this field; the field itself
+        for a zero multi-index."""
         if not any(gamma):
             return self
+        return self._deriv(gamma)
+
+    def _deriv(self, gamma):
         return DerivativeField(self, gamma)
 
     def conj_t(self):
@@ -207,7 +222,7 @@ class ZeroField(Field):
     def _compute(self, ctx, order):
         return jet_space(self.ncoords, order).zeros(*self.shape)
 
-    def deriv(self, gamma):
+    def _deriv(self, gamma):
         return self
 
     def conj_t(self):
@@ -229,9 +244,7 @@ class ConstField(Field):
     def _compute(self, ctx, order):
         return jet_space(self.ncoords, order).const(self.matrix)
 
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return ZeroField(self.shape, self.ncoords)
 
     def conj_t(self):
@@ -260,8 +273,6 @@ class ExprField(Field):
         return self.expr.eval_jet(space, ctx.coord_jets(order))
 
     def describe(self):
-        from .expr import to_text
-
         return self.name or to_text(self.expr)
 
 
@@ -278,6 +289,7 @@ class GridField(Field):
                 if not e.is_scalar:
                     raise ValueError("grid entries must be scalar fields")
         self.entries = tuple(tuple(row) for row in entries)
+        self.children = tuple(e for row in self.entries for e in row)
         self.shape = (rows, cols)
         self.ncoords = entries[0][0].ncoords
 
@@ -289,13 +301,7 @@ class GridField(Field):
                 out[r, c, :] = e.eval_jet(ctx, order)[0, 0, :]
         return out
 
-
-    def deps(self, order):
-        return [(e, order) for row in self.entries for e in row]
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return GridField([[e.deriv(gamma) for e in row] for row in self.entries])
 
     def describe(self):
@@ -322,13 +328,7 @@ class SumField(Field):
             out += ch.eval_jet(ctx, order)
         return out
 
-
-    def deps(self, order):
-        return [(ch, order) for ch in self.children]
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return fsum([ch.deriv(gamma) for ch in self.children],
                     self.shape, self.ncoords)
 
@@ -340,23 +340,50 @@ class SumField(Field):
         return " + ".join(ch.describe() for ch in self.children)
 
 
-class ScaleField(Field):
-    def __init__(self, coeff, child):
-        self.coeff = complex(coeff)
+class MatMulField(Field):
+    def __init__(self, a, b):
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
+        if a.ncoords != b.ncoords:
+            raise ValueError("matmul over different coordinate spaces")
+        self.children = (a, b)
+        self.shape = (a.shape[0], b.shape[1])
+        self.ncoords = a.ncoords
+
+    def _compute(self, ctx, order):
+        a, b = self.children
+        space = jet_space(self.ncoords, order)
+        return space.mul(a.eval_jet(ctx, order), b.eval_jet(ctx, order))
+
+    def conj_t(self):
+        a, b = self.children
+        return fmatmul(b.conj_t(), a.conj_t())
+
+    def describe(self):
+        a, b = self.children
+        return f"{a.describe()}.{b.describe()}"
+
+
+class _Unary(Field):
+    """A node computed from one child, of the child's shape unless the
+    subclass says otherwise."""
+
+    def __init__(self, child):
         self.child = child
+        self.children = (child,)
         self.shape = child.shape
         self.ncoords = child.ncoords
+
+
+class ScaleField(_Unary):
+    def __init__(self, coeff, child):
+        super().__init__(child)
+        self.coeff = complex(coeff)
 
     def _compute(self, ctx, order):
         return self.coeff * self.child.eval_jet(ctx, order)
 
-
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return fscale(self.coeff, self.child.deriv(gamma))
 
     def conj_t(self):
@@ -366,51 +393,20 @@ class ScaleField(Field):
         return f"({_cfmt(self.coeff)})*{self.child.describe()}"
 
 
-class MatMulField(Field):
-    def __init__(self, a, b):
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
-        if a.ncoords != b.ncoords:
-            raise ValueError("matmul over different coordinate spaces")
-        self.a = a
-        self.b = b
-        self.shape = (a.shape[0], b.shape[1])
-        self.ncoords = a.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.mul(self.a.eval_jet(ctx, order), self.b.eval_jet(ctx, order))
-
-
-    def deps(self, order):
-        return ((self.a, order), (self.b, order))
-
-    def conj_t(self):
-        return fmatmul(self.b.conj_t(), self.a.conj_t())
-
-    def describe(self):
-        return f"{self.a.describe()}.{self.b.describe()}"
-
-
-class ScalarMulField(Field):
+class ScalarMulField(_Unary):
     """Pointwise product of a scalar field with a matrix field."""
 
     def __init__(self, scalar, child):
         if not scalar.is_scalar:
             raise ValueError("first factor must be scalar")
+        super().__init__(child)
         self.scalar = scalar
-        self.child = child
-        self.shape = child.shape
-        self.ncoords = child.ncoords
+        self.children = (scalar, child)
 
     def _compute(self, ctx, order):
         space = jet_space(self.ncoords, order)
         return space.scal_mul(self.scalar.eval_jet(ctx, order),
                               self.child.eval_jet(ctx, order))
-
-
-    def deps(self, order):
-        return ((self.scalar, order), (self.child, order))
 
     def conj_t(self):
         return ScalarMulField(self.scalar.conj_t(), self.child.conj_t())
@@ -419,23 +415,16 @@ class ScalarMulField(Field):
         return f"({self.scalar.describe()})*{self.child.describe()}"
 
 
-class ConjTransposeField(Field):
+class ConjTransposeField(_Unary):
     def __init__(self, child):
-        self.child = child
+        super().__init__(child)
         self.shape = (child.shape[1], child.shape[0])
-        self.ncoords = child.ncoords
 
     def _compute(self, ctx, order):
         jet = self.child.eval_jet(ctx, order)
         return np.conj(np.swapaxes(jet, 0, 1))
 
-
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return ConjTransposeField(self.child.deriv(gamma))
 
     def conj_t(self):
@@ -445,38 +434,29 @@ class ConjTransposeField(Field):
         return f"({self.child.describe()})^+"
 
 
-class TransposeField(Field):
+class TransposeField(_Unary):
     """Plain transpose, no conjugation."""
 
     def __init__(self, child):
-        self.child = child
+        super().__init__(child)
         self.shape = (child.shape[1], child.shape[0])
-        self.ncoords = child.ncoords
 
     def _compute(self, ctx, order):
         return np.swapaxes(self.child.eval_jet(ctx, order), 0, 1)
 
-
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return TransposeField(self.child.deriv(gamma))
 
     def describe(self):
         return f"({self.child.describe()})^T"
 
 
-class DerivativeField(Field):
+class DerivativeField(_Unary):
     def __init__(self, child, gamma):
-        self.child = child
+        super().__init__(child)
         self.gamma = tuple(int(g) for g in gamma)
         if len(self.gamma) != child.ncoords:
             raise ValueError("derivative multi-index length mismatch")
-        self.shape = child.shape
-        self.ncoords = child.ncoords
 
     def _compute(self, ctx, order):
         total = order + sum(self.gamma)
@@ -487,11 +467,10 @@ class DerivativeField(Field):
         target = jet_space(self.ncoords, order)
         return parent.extract(self.child.eval_jet(ctx, total), self.gamma, target)
 
-
     def deps(self, order):
         return ((self.child, order + sum(self.gamma)),)
 
-    def deriv(self, gamma):
+    def _deriv(self, gamma):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
         return DerivativeField(self.child, merged)
 
@@ -503,125 +482,89 @@ class DerivativeField(Field):
         return f"{''.join(names)}[{self.child.describe()}]"
 
 
-class MatExpField(Field):
+class _Kernel(_Unary):
+    """A node whose jet is the ``kernel`` method of the jet space applied
+    to the child's jet and ``args``, written ``text(child)``.  The method
+    is looked up on the jet space at every call."""
+
+    args = ()
+
+    def _compute(self, ctx, order):
+        return getattr(jet_space(self.ncoords, order), self.kernel)(
+            self.child.eval_jet(ctx, order), *self.args)
+
+    def describe(self):
+        return f"{self.text}({self.child.describe()})"
+
+
+class MatExpField(_Kernel):
+    kernel, text = "matrix_exp", "exp"
+
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
             raise ValueError("matrix exponential of a non-square field")
-        self.child = child
-        self.shape = child.shape
-        self.ncoords = child.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.matrix_exp(self.child.eval_jet(ctx, order))
-
-
-    def deps(self, order):
-        return ((self.child, order),)
+        super().__init__(child)
 
     def conj_t(self):
         return MatExpField(self.child.conj_t())
 
-    def describe(self):
-        return f"exp({self.child.describe()})"
 
+class InverseField(_Kernel):
+    kernel, text = "matrix_inv", "inv"
 
-class InverseField(Field):
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
             raise ValueError("inverse of a non-square field")
-        self.child = child
-        self.shape = child.shape
-        self.ncoords = child.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.matrix_inv(self.child.eval_jet(ctx, order))
+        super().__init__(child)
 
 
-    def deps(self, order):
-        return ((self.child, order),)
+class DetField(_Kernel):
+    kernel, text = "det", "det"
 
-    def describe(self):
-        return f"inv({self.child.describe()})"
-
-
-class DetField(Field):
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
             raise ValueError("determinant of a non-square field")
-        self.child = child
+        super().__init__(child)
         self.shape = (1, 1)
-        self.ncoords = child.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.det(self.child.eval_jet(ctx, order))
 
 
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def describe(self):
-        return f"det({self.child.describe()})"
-
-
-class ScalarFnField(Field):
-    """log or sqrt of a scalar field."""
+class ScalarFnField(_Kernel):
+    """log or exp of a scalar field."""
 
     def __init__(self, op, child):
-        if op not in ("log", "sqrt", "exp"):
+        if op not in ("log", "exp"):
             raise ValueError(f"unknown scalar function {op!r}")
         if not child.is_scalar:
             raise ValueError("scalar function of a matrix field")
-        self.op = op
-        self.child = child
-        self.ncoords = child.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return getattr(space, self.op)(self.child.eval_jet(ctx, order))
+        super().__init__(child)
+        self.kernel = self.text = op
 
 
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def describe(self):
-        return f"{self.op}({self.child.describe()})"
-
-
-class PowField(Field):
+class PowField(_Kernel):
     """Scalar field raised to a rational power p/q."""
+
+    kernel = "powr"
 
     def __init__(self, child, p, q=1):
         if not child.is_scalar:
             raise ValueError("power of a matrix field")
-        self.child = child
+        super().__init__(child)
         self.p = int(p)
         self.q = int(q)
-        self.ncoords = child.ncoords
-
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.powr(self.child.eval_jet(ctx, order), self.p, self.q)
-
-
-    def deps(self, order):
-        return ((self.child, order),)
+        self.args = (self.p, self.q)
 
     def describe(self):
         return f"({self.child.describe()})^({self.p}/{self.q})"
 
 
-class PositiveGuardField(Field):
+class PositiveGuardField(_Unary):
     """Scalar pass-through that rejects evaluation at nonpositive values."""
 
     def __init__(self, child, what="field"):
         if not child.is_scalar:
             raise ValueError("positivity guard applies to scalar fields")
-        self.child = child
+        super().__init__(child)
         self.what = what
-        self.ncoords = child.ncoords
 
     def _compute(self, ctx, order):
         jet = self.child.eval_jet(ctx, order)
@@ -631,92 +574,68 @@ class PositiveGuardField(Field):
                 f"{self.what} must be positive, got {v:g} at {ctx.point}")
         return jet
 
-
-    def deps(self, order):
-        return ((self.child, order),)
-
     def describe(self):
         return self.child.describe()
 
 
-class EntryField(Field):
+class EntryField(_Unary):
     """Scalar extraction of one matrix entry."""
 
-    def __init__(self, parent, r, c):
-        self.parent = parent
+    def __init__(self, child, r, c):
+        super().__init__(child)
+        self.shape = (1, 1)
         self.r = r
         self.c = c
-        self.ncoords = parent.ncoords
 
     def _compute(self, ctx, order):
-        jet = self.parent.eval_jet(ctx, order)
+        jet = self.child.eval_jet(ctx, order)
         return jet[self.r:self.r + 1, self.c:self.c + 1, :]
 
-
-    def deps(self, order):
-        return ((self.parent, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
-        return EntryField(self.parent.deriv(gamma), self.r, self.c)
+    def _deriv(self, gamma):
+        return EntryField(self.child.deriv(gamma), self.r, self.c)
 
     def describe(self):
-        return f"{self.parent.describe()}[{self.r},{self.c}]"
+        return f"{self.child.describe()}[{self.r},{self.c}]"
 
 
-class DiagField(Field):
+class DiagField(_Unary):
     """Scalar field times the n x n identity."""
 
-    def __init__(self, scalar, n):
-        if not scalar.is_scalar:
+    def __init__(self, child, n):
+        if not child.is_scalar:
             raise ValueError("DiagField takes a scalar field")
-        self.scalar = scalar
+        super().__init__(child)
         self.n = n
         self.shape = (n, n)
-        self.ncoords = scalar.ncoords
 
     def _compute(self, ctx, order):
         space = jet_space(self.ncoords, order)
-        s = self.scalar.eval_jet(ctx, order)
+        s = self.child.eval_jet(ctx, order)
         out = space.zeros(self.n, self.n)
         for k in range(self.n):
             out[k, k, :] = s[0, 0, :]
         return out
 
-
-    def deps(self, order):
-        return ((self.scalar, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
-        return DiagField(self.scalar.deriv(gamma), self.n)
+    def _deriv(self, gamma):
+        return DiagField(self.child.deriv(gamma), self.n)
 
     def conj_t(self):
-        return DiagField(ScalarConjField(self.scalar), self.n)
+        return DiagField(ScalarConjField(self.child), self.n)
 
     def describe(self):
-        return f"({self.scalar.describe()})*1"
+        return f"({self.child.describe()})*1"
 
 
-class ScalarConjField(Field):
+class ScalarConjField(_Unary):
     def __init__(self, child):
         if not child.is_scalar:
             raise ValueError("scalar conjugate of a matrix field")
-        self.child = child
-        self.ncoords = child.ncoords
+        super().__init__(child)
 
     def _compute(self, ctx, order):
         return np.conj(self.child.eval_jet(ctx, order))
 
-
-    def deps(self, order):
-        return ((self.child, order),)
-
-    def deriv(self, gamma):
-        if not any(gamma):
-            return self
+    def _deriv(self, gamma):
         return ScalarConjField(self.child.deriv(gamma))
 
     def describe(self):
@@ -731,7 +650,7 @@ class RestrictField(Field):
     when the parent does not actually depend on the frozen coordinates
     (the reduction machinery verifies this before constructing one).
     The parent is evaluated in an unplanned sub-context at the full
-    point, so this node declares no dependencies in its own context.
+    point, so this node lists no children in its own context.
     """
 
     def __init__(self, child, keep, fixed):
@@ -878,14 +797,6 @@ def fscalarmul(scalar, child):
     if isinstance(child, ConstField) and child.is_scalar:
         return fscale(child.matrix[0, 0], scalar)
     return ScalarMulField(scalar, child)
-
-
-def fderiv(field, gamma):
-    return field.deriv(tuple(gamma))
-
-
-def fconj_t(field):
-    return field.conj_t()
 
 
 def ftranspose(field):

@@ -23,9 +23,9 @@ import numpy as np
 from . import clifford
 from .diffop import sampled_residual, unit_index
 from .expr import Coord, Const
-from .fields import (EvalContext, ZeroField, fconj_t, fconst, fderiv, fdet,
-                     fentry, fexp, fexpr, fgrid, fidentity, finv, fmatmul,
-                     fpow, fscale, fsum, ftranspose)
+from .fields import (EvalContext, ZeroField, fconst, fdet, fentry, fexp,
+                     fexpr, fgrid, fidentity, finv, fmatmul, fpow, fscale,
+                     fsum, ftranspose)
 from .report import make_report
 
 
@@ -68,7 +68,7 @@ def _christoffel_entries(g, ginv, dim, ncoords):
     def dg_of(p, a, b):
         key = (p, a, b)
         if key not in dg:
-            dg[key] = fderiv(fentry(g, a, b), unit_index(ncoords, p))
+            dg[key] = fentry(g, a, b).deriv(unit_index(ncoords, p))
         return dg[key]
 
     entries = {}
@@ -105,12 +105,11 @@ def _spin_connection(e, einv, entries, dim, ncoords):
     """Omega[M][A, B] = sum_N einv[N, A] (d_M e[B, N] + sum_K Gamma^N_MK e[B, K])."""
     omegas = []
     for m in range(dim):
-        de = fderiv(e, unit_index(ncoords, m))
+        de = e.deriv(unit_index(ncoords, m))
         # first part: sum_N einv[N,A] dM e[B,N] = (de . einv)^T [A, B]
         part1 = ftranspose(fmatmul(de, einv))
         # second: sum_{N,K} einv[N,A] Gamma^N_MK e[B,K] = (einv^T Gamma_M e^T)[A, B]
-        gm = fgrid([[entries[(n, m, k)] for k in range(dim)]
-                    for n in range(dim)])
+        gm = _gamma_slice(entries, dim, m)
         part2 = fmatmul(ftranspose(einv), gm, ftranspose(e))
         omegas.append(fsum([part1, part2], (dim, dim), ncoords))
     return tuple(omegas)
@@ -147,7 +146,7 @@ def from_omega(omega, kind="real_symmetric"):
         if ncoords != 2 * dim:
             raise ValueError("complex geometry needs 2*dim real coordinates")
         e = fexp(omega)
-        h = fmatmul(fexp(fconj_t(omega)), fexp(omega))
+        h = fmatmul(fexp(omega.conj_t()), fexp(omega))
         return GeometryData(
             dim=dim, ncoords=ncoords, e=e, einv=fexp(fscale(-1.0, omega)),
             metric=None, metric_inv=None, christoffel=(), spin_connection=(),
@@ -222,19 +221,22 @@ def lowered(I, geo):
     return fmatmul(I.matrix, geo.metric)
 
 
-def covariant_derivative_fields(I, geo):
-    """Matrix fields D_P I_MN for each P (Levi-Civita, lowered indices)."""
+def _covariant_derivative(t, geo):
+    """Matrix fields D_P T_MN = d_P T - Gamma_P^T T - T Gamma_P for each P,
+    for a two-index tensor T with both indices lowered."""
     dim, nc = geo.dim, geo.ncoords
-    ilow = lowered(I, geo)
-    entries = geo.christoffel_entries
     out = []
     for p in range(dim):
-        gp = _gamma_slice(entries, dim, p)
-        d_ilow = fderiv(ilow, unit_index(nc, p))
-        term2 = fscale(-1.0, fmatmul(ftranspose(gp), ilow))
-        term3 = fscale(-1.0, fmatmul(ilow, gp))
-        out.append(fsum([d_ilow, term2, term3], (dim, dim), nc))
+        gp = _gamma_slice(geo.christoffel_entries, dim, p)
+        out.append(fsum([t.deriv(unit_index(nc, p)),
+                         fscale(-1.0, fmatmul(ftranspose(gp), t)),
+                         fscale(-1.0, fmatmul(t, gp))], (dim, dim), nc))
     return out
+
+
+def covariant_derivative_fields(I, geo):
+    """Matrix fields D_P I_MN for each P (Levi-Civita, lowered indices)."""
+    return _covariant_derivative(lowered(I, geo), geo)
 
 
 def check_complex_structure(I, geo, spec, expected="pass"):
@@ -275,18 +277,7 @@ def check_quaternion(i1, i2, i3, spec, ncoords=None, expected="pass"):
 
 def metric_compatibility_fields(geo):
     """Matrix fields D_P g_MN (should vanish for Levi-Civita)."""
-    dim, nc = geo.dim, geo.ncoords
-    entries = geo.christoffel_entries
-    out = []
-    for p in range(dim):
-        gp = _gamma_slice(entries, dim, p)
-        term = fsum([
-            fderiv(geo.metric, unit_index(nc, p)),
-            fscale(-1.0, fmatmul(ftranspose(gp), geo.metric)),
-            fscale(-1.0, fmatmul(geo.metric, gp)),
-        ], (dim, dim), nc)
-        out.append(term)
-    return out
+    return _covariant_derivative(geo.metric, geo)
 
 
 # ---------------------------------------------------------------------------

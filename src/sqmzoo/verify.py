@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import const_tensor
-from .diffop import (anticommutator, commutator, compose, is_zero,
-                     momentum_op, mult_op, naive_dagger, op_residuals,
-                     similarity, zero_op)
+from .diffop import (EvaluationError, anticommutator, commutator, compose,
+                     is_zero, momentum_op, mult_op, naive_dagger,
+                     op_residuals, similarity, zero_op)
 from .fields import EvalContext, fexpr, fidentity
 from .report import (EXPECTATIONS, FAIL, TOL_PASS, TOL_VIOLATION, VIOLATED,
                      CheckReport, make_report)
@@ -324,12 +324,19 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
     built-in violated and exploratory expectations stay.  With
     ``expect="any"`` at least one relation must come out violated, else
     a failing record ``<name>: no relation violated`` is appended.
+
+    An EvaluationError from the sampled pass leaves with the label of
+    the relation that raised it.
     """
     if expect is not None and expect not in EXPECTATIONS:
         raise ValueError(f"unknown expectation {expect!r}")
     tol_pass, tol_violation = tols
     relations = CHECKS[name](model, **params)
-    residuals = op_residuals([rel.op for rel in relations], spec)
+    try:
+        residuals = op_residuals([rel.op for rel in relations], spec)
+    except EvaluationError as exc:
+        exc.relation = relations[exc.group].label
+        raise
     reports = []
     for rel, res in zip(relations, residuals):
         expected = (expect if expect is not None and rel.expected == "pass"

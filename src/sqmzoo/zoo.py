@@ -21,7 +21,7 @@ Conventions fixed here once and pinned by the flat acceptance tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .diffop import (DiffOp, Exclusion, SampleSpec, adjoint_with_measure,
                      naive_dagger, reduce_cyclic, rename_coords,
                      sampled_residual, similarity, unit_index, zero_op)
 from .expr import Const, Coord, parse
-from .fields import (ScalarFnField, ZeroField, fconst, fconj_t, fderiv, fdet,
-                     fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
-                     fmatmul, fscale, fscalarmul, fsum, ftranspose)
+from .fields import (ScalarFnField, ZeroField, fconst, fdet, fdiag, fentry,
+                     fexp, fexpr, fgrid, fidentity, flog, fmatmul, fscale,
+                     fscalarmul, fsum, ftranspose)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -96,7 +96,7 @@ def _conjugate(Q, mu):
     return adjoint_with_measure(Q, mu) if mu is not None else naive_dagger(Q)
 
 
-def _avg_hamiltonian(pairs, mu):
+def _avg_hamiltonian(pairs):
     """Mean of {Qbar_i, Q_i}/2 over the listed supercharge pairs."""
     acc = None
     for _name, q, qb in pairs:
@@ -179,14 +179,13 @@ def free_complex(d=1):
     if d % 2 == 0:
         S = free_complex_s_charge(coords, rep, d)
         pairs.append(("S", S, naive_dagger(S)))
-    ham = _avg_hamiltonian(pairs[:1], None)
+    ham = _avg_hamiltonian(pairs[:1])
     return Model(
         name=f"free_complex(d={d})", coords=coords, rep=rep,
         supercharges=tuple(pairs), hamiltonian=ham, measure=None,
         expected_algebra="N4" if d % 2 == 0 else "N2",
         recipe=(f"free_complex(d={d})",),
-        default_box=((-1.0, 1.0),) * (2 * d),
-        meta={"ctor": ("free_complex", {"d": d})})
+        default_box=((-1.0, 1.0),) * (2 * d))
 
 
 def free_real_charge(coords, rep):
@@ -209,8 +208,7 @@ def free_real(D=1):
         supercharges=(("Q", Q, Qbar),), hamiltonian=ham, measure=None,
         expected_algebra="N2",
         recipe=(f"free_complex(d={D})", "reduce_cyclic(drop all y)"),
-        default_box=((-1.0, 1.0),) * D,
-        meta={"ctor": ("free_real", {"D": D})})
+        default_box=((-1.0, 1.0),) * D)
 
 
 def witten(W="x^3 - x"):
@@ -222,8 +220,8 @@ def witten(W="x^3 - x"):
     n = 1
     psi = fconst(rep.psi[0], n, "psi")
     psibar = fconst(rep.psibar[0], n, "psibar")
-    wp = fderiv(wf, (1,))
-    wpp = fderiv(wf, (2,))
+    wp = wf.deriv((1,))
+    wpp = wf.deriv((2,))
     Q = DiffOp(coords, rep, {
         (1,): fscale(-1j, psi),
         (0,): fscalarmul(fscale(1j, wp), psi)})
@@ -254,8 +252,7 @@ def witten(W="x^3 - x"):
         expected_algebra="N2",
         recipe=("free_complex(d=1)", "reduce_cyclic(drop y1)",
                 "similarity(exp(W))"),
-        default_box=((-1.5, 1.5),),
-        meta={"ctor": ("witten", {"W": W})})
+        default_box=((-1.5, 1.5),))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,7 @@ def dolbeault(omega, d, W=None):
     extra["h"] = geo.hermitian_metric
     return Model(
         name=f"dolbeault(d={d})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs, mu),
+        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
         measure=mu, extra=extra, expected_algebra="N2",
         recipe=tuple(recipe), default_box=((-0.9, 0.9),) * n,
         meta={"geometry": geo})
@@ -353,7 +350,7 @@ def de_rham(omega, D, W=None, torsion=None):
     pairs = (("Q", Q, Qbar),)
     return Model(
         name=f"de_rham(D={D})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs, mu),
+        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
         measure=mu, extra=extra, expected_algebra="N2",
         recipe=tuple(recipe), default_box=((-0.9, 0.9),) * n,
         meta={"geometry": geo})
@@ -381,7 +378,7 @@ def quasicomplex(omega, D):
         row = fgrid([[fentry(e, A, C) for A in range(D)]])
         lin = linear(rep, row, "psi")
         _acc(terms, unit_index(D, C), fscale(-1j, lin))
-        conn = fmatmul(e, fderiv(einv, unit_index(D, C)))
+        conn = fmatmul(e, einv.deriv(unit_index(D, C)))
         zero_terms.append(fscale(-1j, fmatmul(lin, bilinear(rep, conn, "pb"))))
     _acc(terms, (0,) * D, fsum(zero_terms, (rep.dim, rep.dim), D))
     q_direct = DiffOp(coords, rep, terms)
@@ -394,13 +391,13 @@ def quasicomplex(omega, D):
     spec2 = SampleSpec(box=((-0.9, 0.9),) * (2 * D), n_points=6, seed=23)
     q_reduced = reduce_cyclic(q_parent, [f"y{a + 1}" for a in range(D)], spec2)
 
-    h = fmatmul(fconj_t(e), e)
+    h = fmatmul(e.conj_t(), e)
     mu = fdet(h)
     Qbar = adjoint_with_measure(Q, mu)
     pairs = (("Q", Q, Qbar),)
     return Model(
         name=f"quasicomplex(D={D})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs, mu),
+        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
         measure=mu,
         extra={"Q_direct": q_direct, "Q_reduced": q_reduced},
         expected_algebra="N2",
@@ -460,7 +457,7 @@ def kahler(geo, I, omega=None, flat_structure=None):
     pairs = (("Q", Q, Qbar), ("S", S, Sbar))
     return Model(
         name="kahler", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=_avg_hamiltonian(pairs[:1], mu), measure=mu,
+        hamiltonian=_avg_hamiltonian(pairs[:1]), measure=mu,
         extra=extra, expected_algebra="N4", recipe=tuple(recipe),
         default_box=((-0.9, 0.9),) * geo.ncoords,
         meta={"geometry": geo, "structure": I})
@@ -499,7 +496,7 @@ def hyperkahler(geo, triple, omega=None, spec=None):
     extra["F0"] = mult_op(fconst(rep.number_op(), geo.ncoords, "N"), coords, rep)
     return Model(
         name="hyperkahler", coords=coords, rep=rep,
-        supercharges=tuple(pairs), hamiltonian=_avg_hamiltonian(pairs[:1], mu),
+        supercharges=tuple(pairs), hamiltonian=_avg_hamiltonian(pairs[:1]),
         measure=mu, extra=extra, expected_algebra="N8",
         recipe=("free_real", "similarity applied to Q and S^a",),
         default_box=((-0.9, 0.9),) * geo.ncoords,
@@ -548,8 +545,8 @@ def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
             sy = -1.0 if bar_momentum else 1.0
             _acc(terms, unit_index(n, a), fscale(sx, psi_a))
             _acc(terms, unit_index(n, d + a), fscale(sy, psi_a))
-            dx = fderiv(ff, unit_index(n, a))
-            dy = fderiv(ff, unit_index(n, d + a))
+            dx = ff.deriv(unit_index(n, a))
+            dy = ff.deriv(unit_index(n, d + a))
             sgn = -1j if bar_momentum else 1j
             da_f = fsum([dx, fscale(sgn * 1j * (-1j), dy)], (1, 1), n)
             # da_f = dx + i dy (holomorphic case) or dx - i dy (conjugate)
@@ -569,14 +566,13 @@ def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
     pairs = (("Q", Q, Qbar), ("S", S, Sbar))
     return Model(
         name="hkt_conformal", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=_avg_hamiltonian(pairs[:1], mu), measure=mu,
+        hamiltonian=_avg_hamiltonian(pairs[:1]), measure=mu,
         extra={"Q_direct": q_direct, "S_direct": s_direct},
         expected_algebra="N4",
         recipe=("free_complex(d=2) with S-pair",
                 "similarity(exp(g psi_a psibar_a))",
                 "adjoint(measure = e^{-2g})"),
-        default_box=((-0.8, 0.8),) * n,
-        meta={"ctor": ("hkt_conformal", {"g": g})})
+        default_box=((-0.8, 0.8),) * n)
 
 
 def okt_flat():
@@ -585,9 +581,7 @@ def okt_flat():
     coords = tuple(f"x{a + 1}" for a in range(D))
     rep = hermitian_fermions(D)
     gammas = const_tensor("gamma7")
-    charges = [("Q0", DiffOp(coords, rep, {
-        unit_index(D, a): fscale(-1j, fconst(rep.psi[a], D, f"psi{a + 1}"))
-        for a in range(D)}))]
+    charges = [("Q0", free_real_charge(coords, rep))]
     for g_idx in range(7):
         g = gammas[g_idx]
         terms = {}
@@ -601,8 +595,7 @@ def okt_flat():
         hermitian_charges=tuple(charges), hamiltonian=h, measure=None,
         expected_algebra="N8-hermitian",
         recipe=("free_real(D=8), Hermitian fermion presentation",),
-        default_box=((-1.0, 1.0),) * D,
-        meta={"ctor": ("okt_flat", {})})
+        default_box=((-1.0, 1.0),) * D)
 
 
 def instanton(rho=1.0):
@@ -673,14 +666,14 @@ def instanton(rho=1.0):
         _acc(terms, (0,) * n, fsum(zero, (rep.dim, rep.dim), n))
         constraints[f"L{a + 1}"] = DiffOp(coords, rep, terms)
 
-    ham = _avg_hamiltonian(pairs, None)
+    ham = _avg_hamiltonian(pairs)
     return Model(
         name="instanton", coords=coords, rep=rep, supercharges=tuple(pairs),
         hamiltonian=ham, measure=None, constraints=constraints,
         expected_algebra="N4",
         recipe=("free_complex(d=2) x color", "self-dual gauge rotation",),
         default_box=((-1.2, 1.2),) * 4,
-        meta={"ctor": ("instanton", {"rho": rho}), "rho": rho})
+        meta={"rho": rho})
 
 
 def gauge_sym3():
@@ -773,7 +766,7 @@ def gauge_sym3():
     h_direct = DiffOp(coords, rep, h_terms) + DiffOp(coords, rep, {(0,) * n: h_zero})
 
     pairs = (("Q", Q, Qbar),)
-    ham = _avg_hamiltonian(pairs, None)
+    ham = _avg_hamiltonian(pairs)
     a_minus_fields = {a: fexpr(a_var[a][0] - Const(1j) * a_var[a][1], n)
                       for a in range(3)}
     return Model(
@@ -783,7 +776,7 @@ def gauge_sym3():
         expected_algebra="gauge",
         recipe=("dimensional reduction of (2+1) SU(2) gauge theory",),
         default_box=((-1.0, 1.0),) * 6,
-        meta={"ctor": ("gauge_sym3", {}), "a_minus": a_minus_fields})
+        meta={"a_minus": a_minus_fields})
 
 
 def gauge_sym3_resolved(g0=1.0):
@@ -842,7 +835,7 @@ def gauge_sym3_resolved(g0=1.0):
     Q = mk(+1)
     Qbar = mk(-1)
     pairs = (("Qcov", Q, Qbar),)
-    ham = _avg_hamiltonian(pairs, None)
+    ham = _avg_hamiltonian(pairs)
     exclusions = (
         Exclusion(_expr("a-b", coords), 0.15),
         Exclusion(_expr("a+b", coords), 0.15),
@@ -856,7 +849,7 @@ def gauge_sym3_resolved(g0=1.0):
                 "hamiltonian reduction by Gauss constraints"),
         default_box=((1.0, 2.0), (0.2, 0.8), (0.0, 6.28)),
         default_exclusions=exclusions,
-        meta={"ctor": ("gauge_sym3_resolved", {"g0": g0}), "g0": g0})
+        meta={"g0": g0})
 
 
 def _mode_label(vec):
@@ -977,7 +970,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
         "P1": p_ops[0], "P2": p_ops[1], "P3": p_ops[2],
         "Qcal": qcal, "Qcal0": qcal0,
     })
-    ham = _avg_hamiltonian(pairs, None)
+    ham = _avg_hamiltonian(pairs)
     return Model(
         name=f"wz_modes({len(modes)})", coords=coords, rep=rep,
         supercharges=pairs, hamiltonian=ham, measure=None, extra=extra,
@@ -985,8 +978,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
         recipe=("wess-zumino mode truncation",
                 "eigenmode supercharges, similarity from free"),
         default_box=((-1.0, 1.0),) * n,
-        meta={"ctor": ("wz_modes", {"mode_set": tuple(modes)}),
-              "modes": modes, "superpotential": w_total})
+        meta={"modes": modes, "superpotential": w_total})
 
 
 def wz_interacting_charge(model, mass=1.0):
@@ -1058,7 +1050,7 @@ def torsion_rotate(model, B, kind="holomorphic"):
     pairs = ((name, q_new, qbar_new),)
     return Model(
         name=f"{model.name}+torsion({kind})", coords=model.coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs, model.measure),
+        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
         measure=model.measure, expected_algebra="N2",
         recipe=model.recipe + (f"similarity(exp({kind} bilinear))",),
         default_box=model.default_box,
@@ -1090,9 +1082,7 @@ def kahler_warped(u="0.3*sin(x1) + 0.2*x2^2"):
     then fail)."""
     geo, om = _warped_geometry(u)
     I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
-    m = kahler(geo, I, omega=om)
-    m.meta["ctor"] = ("kahler_warped", {"u": u})
-    return m
+    return kahler(geo, I, omega=om)
 
 
 def hyperkahler_flat(D=4):
@@ -1102,9 +1092,7 @@ def hyperkahler_flat(D=4):
     geo = geometry.from_omega(zgrid, "real_symmetric")
     trio = [geometry.constant_structure(c, nc, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(D))]
-    m = hyperkahler(geo, trio)
-    m.meta["ctor"] = ("hyperkahler_flat", {"D": D})
-    return m
+    return hyperkahler(geo, trio)
 
 
 GH_BOX = ((0.6, 1.4), (0.6, 1.4), (0.6, 1.4), (-1.0, 1.0))
@@ -1120,17 +1108,12 @@ def hyperkahler_gibbons_hawking(centers=((0.0, 0.0, 0.0),), weights=(0.5,),
     sel_spec = SampleSpec(box=tuple(tuple(b) for b in box), n_points=6, seed=seed)
     trio, variant = geometry.select_orientation(geo, sel_spec)
     m = hyperkahler(geo, trio, spec=sel_spec)
-    return Model(
-        name="hyperkahler_gh", coords=m.coords, rep=m.rep,
-        supercharges=m.supercharges, hamiltonian=m.hamiltonian,
-        measure=m.measure, extra=m.extra, expected_algebra="N8",
+    return replace(
+        m, name="hyperkahler_gh",
         recipe=m.recipe + (f"orientation {variant} selected",),
         default_box=tuple(tuple(b) for b in box),
         meta={**m.meta, "potential": v, "vector_potential": a,
-              "orientation": variant,
-              "ctor": ("hyperkahler_gibbons_hawking",
-                       {"centers": centers, "weights": weights, "eps": eps,
-                        "box": box, "seed": seed})})
+              "orientation": variant})
 
 
 def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):
@@ -1141,9 +1124,7 @@ def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):
     trio = [geometry.constant_structure(c, 4, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(4))]
     spec = SampleSpec(box=((-0.9, 0.9),) * 4, n_points=6, seed=3)
-    m = hyperkahler(geo, trio, spec=spec)
-    m.meta["ctor"] = ("hyperkahler_kahler_control", {"u": u})
-    return m
+    return hyperkahler(geo, trio, spec=spec)
 
 
 # ---------------------------------------------------------------------------

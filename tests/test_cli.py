@@ -149,6 +149,26 @@ def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, messages", [
+    ("{constructor: instanton, params: {rho: -1.0}}",
+     ["instanton: instanton size must be positive"]),
+    ("{constructor: dolbeault, params: {d: 2, omega: [[x1, \"0\"], [\"0\"]]}}",
+     ["dolbeault: ragged grid"]),
+    # a complex conformal factor makes the measure density complex, which
+    # the positivity guard rejects while the suite is evaluated
+    ("{constructor: hkt_conformal, params: {g: \"0.1*i*x1\"}}",
+     ["check 'suite': relation '", "' at point (",
+      "ValueError: measure density must be positive"]),
+], ids=["constructor-value-error", "ragged-grid", "evaluation-error"])
+def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
+                                                         model, messages):
+    assert main(["run", _scenario(tmp_path, model, "[suite]")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for message in messages:
+        assert message in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_fails(tmp_path):
     # exp(800 x) overflows inside the box, so the sampled jets carry inf

@@ -16,8 +16,8 @@ from sqmzoo.diffop import (DiffOp, OpError, ReductionError, SampleSpec,
                            naive_dagger, partial_op, pretty, reduce_cyclic,
                            rename_coords, similarity, zero_op)
 from sqmzoo.expr import parse
-from sqmzoo.fields import (evaluate, fconst, fderiv, fdiag, fexpr, fidentity,
-                           fpow, fscale)
+from sqmzoo.fields import (evaluate, fconst, fdiag, fexpr, fidentity, fpow,
+                           fscale)
 
 REP1 = complex_fermions(1)
 X = ("x",)

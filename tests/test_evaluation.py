@@ -6,7 +6,8 @@ import pytest
 from sqmzoo import fields, verify, zoo
 from sqmzoo.clifford import (FermionBilinearField, FermionLinearField,
                              complex_fermions)
-from sqmzoo.diffop import Residual, SampleSpec, sampled_residual
+from sqmzoo.diffop import (EvaluationError, Residual, SampleSpec,
+                           sampled_residual)
 from sqmzoo.expr import parse
 from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            DetField, DiagField, EntryField, EvalContext,
@@ -106,9 +107,12 @@ def _nodes(groups):
 
 
 def _subclasses(cls):
+    """Public node classes of the package below ``cls``; the private
+    bases (``_Unary``, ``_Kernel``) have no instances of their own."""
     out = set()
     for sub in cls.__subclasses__():
-        if sub.__module__.startswith("sqmzoo."):
+        if sub.__module__.startswith("sqmzoo.") and \
+                not sub.__name__.startswith("_"):
             out.add(sub)
         out |= _subclasses(sub)
     return out
@@ -119,6 +123,68 @@ def test_dag_uses_every_field_type():
     assert used == _subclasses(fields.Field)
 
 
+_X = "(1.3 + ((0.2 * sin(x)) * y))"
+_GRID_SQ = "grid(2, 2).(grid(2, 2))^T"
+_CHAIN = "d1[d0[grid(2, 2)]]"
+_SCALED = f"(det(grid(2, 2)) + log({_X}))*({_GRID_SQ})^+"
+_FOCK = ("[grid(2, 2) + restrict(grid(2, 2))]*psi.psibar + "
+         "[grid(1, 2)]*psi + 0")
+_DIAG = f"(conj(({_X})^(1/2)))*1"
+
+# (type name, describe()) of every node _every_node_type reaches
+NODE_DESCRIPTIONS = {
+    ("ConjTransposeField", f"({_GRID_SQ})^+"),
+    ("ConstField", "const(2, 2)"),
+    ("DerivativeField", "d0[grid(2, 2)]"),
+    ("DerivativeField", "d0d1[d0[grid(2, 2)]]"),
+    ("DerivativeField", f"d1[{_FOCK}]"),
+    ("DerivativeField", _CHAIN),
+    ("DetField", "det(grid(2, 2))"),
+    ("DiagField", _DIAG),
+    ("EntryField", f"{_GRID_SQ}[0,1]"),
+    ("ExprField", "(((0.5 * x) * y) + (0.1 * x^2))"),
+    ("ExprField", "((x * y) + z)"),
+    ("ExprField", "(-7)"),
+    ("ExprField", "(0.5 + y^2)"),
+    ("ExprField", _X),
+    ("ExprField", "(2 + (0.3 * cos(y)))"),
+    ("ExprField", "(x + 7)"),
+    ("ExprField", "(y - x)"),
+    ("FermionBilinearField",
+     "[grid(2, 2) + restrict(grid(2, 2))]*psi.psibar"),
+    ("FermionLinearField", "[grid(1, 2)]*psi"),
+    ("GridField", "grid(1, 2)"),
+    ("GridField", "grid(2, 2)"),
+    ("InverseField", "inv(grid(2, 2) + const(2, 2))"),
+    ("MatExpField", "exp((0.3)*grid(2, 2))"),
+    ("MatMulField", _GRID_SQ),
+    ("PositiveGuardField", _X),
+    ("PowField", f"({_X})^(1/2)"),
+    ("RestrictField", "restrict(grid(2, 2))"),
+    ("ScalarConjField", f"conj(({_X})^(1/2))"),
+    ("ScalarFnField", f"log({_X})"),
+    ("ScalarMulField", _SCALED),
+    ("ScaleField", "(0.3)*grid(2, 2)"),
+    ("SumField", "(x + 7) + (-7)"),
+    ("SumField", _FOCK),
+    ("SumField", f"{_CHAIN} + {_CHAIN}"),
+    ("SumField", f"{_CHAIN} + {_CHAIN} + {_SCALED} + "
+                 "inv(grid(2, 2) + const(2, 2)) + exp((0.3)*grid(2, 2)) + "
+                 f"{_DIAG} + d0d1[d0[grid(2, 2)]]"),
+    ("SumField", f"det(grid(2, 2)) + log({_X})"),
+    ("SumField", "grid(2, 2) + const(2, 2)"),
+    ("SumField", "grid(2, 2) + restrict(grid(2, 2))"),
+    ("TransposeField", "(grid(2, 2))^T"),
+    ("ZeroField", "0"),
+}
+
+
+def test_describe_of_every_node_type_is_pinned():
+    got = {(type(node).__name__, node.describe())
+           for node in _nodes(_every_node_type())}
+    assert got == NODE_DESCRIPTIONS
+
+
 def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
     groups = _every_node_type()
     points = SPEC2.points()
@@ -126,7 +192,7 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
                 for p in points]
     computed = {}
     for cls in {type(node) for node in _nodes(groups)}:
-        orig = cls.__dict__["_compute"]
+        orig = cls._compute
 
         def counting(self, ctx, order, _orig=orig):
             key = (id(ctx), id(self), order)
@@ -193,6 +259,23 @@ def test_undeclared_request_fails_loudly(make):
     b = ExprField(parse("x*y", ("x", "y")), 2)
     with pytest.raises(PlanError):
         sampled_residual([[make(a, b)]], SPEC2)
+
+
+@pytest.mark.parametrize("make, cause", [
+    (lambda f: PositiveGuardField(fields.fscale(-1.0, f), "-f"), ValueError),
+    (lambda f: DerivativeField(f, (fields.MAX_ORDER + 1, 0)),
+     fields.OrderOverflow),
+], ids=["positivity-guard", "order-overflow"])
+def test_evaluation_failure_names_group_and_point(make, cause):
+    ok = ExprField(parse("x*y", ("x", "y")), 2)
+    bad = make(ExprField(parse("2 + x", ("x", "y")), 2))
+    with pytest.raises(EvaluationError) as err:
+        sampled_residual([[ok], [ok, bad]], SPEC2)
+    first = SPEC2.points()[0]
+    assert (err.value.group, err.value.point) == (1, first)
+    assert type(err.value.cause) is cause
+    assert str(err.value).startswith(
+        f"group 1 at point ({first[0]:.6g},{first[1]:.6g}): {cause.__name__}")
 
 
 def test_batched_check_matches_brute_force():
