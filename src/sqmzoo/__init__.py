@@ -6,7 +6,7 @@ from .clifford import (FermionRep, bilinear, complex_fermions, const_tensor,
 from .diffop import (DiffOp, Exclusion, Residual, SampleSpec,
                      adjoint_with_measure, anticommutator, commutator,
                      compose, is_zero, momentum_op, mult_op, naive_dagger,
-                     op_equal, partial_op, pretty, reduce_cyclic, similarity)
+                     partial_op, pretty, reduce_cyclic, similarity)
 from .expr import Expr, parse
 from .fields import evaluate
 from .geometry import (ComplexStructure, GeometryData, canonical_triple,
@@ -24,7 +24,7 @@ __all__ = [
     "complex_fermions", "compose", "const_tensor", "evaluate", "from_omega",
     "from_vielbein", "gibbons_hawking", "hermitian_fermions", "is_zero",
     "kahler_block_structure", "linear", "list_models", "momentum_op",
-    "mult_op", "naive_dagger", "op_equal", "parse", "partial_op", "pretty",
+    "mult_op", "naive_dagger", "parse", "partial_op", "pretty",
     "realify", "reduce_cyclic", "render_report", "select_orientation",
     "similarity",
 ]

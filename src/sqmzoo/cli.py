@@ -225,8 +225,7 @@ def run_checks(doc, model, spec, tols):
     return reports
 
 
-def run_scenario(path, seed=None, points=None, tol=None, report_path=None,
-                 fail_on_gray=False):
+def run_scenario(path, seed=None, points=None, tol=None, report_path=None):
     doc = load_scenario(path)
     tols = build_tolerances(doc, tol)
     model = build_model(doc["model"])
@@ -239,15 +238,7 @@ def run_scenario(path, seed=None, points=None, tol=None, report_path=None,
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    ok = all(r.ok for r in reports)
-    if fail_on_gray:
-        for r in reports:
-            if r.verdict == "exploratory":
-                gate_lo = tols[0] * (1.0 + r.residual.scale)
-                gate_hi = tols[1] * (1.0 + r.residual.scale)
-                if gate_lo < r.residual.max_abs < gate_hi:
-                    ok = False
-    return (0 if ok else 1), text
+    return (0 if all(r.ok for r in reports) else 1), text
 
 
 def main(argv=None):
@@ -263,7 +254,6 @@ def main(argv=None):
     run_p.add_argument("--points", type=int, default=None)
     run_p.add_argument("--tol", type=float, default=None)
     run_p.add_argument("--report", default=None)
-    run_p.add_argument("--fail-on-gray", action="store_true")
 
     sub.add_parser("list-models", help="print the model catalog")
 
@@ -279,8 +269,7 @@ def main(argv=None):
         try:
             code, text = run_scenario(
                 args.scenario, seed=args.seed, points=args.points,
-                tol=args.tol, report_path=args.report,
-                fail_on_gray=args.fail_on_gray)
+                tol=args.tol, report_path=args.report)
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -463,11 +463,6 @@ def is_zero(A, spec, tol=1e-9):
     return res.max_abs <= tol * (1.0 + res.scale), res
 
 
-def op_equal(A, B, spec, tol=1e-9):
-    """Probabilistic equality of two operators."""
-    return is_zero(A - B, spec, tol)
-
-
 # ---------------------------------------------------------------------------
 # pretty printing
 

@@ -570,8 +570,7 @@ class PositiveGuardField(_Unary):
         jet = self.child.eval_jet(ctx, order)
         v = jet[0, 0, 0]
         if not (v.real > 0 and abs(v.imag) <= 1e-12 * (1 + abs(v.real))):
-            raise ValueError(
-                f"{self.what} must be positive, got {v:g} at {ctx.point}")
+            raise ValueError(f"{self.what} must be positive, got {v:g}")
         return jet
 
     def describe(self):

@@ -45,15 +45,26 @@ class Relation:
     tol: float = None
 
 
+def _pair(m, name):
+    """A complex supercharge's name, operator and conjugate."""
+    return name, m.op(name), m.op(name + "bar")
+
+
+def _h_direct(m):
+    """The independently built Hamiltonian when the model has one, so
+    that {Qbar, Q} = 2H is not true by construction; else H."""
+    return m.op("H_direct" if "H_direct" in m.ops else "H")
+
+
 def check_n2(m):
     """Q^2 = Qbar^2 = 0 and {Qbar, Q} = 2H for the first supercharge pair.
 
     Gauge models expect the violated Q^2 and instead assert the operator
     identity Q^2 = A_- . G."""
-    name, q, qb = m.supercharges[0]
+    name, q, qb = _pair(m, m.charges[0])
     gauge = m.expected_algebra == "gauge"
     nilpotent = "violated" if gauge else "pass"
-    h = m.extra.get("H_direct", m.hamiltonian)
+    h = _h_direct(m)
     out = [
         Relation(f"{name}^2", compose(q, q), nilpotent),
         Relation(f"{name}bar^2", compose(qb, qb), nilpotent),
@@ -68,8 +79,8 @@ def check_n2(m):
 def _gauge_constraints(m):
     """Constraint algebra of the gauge model: Q^2 = A_- . G,
     [G^a, H] = 0, [G^a, G^b] = i eps^abc G^c."""
-    _name, q, _qb = m.supercharges[0]
-    g_ops = [m.constraints[f"G{a + 1}"] for a in range(3)]
+    q = m.op(m.charges[0])
+    g_ops = [m.op(f"G{a + 1}") for a in range(3)]
     rhs = zero_op(m.coords, m.rep)
     for a in range(3):
         rhs = rhs + compose(mult_op(m.meta["a_minus"][a], m.coords, m.rep),
@@ -77,7 +88,7 @@ def _gauge_constraints(m):
     out = [Relation("Q^2 - A_-.G", compose(q, q) - rhs)]
     for a in range(3):
         out.append(Relation(f"[G{a + 1},H]",
-                            commutator(g_ops[a], m.hamiltonian)))
+                            commutator(g_ops[a], m.op("H"))))
     for a in range(3):
         for b in range(a + 1, 3):
             comm = commutator(g_ops[a], g_ops[b])
@@ -92,18 +103,17 @@ def check_extended(m):
     """All pairwise relations of the extended algebra:
     {Q_a, Q_b} = 0 and {Q_a, Qbar_b} = 2 delta_ab H."""
     out = []
-    h = m.hamiltonian
-    if m.hermitian_charges:
-        charges = list(m.hermitian_charges)
-        for i, (na, qa) in enumerate(charges):
-            for nb, qb in charges[i:]:
-                lhs = anticommutator(qa, qb)
+    h = m.op("H")
+    if m.rep.kind == "hermitian":
+        for i, na in enumerate(m.charges):
+            for nb in m.charges[i:]:
+                lhs = anticommutator(m.op(na), m.op(nb))
                 if na == nb:
                     lhs = lhs - 2.0 * h
                 out.append(Relation(
                     f"{{{na},{nb}}}" + (" - 2H" if na == nb else ""), lhs))
         return out
-    pairs = list(m.supercharges)
+    pairs = [_pair(m, name) for name in m.charges]
     for i, (na, qa, _qba) in enumerate(pairs):
         for j, (nb, qb, qbb) in enumerate(pairs):
             if j >= i:
@@ -120,7 +130,7 @@ def check_extended(m):
 def check_central(m):
     """Central-charge algebra {Q_a, Qbar_b} = 2(delta_ab H + sigma_j P_j),
     with the momenta commuting with the supercharges."""
-    h = m.extra.get("H_direct", m.hamiltonian)
+    h = _h_direct(m)
     p_ops = [m.op("P1"), m.op("P2"), m.op("P3")]
     qs = [m.op("Q1"), m.op("Q2")]
     qbs = [m.op("Q1bar"), m.op("Q2bar")]
@@ -216,14 +226,14 @@ def check_instanton(m):
     """su(2) invariance of the self-dual model: the generators commute
     with the supercharges and close as [L^a, L^b] = 2i eps^abc L^c (the
     factor 2 is the normalisation the color term 2t^a carries)."""
-    l_ops = [m.constraints[f"L{a + 1}"] for a in range(3)]
+    l_ops = [m.op(f"L{a + 1}") for a in range(3)]
     out = []
     for a in range(3):
         for alpha in (1, 2):
             out.append(Relation(f"[L{a + 1},Q{alpha}]",
                                 commutator(l_ops[a], m.op(f"Q{alpha}"))))
         out.append(Relation(f"[L{a + 1},H]",
-                            commutator(l_ops[a], m.hamiltonian)))
+                            commutator(l_ops[a], m.op("H"))))
     for a in range(3):
         for b in range(a + 1, 3):
             comm = commutator(l_ops[a], l_ops[b])
@@ -237,14 +247,14 @@ def check_instanton(m):
 def check_exploratory(m):
     """Report-only residuals for the gauge-fixed model: nilpotency and
     the cyclicity of alpha in the Hamiltonian are printed, not asserted."""
-    name, q, qb = m.supercharges[0]
+    name, q, qb = _pair(m, m.charges[0])
     p_al = momentum_op(m.coords, m.rep, "alpha")
     return [
         Relation(f"{name}^2 (exploratory)", compose(q, q), "exploratory"),
         Relation(f"{name}bar^2 (exploratory)", compose(qb, qb),
                  "exploratory"),
         Relation("[p_alpha, H] (exploratory)",
-                 commutator(p_al, m.hamiltonian), "exploratory"),
+                 commutator(p_al, m.op("H")), "exploratory"),
     ]
 
 

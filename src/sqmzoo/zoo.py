@@ -9,10 +9,10 @@ Conventions fixed here once and pinned by the flat acceptance tests:
   flat complex supercharge is Q = sqrt(2) psi_a pi_a,
 * supercharge conjugates are measure-weighted adjoints,
   Qbar = mu^-1 Q^+ mu, with mu declared per model (None = flat),
-* a model's hamiltonian is the supercharge-trace average
-  (1/N) sum_i {Qbar_i, Q_i} / 2, which for every non-central model is
-  just {Qbar_1, Q_1}/2 and for the central-charge model removes the
-  momentum term,
+* a model's hamiltonian is {Qbar_1, Q_1}/2, or for the two-pair
+  instanton and central-charge models the mean over both pairs, which
+  for the central-charge model removes the momentum term (all three
+  conventions are applied by ``assemble``),
 * complex structures enter as mixed-index matrices I_M^N with the
   rotated extra supercharge S = psi^M I_M^N (p_N - i Omega_N,AB psi_A
   psibar_B).
@@ -41,17 +41,19 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Model:
-    """A constructed model: named operators plus the construction trace."""
+    """A constructed model: its operator table plus the construction trace.
+
+    ``ops`` maps each operator name to its DiffOp, in table order: each
+    supercharge and then, for a complex-kind representation, its
+    ``bar``, then ``H``, then constraints and comparison operators.
+    ``charges`` names the supercharges in that order."""
 
     name: str
     coords: tuple
     rep: object
-    supercharges: tuple          # ((name, Q, Qbar), ...)
-    hamiltonian: DiffOp
+    ops: dict
+    charges: tuple
     measure: object = None       # scalar field mu, or None for flat
-    hermitian_charges: tuple = ()
-    constraints: dict = dc_field(default_factory=dict)
-    extra: dict = dc_field(default_factory=dict)
     expected_algebra: str = "N2"
     recipe: tuple = ()
     default_box: tuple = ()
@@ -65,44 +67,50 @@ class Model:
 
     def op(self, name):
         """Look up any named operator of the model."""
-        for cname, q, qb in self.supercharges:
-            if name == cname:
-                return q
-            if name == cname + "bar":
-                return qb
-        for cname, q in self.hermitian_charges:
-            if name == cname:
-                return q
-        if name == "H":
-            return self.hamiltonian
-        if name in self.constraints:
-            return self.constraints[name]
-        if name in self.extra:
-            return self.extra[name]
-        raise KeyError(f"model {self.name} has no operator {name!r}")
-
-    def operator_names(self):
-        names = []
-        for cname, _q, _qb in self.supercharges:
-            names.extend([cname, cname + "bar"])
-        names.extend(n for n, _ in self.hermitian_charges)
-        names.append("H")
-        names.extend(self.constraints)
-        names.extend(self.extra)
-        return names
+        try:
+            return self.ops[name]
+        except KeyError:
+            raise KeyError(f"model {self.name} has no operator {name!r}") from None
 
 
-def _conjugate(Q, mu):
-    return adjoint_with_measure(Q, mu) if mu is not None else naive_dagger(Q)
+def assemble(name, coords, rep, charges, measure=None, h_pairs=1, ops=(),
+             **fields):
+    """The model with supercharges ``charges``, each ``(name, Q)`` or
+    ``(name, Q, Qbar)``, followed in its table by ``ops``.
+
+    A missing Qbar is the measure-weighted adjoint of Q, or the flat
+    dagger when there is no measure.  H is the mean of {Qbar_i, Q_i}/2
+    over the first ``h_pairs`` pairs."""
+    table = {}
+    h = None
+    for i, (cname, q, *qbar) in enumerate(charges):
+        qb = qbar[0] if qbar else (naive_dagger(q) if measure is None
+                                   else adjoint_with_measure(q, measure))
+        table[cname] = q
+        table[cname + "bar"] = qb
+        if i < h_pairs:
+            term = 0.5 * anticommutator(qb, q)
+            h = term if h is None else h + term
+    table["H"] = (1.0 / h_pairs) * h
+    table.update(ops)
+    return Model(name=name, coords=tuple(coords), rep=rep, ops=table,
+                 charges=tuple(c[0] for c in charges), measure=measure,
+                 **fields)
 
 
-def _avg_hamiltonian(pairs):
-    """Mean of {Qbar_i, Q_i}/2 over the listed supercharge pairs."""
-    acc = None
-    for _name, q, qb in pairs:
-        h = 0.5 * anticommutator(qb, q)
-        acc = h if acc is None else acc + h
-    return (1.0 / len(pairs)) * acc
+def first_order(coords, rep, slots, zero=()):
+    """First-order operator sum_N F_N d_N + sum(zero).
+
+    ``slots`` lists ``(coordinate position, F)`` pairs; the derivative
+    terms are inserted in slot order, a repeated position summing its
+    fields, and the zero-order term last."""
+    n = len(coords)
+    terms = {}
+    for pos, f in slots:
+        idx = unit_index(n, pos)
+        terms[idx] = fsum([terms[idx], f]) if idx in terms else f
+    terms[(0,) * n] = fsum(zero, (rep.dim, rep.dim), n)
+    return DiffOp(coords, rep, terms)
 
 
 def _expr(w, coords):
@@ -134,12 +142,11 @@ def _complex_coords(d):
 def free_complex_charge(coords, rep, d):
     """Q = sqrt(2) psi_a pi_a = psi_a (-i d_x_a + d_y_a)."""
     n = len(coords)
-    terms = {}
+    slots = []
     for a in range(d):
         psi = fconst(rep.psi[a], n, f"psi{a + 1}")
-        terms[unit_index(n, a)] = fscale(-1j, psi)
-        terms[unit_index(n, d + a)] = psi
-    return DiffOp(coords, rep, terms)
+        slots += [(a, fscale(-1j, psi)), (d + a, psi)]
+    return first_order(coords, rep, slots)
 
 
 def free_complex_s_charge(coords, rep, d):
@@ -148,7 +155,7 @@ def free_complex_s_charge(coords, rep, d):
         raise ValueError("the flat S-pair needs even complex dimension")
     n = len(coords)
     eps = const_tensor("epsilon")
-    terms = {}
+    slots = []
     for k in range(d // 2):
         for a in range(2):
             for b in range(2):
@@ -157,32 +164,19 @@ def free_complex_s_charge(coords, rep, d):
                 ia, ib = 2 * k + a, 2 * k + b
                 psi = fconst(eps[a, b] * rep.psi[ia], n)
                 # sqrt(2) pibar_b = -i d_x_b - d_y_b
-                _acc(terms, unit_index(n, ib), fscale(-1j, psi))
-                _acc(terms, unit_index(n, d + ib), fscale(-1.0, psi))
-    return DiffOp(coords, rep, terms)
-
-
-def _acc(terms, idx, f):
-    if idx in terms:
-        terms[idx] = fsum([terms[idx], f])
-    else:
-        terms[idx] = f
+                slots += [(ib, fscale(-1j, psi)), (d + ib, fscale(-1.0, psi))]
+    return first_order(coords, rep, slots)
 
 
 def free_complex(d=1):
     """Free dynamics in flat complex space: Q = sqrt(2) psi_a pi_a."""
     coords = _complex_coords(d)
     rep = complex_fermions(d)
-    Q = free_complex_charge(coords, rep, d)
-    Qbar = naive_dagger(Q)
-    pairs = [("Q", Q, Qbar)]
+    charges = [("Q", free_complex_charge(coords, rep, d))]
     if d % 2 == 0:
-        S = free_complex_s_charge(coords, rep, d)
-        pairs.append(("S", S, naive_dagger(S)))
-    ham = _avg_hamiltonian(pairs[:1])
-    return Model(
-        name=f"free_complex(d={d})", coords=coords, rep=rep,
-        supercharges=tuple(pairs), hamiltonian=ham, measure=None,
+        charges.append(("S", free_complex_s_charge(coords, rep, d)))
+    return assemble(
+        f"free_complex(d={d})", coords, rep, charges,
         expected_algebra="N4" if d % 2 == 0 else "N2",
         recipe=(f"free_complex(d={d})",),
         default_box=((-1.0, 1.0),) * (2 * d))
@@ -190,22 +184,19 @@ def free_complex(d=1):
 
 def free_real_charge(coords, rep):
     """Q = p_A psi_A."""
-    n = len(coords)
-    return DiffOp(coords, rep, {
-        unit_index(n, a): fscale(-1j, fconst(rep.psi[a], n, f"psi{a + 1}"))
-        for a in range(n)})
+    return first_order(coords, rep, [
+        (a, fscale(-1j, fconst(rep.psi[a], len(coords), f"psi{a + 1}")))
+        for a in range(len(coords))])
 
 
 def free_real(D=1):
     """Free flat real dynamics, the cyclic reduction of free_complex(D)."""
-    coords = tuple(f"x{a + 1}" for a in range(D))
     rep = complex_fermions(D)
-    Q = free_real_charge(coords, rep)
-    Qbar = naive_dagger(Q)
-    ham = 0.5 * anticommutator(Qbar, Q)
-    return Model(
-        name=f"free_real(D={D})", coords=coords, rep=rep,
-        supercharges=(("Q", Q, Qbar),), hamiltonian=ham, measure=None,
+    spec = SampleSpec(box=((-1, 1),) * (2 * D), n_points=4, seed=1)
+    Q = reduce_cyclic(free_complex_charge(_complex_coords(D), rep, D),
+                      [f"y{a + 1}" for a in range(D)], spec)
+    return assemble(
+        f"free_real(D={D})", Q.coords, rep, [("Q", Q)],
         expected_algebra="N2",
         recipe=(f"free_complex(d={D})", "reduce_cyclic(drop all y)"),
         default_box=((-1.0, 1.0),) * D)
@@ -222,13 +213,10 @@ def witten(W="x^3 - x"):
     psibar = fconst(rep.psibar[0], n, "psibar")
     wp = wf.deriv((1,))
     wpp = wf.deriv((2,))
-    Q = DiffOp(coords, rep, {
-        (1,): fscale(-1j, psi),
-        (0,): fscalarmul(fscale(1j, wp), psi)})
-    Qbar = DiffOp(coords, rep, {
-        (1,): fscale(-1j, psibar),
-        (0,): fscalarmul(fscale(-1j, wp), psibar)})
-    ham = 0.5 * anticommutator(Qbar, Q)
+    Q = first_order(coords, rep, [(0, fscale(-1j, psi))],
+                    [fscalarmul(fscale(1j, wp), psi)])
+    Qbar = first_order(coords, rep, [(0, fscale(-1j, psibar))],
+                       [fscalarmul(fscale(-1j, wp), psibar)])
 
     # the same Q through the engine's own two operations
     parent = free_complex(1)
@@ -245,10 +233,9 @@ def witten(W="x^3 - x"):
         (0,): fsum([fscalarmul(fscale(0.5, fmatmul(wp, wp)), fidentity(rep.dim, n)),
                     fscalarmul(fscale(0.5, wpp), fconst(comm, n))]),
     })
-    return Model(
-        name="witten", coords=coords, rep=rep,
-        supercharges=(("Q", Q, Qbar),), hamiltonian=ham, measure=None,
-        extra={"Q_similarity": q_sim, "H_direct": h_direct},
+    return assemble(
+        "witten", coords, rep, [("Q", Q, Qbar)],
+        ops={"Q_similarity": q_sim, "H_direct": h_direct},
         expected_algebra="N2",
         recipe=("free_complex(d=1)", "reduce_cyclic(drop y1)",
                 "similarity(exp(W))"),
@@ -278,47 +265,43 @@ def dolbeault(omega, d, W=None):
     geo = geometry.from_omega(om, "complex_dolbeault")
     mu = fdet(geo.hermitian_metric)
     recipe = [f"free_complex(d={d})", "similarity(exp(omega psi psibar))"]
-    extra = {}
+    meta = {"geometry": geo}
     if W is not None:
         w_expr = _expr(W, coords)
         g_field = fsum([fexpr(w_expr, n, "W"),
                         fscale(-0.25, flog(mu))], (1, 1), n)
         Q = similarity(Q, g_field)
         recipe.append("similarity(exp(W - ln det h / 4))")
-        extra["twist"] = g_field
-    Qbar = adjoint_with_measure(Q, mu)
+        meta["twist"] = g_field
     recipe.append("adjoint(measure = det h)")
-    pairs = (("Q", Q, Qbar),)
-    extra["h"] = geo.hermitian_metric
-    return Model(
-        name=f"dolbeault(d={d})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
-        measure=mu, extra=extra, expected_algebra="N2",
-        recipe=tuple(recipe), default_box=((-0.9, 0.9),) * n,
-        meta={"geometry": geo})
+    return assemble(
+        f"dolbeault(d={d})", coords, rep, [("Q", Q)], measure=mu,
+        expected_algebra="N2", recipe=tuple(recipe),
+        default_box=((-0.9, 0.9),) * n, meta=meta)
+
+
+def frame_charge(coords, rep, frame, connections, bar=False):
+    """psi^A frame_A^N (p_N - i conn_N,BC psi_B psibar_C), one N per
+    connection.
+
+    With bar=True builds the conjugate form psibar^A [...] (p_N
+    - i conn_N,BC psibar_B psi_C).
+    """
+    kind, ordering = ("psibar", "bp") if bar else ("psi", "pb")
+    slots, zero = [], []
+    for N, conn in enumerate(connections):
+        row = fgrid([[fentry(frame, A, N) for A in range(frame.shape[0])]])
+        lin = linear(rep, row, kind)
+        slots.append((N, fscale(-1j, lin)))
+        zero.append(fscale(-1j, fmatmul(lin, bilinear(rep, conn, ordering))))
+    return first_order(coords, rep, slots, zero)
 
 
 def geometric_charge(geo, rep, structure=None, bar=False):
-    """psi^M [I_M^N] (p_N - i Omega_N,AB psi_A psibar_B) from geometry data.
-
-    With bar=True builds the conjugate form psibar^M [...] (p_N
-    - i Omega_N,AB psibar_A psi_B).
-    """
-    dim, nc = geo.dim, geo.ncoords
-    coefmat = geo.e if structure is None else fmatmul(geo.e, structure)
-    kind = "psibar" if bar else "psi"
-    ordering = "bp" if bar else "pb"
-    terms = {}
-    zero_terms = []
-    for N in range(dim):
-        row = fgrid([[fentry(coefmat, A, N) for A in range(dim)]])
-        lin = linear(rep, row, kind)
-        _acc(terms, unit_index(nc, N), fscale(-1j, lin))
-        om_b = bilinear(rep, geo.spin_connection[N], ordering)
-        zero_terms.append(fscale(-1j, fmatmul(lin, om_b)))
-    _acc(terms, (0,) * nc, fsum(zero_terms, (rep.dim, rep.dim), nc))
-    coords = tuple(f"x{m + 1}" for m in range(nc))
-    return DiffOp(coords, rep, terms)
+    """psi^M [I_M^N] (p_N - i Omega_N,AB psi_A psibar_B) from geometry
+    data, or its conjugate form with bar=True (see frame_charge)."""
+    frame = geo.e if structure is None else fmatmul(geo.e, structure)
+    return frame_charge(_geo_coords(geo), rep, frame, geo.spin_connection, bar)
 
 
 def de_rham(omega, D, W=None, torsion=None):
@@ -334,7 +317,7 @@ def de_rham(omega, D, W=None, torsion=None):
     q_geo = geometric_charge(geo, rep)
     qbar_geo = geometric_charge(geo, rep, bar=True)
     recipe = [f"free_real(D={D})", "similarity(exp(omega psi psibar))"]
-    extra = {"Q_geometric": q_geo, "Qbar_geometric": qbar_geo}
+    ops = {"Q_geometric": q_geo, "Qbar_geometric": qbar_geo}
     if W is not None:
         wf = fexpr(_expr(W, coords), n, "W")
         Q = similarity(Q, wf)
@@ -344,14 +327,10 @@ def de_rham(omega, D, W=None, torsion=None):
         bk = fscale(1.0, fmatmul(geo.e, b, ftranspose(geo.e)))
         Q = similarity(Q, bilinear(rep, bk, "pp"))
         recipe.append("similarity(exp(B psi^M psi^N))")
-    mu = geo.sqrt_det_metric()
-    Qbar = adjoint_with_measure(Q, mu)
     recipe.append("adjoint(measure = sqrt(det g))")
-    pairs = (("Q", Q, Qbar),)
-    return Model(
-        name=f"de_rham(D={D})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
-        measure=mu, extra=extra, expected_algebra="N2",
+    return assemble(
+        f"de_rham(D={D})", coords, rep, [("Q", Q)],
+        measure=geo.sqrt_det_metric(), ops=ops, expected_algebra="N2",
         recipe=tuple(recipe), default_box=((-0.9, 0.9),) * n,
         meta={"geometry": geo})
 
@@ -372,16 +351,8 @@ def quasicomplex(omega, D):
     # direct Hadamard form: psi_D (e^om)_DC [p_C - i (e^om d_C e^-om)_AB psi psibar]
     e = fexp(om)
     einv = fexp(fscale(-1.0, om))
-    terms = {}
-    zero_terms = []
-    for C in range(D):
-        row = fgrid([[fentry(e, A, C) for A in range(D)]])
-        lin = linear(rep, row, "psi")
-        _acc(terms, unit_index(D, C), fscale(-1j, lin))
-        conn = fmatmul(e, einv.deriv(unit_index(D, C)))
-        zero_terms.append(fscale(-1j, fmatmul(lin, bilinear(rep, conn, "pb"))))
-    _acc(terms, (0,) * D, fsum(zero_terms, (rep.dim, rep.dim), D))
-    q_direct = DiffOp(coords, rep, terms)
+    q_direct = frame_charge(coords, rep, e, [
+        fmatmul(e, einv.deriv(unit_index(D, C))) for C in range(D)])
 
     # reduction path: the same omega lifted to the complex parent space
     coords2 = _complex_coords(D)
@@ -391,15 +362,10 @@ def quasicomplex(omega, D):
     spec2 = SampleSpec(box=((-0.9, 0.9),) * (2 * D), n_points=6, seed=23)
     q_reduced = reduce_cyclic(q_parent, [f"y{a + 1}" for a in range(D)], spec2)
 
-    h = fmatmul(e.conj_t(), e)
-    mu = fdet(h)
-    Qbar = adjoint_with_measure(Q, mu)
-    pairs = (("Q", Q, Qbar),)
-    return Model(
-        name=f"quasicomplex(D={D})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
-        measure=mu,
-        extra={"Q_direct": q_direct, "Q_reduced": q_reduced},
+    return assemble(
+        f"quasicomplex(D={D})", coords, rep, [("Q", Q)],
+        measure=fdet(fmatmul(e.conj_t(), e)),
+        ops={"Q_direct": q_direct, "Q_reduced": q_reduced},
         expected_algebra="N2",
         recipe=(f"free_complex(d={D})", "similarity(exp(omega psi psibar))",
                 "reduce_cyclic(drop all y)", "adjoint(measure = det h)"),
@@ -432,33 +398,29 @@ def kahler(geo, I, omega=None, flat_structure=None):
     """
     coords = _geo_coords(geo)
     rep = complex_fermions(geo.dim)
-    Q = geometric_charge(geo, rep)
-    S = geometric_charge(geo, rep, I.matrix)
-    mu = geo.sqrt_det_metric()
-    Qbar = adjoint_with_measure(Q, mu)
-    Sbar = adjoint_with_measure(S, mu)
     f_plus, f_minus, f_zero = _structure_fields(geo, I, rep)
-    extra = {"F+": f_plus, "F-": f_minus, "F0": f_zero}
+    ops = {"F+": f_plus, "F-": f_minus, "F0": f_zero}
     recipe = ["free_real", "similarity(exp(omega psi psibar)) applied to Q and S"]
     if omega is not None:
         parent = free_real(geo.dim)
         r_op = bilinear(rep, omega, "pb")
-        extra["Q_similarity"] = similarity(parent.op("Q"), r_op)
+        ops["Q_similarity"] = similarity(parent.op("Q"), r_op)
         if flat_structure is None:
             from .fields import ConstField
             if not isinstance(I.matrix, ConstField):
                 raise ValueError("flat_structure needed for non-constant I")
             flat_structure = I.matrix.matrix
-        s_flat = DiffOp(coords, rep, {
-            unit_index(geo.dim, N): fscale(
-                -1j, linear(rep, fconst(flat_structure[:, N][None, :], geo.dim), "psi"))
-            for N in range(geo.dim) if np.abs(flat_structure[:, N]).max() > 0})
-        extra["S_similarity"] = similarity(s_flat, r_op)
-    pairs = (("Q", Q, Qbar), ("S", S, Sbar))
-    return Model(
-        name="kahler", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=_avg_hamiltonian(pairs[:1]), measure=mu,
-        extra=extra, expected_algebra="N4", recipe=tuple(recipe),
+        s_flat = first_order(coords, rep, [
+            (N, fscale(-1j, linear(
+                rep, fconst(flat_structure[:, N][None, :], geo.dim), "psi")))
+            for N in range(geo.dim) if np.abs(flat_structure[:, N]).max() > 0])
+        ops["S_similarity"] = similarity(s_flat, r_op)
+    return assemble(
+        "kahler", coords, rep,
+        [("Q", geometric_charge(geo, rep)),
+         ("S", geometric_charge(geo, rep, I.matrix))],
+        measure=geo.sqrt_det_metric(), ops=ops,
+        expected_algebra="N4", recipe=tuple(recipe),
         default_box=((-0.9, 0.9),) * geo.ncoords,
         meta={"geometry": geo, "structure": I})
 
@@ -482,23 +444,18 @@ def hyperkahler(geo, triple, omega=None, spec=None):
                 spec):
             if r.max_abs > 1e-8 * (1.0 + r.scale):
                 structure_ok = False
-    Q = geometric_charge(geo, rep)
-    mu = geo.sqrt_det_metric()
-    Qbar = adjoint_with_measure(Q, mu)
-    pairs = [("Q", Q, Qbar)]
-    extra = {}
+    charges = [("Q", geometric_charge(geo, rep))]
+    ops = {}
     for a, I in enumerate(triple, start=1):
-        S = geometric_charge(geo, rep, I.matrix)
-        pairs.append((f"S{a}", S, adjoint_with_measure(S, mu)))
+        charges.append((f"S{a}", geometric_charge(geo, rep, I.matrix)))
         fp, fm, _f0 = _structure_fields(geo, I, rep)
-        extra[f"F{a}+"] = fp
-        extra[f"F{a}-"] = fm
-    extra["F0"] = mult_op(fconst(rep.number_op(), geo.ncoords, "N"), coords, rep)
-    return Model(
-        name="hyperkahler", coords=coords, rep=rep,
-        supercharges=tuple(pairs), hamiltonian=_avg_hamiltonian(pairs[:1]),
-        measure=mu, extra=extra, expected_algebra="N8",
-        recipe=("free_real", "similarity applied to Q and S^a",),
+        ops[f"F{a}+"] = fp
+        ops[f"F{a}-"] = fm
+    ops["F0"] = mult_op(fconst(rep.number_op(), geo.ncoords, "N"), coords, rep)
+    return assemble(
+        "hyperkahler", coords, rep, charges, measure=geo.sqrt_det_metric(),
+        ops=ops, expected_algebra="N8",
+        recipe=("free_real", "geometric_charge applied to Q and S^a",),
         default_box=((-0.9, 0.9),) * geo.ncoords,
         meta={"geometry": geo, "triple": triple,
               "structure_ok": structure_ok})
@@ -529,10 +486,8 @@ def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
     eps = const_tensor("epsilon")
 
     def direct(bar_momentum):
-        terms = {}
-        zero_terms = []
+        slots, zero = [], []
         for a in range(d):
-            psi_rows = []
             if bar_momentum:
                 coeffs = [(b, eps[b, a]) for b in range(d) if eps[b, a]]
             else:
@@ -543,31 +498,25 @@ def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
             psi_a = fscalarmul(ff, fconst(mat, n))
             sx = -1j
             sy = -1.0 if bar_momentum else 1.0
-            _acc(terms, unit_index(n, a), fscale(sx, psi_a))
-            _acc(terms, unit_index(n, d + a), fscale(sy, psi_a))
+            slots += [(a, fscale(sx, psi_a)), (d + a, fscale(sy, psi_a))]
             dx = ff.deriv(unit_index(n, a))
             dy = ff.deriv(unit_index(n, d + a))
             sgn = -1j if bar_momentum else 1j
             da_f = fsum([dx, fscale(sgn * 1j * (-1j), dy)], (1, 1), n)
             # da_f = dx + i dy (holomorphic case) or dx - i dy (conjugate)
-            zero_terms.append(fscale(1j, fmatmul(
+            zero.append(fscale(1j, fmatmul(
                 fscalarmul(da_f, fconst(mat, n)), num)))
-        _acc(terms, (0,) * n, fsum(zero_terms, (rep.dim, rep.dim), n))
-        return DiffOp(coords, rep, terms)
+        return first_order(coords, rep, slots, zero)
 
     q_direct = direct(bar_momentum=False)
     s_direct = direct(bar_momentum=True)
 
     # measure pinned by N=4 closure: only e^{-2g} = (det g_4d)^(1/4) makes
     # {Q, Sbar} vanish and {S, Sbar} = {Q, Qbar}; det h fails.
-    mu = ScalarFnField("exp", fscale(-2.0, gf))
-    Qbar = adjoint_with_measure(Q, mu)
-    Sbar = adjoint_with_measure(S, mu)
-    pairs = (("Q", Q, Qbar), ("S", S, Sbar))
-    return Model(
-        name="hkt_conformal", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=_avg_hamiltonian(pairs[:1]), measure=mu,
-        extra={"Q_direct": q_direct, "S_direct": s_direct},
+    return assemble(
+        "hkt_conformal", coords, rep, [("Q", Q), ("S", S)],
+        measure=ScalarFnField("exp", fscale(-2.0, gf)),
+        ops={"Q_direct": q_direct, "S_direct": s_direct},
         expected_algebra="N4",
         recipe=("free_complex(d=2) with S-pair",
                 "similarity(exp(g psi_a psibar_a))",
@@ -581,18 +530,15 @@ def okt_flat():
     coords = tuple(f"x{a + 1}" for a in range(D))
     rep = hermitian_fermions(D)
     gammas = const_tensor("gamma7")
-    charges = [("Q0", free_real_charge(coords, rep))]
-    for g_idx in range(7):
-        g = gammas[g_idx]
-        terms = {}
-        for a in range(D):
-            mat = sum(g[a, b] * rep.psi[b] for b in range(D))
-            terms[unit_index(D, a)] = fscale(-1j, fconst(mat, D))
-        charges.append((f"S{g_idx + 1}", DiffOp(coords, rep, terms)))
-    h = compose(charges[0][1], charges[0][1])
+    ops = {"Q0": free_real_charge(coords, rep)}
+    for g_idx, g in enumerate(gammas):
+        ops[f"S{g_idx + 1}"] = first_order(coords, rep, [
+            (a, fscale(-1j, fconst(sum(g[a, b] * rep.psi[b] for b in range(D)), D)))
+            for a in range(D)])
+    charges = tuple(ops)
+    ops["H"] = compose(ops["Q0"], ops["Q0"])
     return Model(
-        name="okt_flat", coords=coords, rep=rep, supercharges=(),
-        hermitian_charges=tuple(charges), hamiltonian=h, measure=None,
+        name="okt_flat", coords=coords, rep=rep, ops=ops, charges=charges,
         expected_algebra="N8-hermitian",
         recipe=("free_real(D=8), Hermitian fermion presentation",),
         default_box=((-1.0, 1.0),) * D)
@@ -627,8 +573,7 @@ def instanton(rho=1.0):
                         else ZeroField((rep.dim, rep.dim), n))
 
     def charge(alpha, dag):
-        terms = {}
-        zero = []
+        slots, zero = [], []
         smat = sigma_dag if dag else sigma
         for mu in range(4):
             if dag:
@@ -636,22 +581,18 @@ def instanton(rho=1.0):
             else:
                 mat = sum(smat[mu][alpha, b] * rep.psibar[b] for b in range(2))
             cm = fconst(mat, n)
-            _acc(terms, unit_index(n, mu), fscale(-1j, cm))
+            slots.append((mu, fscale(-1j, cm)))
             if not isinstance(a_fields[mu], ZeroField):
                 zero.append(fscale(-1.0, fmatmul(cm, a_fields[mu])))
-        _acc(terms, (0,) * n, fsum(zero, (rep.dim, rep.dim), n))
-        return DiffOp(coords, rep, terms)
+        return first_order(coords, rep, slots, zero)
 
-    pairs = []
-    for alpha in range(2):
-        q = charge(alpha, dag=False)
-        qbar = charge(alpha, dag=True)
-        pairs.append((f"Q{alpha + 1}", q, qbar))
+    charges = [(f"Q{alpha + 1}", charge(alpha, dag=False),
+                charge(alpha, dag=True)) for alpha in range(2)]
 
     # L^a = 2 t^a - i eta^a_{mu nu} (x_mu d_nu + psi sigma^+_mu sigma_nu psibar / 4)
     constraints = {}
     for a in range(3):
-        terms = {}
+        slots = []
         zero = [fconst(2.0 * rep.color[a], n)]
         ferm = np.zeros((2, 2), dtype=complex)
         for mu in range(4):
@@ -659,17 +600,13 @@ def instanton(rho=1.0):
                 if not eta[a, mu, nu]:
                     continue
                 sc = fexpr(Const(-1j * eta[a, mu, nu]) * xs[mu], n)
-                _acc(terms, unit_index(n, nu),
-                     fscalarmul(sc, fidentity(rep.dim, n)))
+                slots.append((nu, fscalarmul(sc, fidentity(rep.dim, n))))
                 ferm += eta[a, mu, nu] * (sigma_dag[mu] @ sigma[nu])
         zero.append(fscale(-1j / 4.0, bilinear(rep, fconst(ferm, n), "pb")))
-        _acc(terms, (0,) * n, fsum(zero, (rep.dim, rep.dim), n))
-        constraints[f"L{a + 1}"] = DiffOp(coords, rep, terms)
+        constraints[f"L{a + 1}"] = first_order(coords, rep, slots, zero)
 
-    ham = _avg_hamiltonian(pairs)
-    return Model(
-        name="instanton", coords=coords, rep=rep, supercharges=tuple(pairs),
-        hamiltonian=ham, measure=None, constraints=constraints,
+    return assemble(
+        "instanton", coords, rep, charges, h_pairs=2, ops=constraints,
         expected_algebra="N4",
         recipe=("free_complex(d=2) x color", "self-dual gauge rotation",),
         default_box=((-1.2, 1.2),) * 4,
@@ -699,22 +636,18 @@ def gauge_sym3():
                 out = term if out is None else out + term
         return out
 
-    terms = {}
-    zero = []
+    slots, zero = [], []
     for a in range(3):
         psi = fconst(rep.psi[a], n, f"psi{a + 1}")
         psibar = fconst(rep.psibar[a], n, f"psibar{a + 1}")
         # Pi_-^a psi^a = (-i d_1 - d_2) psi^a
-        _acc(terms, unit_index(n, 2 * a), fscale(-1j, psi))
-        _acc(terms, unit_index(n, 2 * a + 1), fscale(-1.0, psi))
+        slots += [(2 * a, fscale(-1j, psi)), (2 * a + 1, fscale(-1.0, psi))]
         zero.append(fscalarmul(fscale(1j, fexpr(b_expr(a), n, f"B{a + 1}")), psibar))
-    _acc(terms, (0,) * n, fsum(zero, (rep.dim, rep.dim), n))
-    Q = DiffOp(coords, rep, terms)
-    Qbar = naive_dagger(Q)
+    Q = first_order(coords, rep, slots, zero)
 
-    constraints = {}
+    ops = {}
     for a in range(3):
-        terms_g = {}
+        slots_g = []
         ferm = np.zeros((rep.dim, rep.dim), dtype=complex)
         for b in range(3):
             for c in range(3):
@@ -722,11 +655,11 @@ def gauge_sym3():
                     continue
                 for j in range(2):
                     sc = fexpr(Const(-1j * eps3[a, b, c]) * a_var[b][j], n)
-                    _acc(terms_g, unit_index(n, 2 * c + j),
-                         fscalarmul(sc, fidentity(rep.dim, n)))
+                    slots_g.append((2 * c + j,
+                                    fscalarmul(sc, fidentity(rep.dim, n))))
                 ferm += -1j * eps3[a, b, c] * (rep.psi[b] @ rep.psibar[c])
-        _acc(terms_g, (0,) * n, fconst(ferm, n))
-        constraints[f"G{a + 1}"] = DiffOp(coords, rep, terms_g)
+        ops[f"G{a + 1}"] = first_order(coords, rep, slots_g,
+                                       [fconst(ferm, n)])
 
     # independent Hamiltonian: Pi^2/2 + quartic potential + Yukawa terms
     h_terms = {}
@@ -763,16 +696,13 @@ def gauge_sym3():
                     fconst(rep.psi[a] @ rep.psi[b], n)))
     h_zero = fsum([fscalarmul(pot, fidentity(rep.dim, n))] + yuk,
                   (rep.dim, rep.dim), n)
-    h_direct = DiffOp(coords, rep, h_terms) + DiffOp(coords, rep, {(0,) * n: h_zero})
+    ops["H_direct"] = (DiffOp(coords, rep, h_terms)
+                       + DiffOp(coords, rep, {(0,) * n: h_zero}))
 
-    pairs = (("Q", Q, Qbar),)
-    ham = _avg_hamiltonian(pairs)
     a_minus_fields = {a: fexpr(a_var[a][0] - Const(1j) * a_var[a][1], n)
                       for a in range(3)}
-    return Model(
-        name="gauge_sym3", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=ham, measure=None, constraints=constraints,
-        extra={"H_direct": h_direct},
+    return assemble(
+        "gauge_sym3", coords, rep, [("Q", Q)], ops=ops,
         expected_algebra="gauge",
         recipe=("dimensional reduction of (2+1) SU(2) gauge theory",),
         default_box=((-1.0, 1.0),) * 6,
@@ -832,19 +762,15 @@ def gauge_sym3_resolved(g0=1.0):
                                   fconst(psibar[2], n)), coords, rep)
         return head + tail
 
-    Q = mk(+1)
-    Qbar = mk(-1)
-    pairs = (("Qcov", Q, Qbar),)
-    ham = _avg_hamiltonian(pairs)
     exclusions = (
         Exclusion(_expr("a-b", coords), 0.15),
         Exclusion(_expr("a+b", coords), 0.15),
         Exclusion(_expr("a", coords), 0.15),
         Exclusion(_expr("b", coords), 0.15),
     )
-    return Model(
-        name="gauge_sym3_resolved", coords=coords, rep=rep, supercharges=pairs,
-        hamiltonian=ham, measure=None, expected_algebra="exploratory",
+    return assemble(
+        "gauge_sym3_resolved", coords, rep, [("Qcov", mk(+1), mk(-1))],
+        expected_algebra="exploratory",
         recipe=("gauge_sym3", "polar decomposition, gauge fixed",
                 "hamiltonian reduction by Gauss constraints"),
         default_box=((1.0, 2.0), (0.2, 0.8), (0.0, 6.28)),
@@ -904,13 +830,11 @@ def wz_modes(mode_set=((1, 0, 0),)):
                 q_terms[alpha] = q_terms[alpha] + mult_op(
                     fscalarmul(fscale(-2j * math.pi * SQRT2, phibar),
                                fconst(mat, n)), coords, rep)
-    q1, q2 = q_terms
-    pairs = (("Q1", q1, naive_dagger(q1)), ("Q2", q2, naive_dagger(q2)))
 
     # per-mode eigen machinery
     h_direct = zero_op(coords, rep)
     p_ops = {j: zero_op(coords, rep) for j in range(3)}
-    extra = {}
+    ops = {}
     qcal = zero_op(coords, rep)
     qcal0 = zero_op(coords, rep)
     w_total = None
@@ -935,7 +859,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
             ferm = (c_ops[0] @ c_ops[0].conj().T - c_ops[1] @ c_ops[1].conj().T)
             h_k = h_k + mult_op(fconst(-2 * math.pi * lam * ferm, n), coords, rep)
         h_direct = h_direct + h_k
-        extra[f"H_{_mode_label(mvec)}"] = h_k
+        ops[f"H_{_mode_label(mvec)}"] = h_k
 
         # P_j = 2 pi n_j [ i (phi Pi - phibar Pibar) + N_f - 1 ]
         phi_f = fexpr((f_coord[(k, 1)] + Const(1j) * f_coord[(k, 2)])
@@ -957,7 +881,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
             Const(-2j * math.pi * lam) * f_coord[(k, 2)], n), coords, rep)
         qcal_k = (compose(mult_op(fconst(c_ops[0], n), coords, rep), x1)
                   + compose(mult_op(fconst(c_ops[1], n), coords, rep), x2))
-        extra[f"Qcal_{_mode_label(mvec)}"] = qcal_k
+        ops[f"Qcal_{_mode_label(mvec)}"] = qcal_k
         qcal = qcal + qcal_k
         qcal0 = qcal0 + (compose(mult_op(fconst(c_ops[0], n), coords, rep), p_op(k, 1))
                          + compose(mult_op(fconst(c_ops[1], n), coords, rep), p_op(k, 2)))
@@ -965,15 +889,14 @@ def wz_modes(mode_set=((1, 0, 0),)):
                                       - f_coord[(k, 2)] * f_coord[(k, 2)])
         w_total = w_k if w_total is None else w_total + w_k
 
-    extra.update({
+    ops.update({
         "H_direct": h_direct,
         "P1": p_ops[0], "P2": p_ops[1], "P3": p_ops[2],
         "Qcal": qcal, "Qcal0": qcal0,
     })
-    ham = _avg_hamiltonian(pairs)
-    return Model(
-        name=f"wz_modes({len(modes)})", coords=coords, rep=rep,
-        supercharges=pairs, hamiltonian=ham, measure=None, extra=extra,
+    return assemble(
+        f"wz_modes({len(modes)})", coords, rep,
+        [("Q1", q_terms[0]), ("Q2", q_terms[1])], h_pairs=2, ops=ops,
         expected_algebra="central",
         recipe=("wess-zumino mode truncation",
                 "eigenmode supercharges, similarity from free"),
@@ -1044,13 +967,10 @@ def torsion_rotate(model, B, kind="holomorphic"):
     b_field = B if hasattr(B, "eval_jet") else _matrix_field(B, model.coords)
     ordering = "pp" if kind == "holomorphic" else "bb"
     r_op = bilinear(rep, b_field, ordering)
-    name, q, _qb = model.supercharges[0]
-    q_new = similarity(q, r_op)
-    qbar_new = _conjugate(q_new, model.measure)
-    pairs = ((name, q_new, qbar_new),)
-    return Model(
-        name=f"{model.name}+torsion({kind})", coords=model.coords, rep=rep,
-        supercharges=pairs, hamiltonian=_avg_hamiltonian(pairs),
+    name = model.charges[0]
+    return assemble(
+        f"{model.name}+torsion({kind})", model.coords, rep,
+        [(name, similarity(model.op(name), r_op))],
         measure=model.measure, expected_algebra="N2",
         recipe=model.recipe + (f"similarity(exp({kind} bilinear))",),
         default_box=model.default_box,

@@ -264,11 +264,7 @@ def test_criterion_13_fd_oracle():
                 continue
         if not fields:
             # fall back to the supercharge coefficient fields
-            _nm, q, _qb = (model.supercharges or
-                           (("Q0",) + model.hermitian_charges[0][1:] * 0,))[0] \
-                if model.supercharges else (None, None, None)
-            if q is None:
-                q = model.hermitian_charges[0][1]
+            q = model.op(model.charges[0])
             fields = list(q.terms.values())[:4]
         pts = [tuple(rng.uniform(lo, hi)) for _ in range(3)]
         if model.default_exclusions:

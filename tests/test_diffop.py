@@ -116,7 +116,7 @@ def test_harmonic_oscillator_hand_expansion():
     """W = x^2/2: {Q, Qbar}/2 = (p^2 + x^2)/2 + (psibar psi - psi psibar)/2."""
     from sqmzoo.zoo import witten
     m = witten("x^2/2")
-    h = m.hamiltonian
+    h = m.op("H")
     rep = m.rep
     comm = rep.psibar[0] @ rep.psi[0] - rep.psi[0] @ rep.psibar[0]
     direct = DiffOp(X, rep, {

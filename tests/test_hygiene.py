@@ -1,12 +1,18 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sqmzoo"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sqmzoo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a definition may be named for it to count as used
+READERS = ("src", "tests", "perfbench", "docs", "README.md")
+TEXT_SUFFIXES = {".py", ".md", ".yaml", ".txt", ".json"}
 
 
 def _unused_imports(tree):
@@ -39,3 +45,42 @@ def test_unused_import_is_found():
     tree = ast.parse("import math\nimport numpy as np\n"
                      "from os import path, sep\nx = np.ones(path)\n")
     assert _unused_imports(tree) == [(1, "math"), (3, "sep")]
+
+
+def _top_level_definitions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _word_counts(root):
+    """Occurrences of each identifier-like word in the text files that
+    may name a definition; the package ``__init__`` only re-exports."""
+    counts = Counter()
+    for top in READERS:
+        base = root / top
+        files = [base] if base.is_file() else sorted(base.rglob("*"))
+        for path in files:
+            if (path.suffix in TEXT_SUFFIXES and path.is_file()
+                    and path != SRC / "__init__.py"):
+                counts.update(re.findall(r"\w+", path.read_text(
+                    encoding="utf-8", errors="replace")))
+    return counts
+
+
+def test_every_definition_is_named_somewhere():
+    """A module-level function or class of the package that nothing
+    names apart from its own definition is dead code."""
+    counts = _word_counts(ROOT)
+    unnamed = [f"{path.name}:{name}" for path in MODULES
+               for name in _top_level_definitions(ast.parse(
+                   path.read_text(encoding="utf-8"), filename=str(path)))
+               if counts[name] <= 1]
+    assert unnamed == []
+
+
+def test_unnamed_definition_is_found(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "def used():\n    pass\n\n\ndef dead():\n    return used()\n")
+    counts = _word_counts(tmp_path)
+    assert (counts["used"], counts["dead"]) == (2, 1)

@@ -1,11 +1,16 @@
 """Flat models, the superpotential model, and their construction paths."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sqmzoo import zoo
-from sqmzoo.diffop import (SampleSpec, anticommutator, compose, is_zero,
-                           naive_dagger, reduce_cyclic, rename_coords)
+from sqmzoo import cli, zoo
+from sqmzoo.diffop import (DiffOp, SampleSpec, anticommutator, compose,
+                           is_zero, naive_dagger, reduce_cyclic, rename_coords)
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
+                   .glob("*.yaml"))
 
 
 def assert_zero(op, spec, tol=1e-9):
@@ -90,18 +95,31 @@ def test_recipe_replay_reproduces_operators():
         m1 = fn(**kwargs)
         m2 = fn(**kwargs)
         spec = m1.sample_spec(n_points=4, seed=9)
-        name, q1, _ = m1.supercharges[0]
-        _, q2, _ = m2.supercharges[0]
-        res = assert_zero(q1 - q2, spec)
+        name = m1.charges[0]
+        res = assert_zero(m1.op(name) - m2.op(name), spec)
         assert res.max_abs == 0.0   # replay is bit-for-bit deterministic
 
 
 def test_model_op_lookup_and_names():
     m = zoo.witten()
-    assert m.op("Q") is m.supercharges[0][1]
-    assert "Q" in m.operator_names()
-    with pytest.raises(KeyError):
+    assert m.op("Q") is m.ops["Q"]
+    assert m.charges == ("Q",)
+    with pytest.raises(KeyError, match="model witten has no operator 'nope'"):
         m.op("nope")
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_operator_table_order(path):
+    """The table lists each supercharge, then (complex kind) its bar,
+    then H; constraints and comparison operators come after.  Every
+    entry is an operator."""
+    m = cli.build_model(cli.load_scenario(str(path))["model"])
+    head = []
+    for name in m.charges:
+        head += [name, name + "bar"] if m.rep.kind == "complex" else [name]
+    assert m.charges
+    assert list(m.ops)[:len(head) + 1] == head + ["H"]
+    assert all(isinstance(op, DiffOp) for op in m.ops.values())
 
 
 def test_list_models_census():
@@ -126,7 +144,8 @@ def test_conjugate_invariant_across_models():
     ]
     for m in models:
         spec = m.sample_spec(n_points=4, seed=30)
-        for name, q, qb in m.supercharges:
+        for name in m.charges:
+            q, qb = m.op(name), m.op(name + "bar")
             if m.measure is None:
                 want = naive_dagger(q)
             else:

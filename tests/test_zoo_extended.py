@@ -186,7 +186,7 @@ def test_okt_flat_pairwise_algebra():
     m = zoo.okt_flat()
     spec = m.sample_spec(n_points=3, seed=12)
     h = m.op("H")
-    names = [n for n, _ in m.hermitian_charges]
+    names = list(m.charges)
     assert len(names) == 8
     for i, a in enumerate(names):
         for b in names[i:]:

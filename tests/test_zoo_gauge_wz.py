@@ -29,7 +29,7 @@ def test_sym3_charge_is_not_nilpotent_but_gauge_exact():
     rhs = zoo.zero_op(m.coords, m.rep)
     for a in range(3):
         rhs = rhs + compose(mult_op(m.meta["a_minus"][a], m.coords, m.rep),
-                            m.constraints[f"G{a + 1}"])
+                            m.op(f"G{a + 1}"))
     res2 = assert_zero(compose(q, q) - rhs, spec, tol=1e-12)
     assert res2.max_abs < 1e-12 * (1 + res2.scale)
 
@@ -45,7 +45,7 @@ def test_sym3_constraint_algebra():
     m = zoo.gauge_sym3()
     spec = m.sample_spec(n_points=6, seed=3)
     eps3 = const_tensor("epsilon3")
-    g_ops = [m.constraints[f"G{a + 1}"] for a in range(3)]
+    g_ops = [m.op(f"G{a + 1}") for a in range(3)]
     for a in range(3):
         assert_zero(commutator(g_ops[a], m.op("H")), spec)
         for b in range(3):
@@ -62,7 +62,7 @@ def test_sym3_constraints_annihilate_gauge_invariants():
     inv = parse("A11^2+A12^2+A21^2+A22^2+A31^2+A32^2", m.coords)
     mult = mult_op(fexpr(inv, 6), m.coords, m.rep)
     for a in range(3):
-        assert_zero(commutator(m.constraints[f"G{a + 1}"], mult), spec)
+        assert_zero(commutator(m.op(f"G{a + 1}"), mult), spec)
 
 
 def test_sym3_suite_verdicts():

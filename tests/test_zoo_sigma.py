@@ -38,7 +38,7 @@ def test_dolbeault_scalar_metric():
     # h = e^{2u} for scalar omega = u
     p = spec.points()[0]
     u = 0.25 * (p[0] ** 2 + p[1] ** 2)
-    h = evaluate(m.extra["h"], p)[0, 0, 0]
+    h = evaluate(m.meta["geometry"].hermitian_metric, p)[0, 0, 0]
     assert h == pytest.approx(np.exp(2 * u), rel=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_dolbeault_antiholomorphic_twist_statement():
     coords = ("x1", "x2", "y1", "y2")
     m = zoo.dolbeault(om_entries, d=2)
     om = zoo._matrix_field(om_entries, coords)
-    h = m.extra["h"]
+    h = m.meta["geometry"].hermitian_metric
     g_field = fscale(-0.5, flog(fdet(h)))
     q_twisted = similarity(m.op("Q"), g_field)
     free = zoo.free_complex(2)
