@@ -377,11 +377,12 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
 
     derivs = [F.deriv(unit_index(A.ncoords, dpos))
               for F in A.terms.values() for dpos in dropped_pos]
-    res, = sampled_residual(
-        [[dF for dF in derivs if not isinstance(dF, ZeroField)]], spec)
-    if res.max_abs > tol * (1.0 + res.scale):
-        raise ReductionError("operator depends on dropped coordinates "
-                             f"(residual {res.max_abs:.3e})")
+    derivs = [dF for dF in derivs if not isinstance(dF, ZeroField)]
+    if derivs:
+        res, = sampled_residual([derivs], spec)
+        if res.max_abs > tol * (1.0 + res.scale):
+            raise ReductionError("operator depends on dropped coordinates "
+                                 f"(residual {res.max_abs:.3e})")
 
     new_coords = [A.coords[i] for i in keep_pos]
     new_terms = {}

@@ -47,7 +47,7 @@ class Relation:
 
 def _pair(m, name):
     """A complex supercharge's name, operator and conjugate."""
-    return name, m.op(name), m.op(name + "bar")
+    return name, m.op(name), m.op(m.bar(name))
 
 
 def _h_direct(m):

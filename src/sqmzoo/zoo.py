@@ -65,6 +65,11 @@ class Model:
         excl = tuple(exclusions) if exclusions is not None else self.default_exclusions
         return SampleSpec(box=box, n_points=n_points, seed=seed, exclusions=excl)
 
+    @staticmethod
+    def bar(name):
+        """The table name of supercharge ``name``'s conjugate."""
+        return name + "bar"
+
     def op(self, name):
         """Look up any named operator of the model."""
         try:
@@ -87,7 +92,7 @@ def assemble(name, coords, rep, charges, measure=None, h_pairs=1, ops=(),
         qb = qbar[0] if qbar else (naive_dagger(q) if measure is None
                                    else adjoint_with_measure(q, measure))
         table[cname] = q
-        table[cname + "bar"] = qb
+        table[Model.bar(cname)] = qb
         if i < h_pairs:
             term = 0.5 * anticommutator(qb, q)
             h = term if h is None else h + term
@@ -282,18 +287,22 @@ def dolbeault(omega, d, W=None):
 
 def frame_charge(coords, rep, frame, connections, bar=False):
     """psi^A frame_A^N (p_N - i conn_N,BC psi_B psibar_C), one N per
-    connection.
+    frame column.
 
     With bar=True builds the conjugate form psibar^A [...] (p_N
     - i conn_N,BC psibar_B psi_C).
     """
+    if len(connections) != frame.shape[1]:
+        raise ValueError(f"frame has {frame.shape[1]} columns but "
+                         f"{len(connections)} connections")
     kind, ordering = ("psibar", "bp") if bar else ("psi", "pb")
     slots, zero = [], []
-    for N, conn in enumerate(connections):
+    for N in range(frame.shape[1]):
         row = fgrid([[fentry(frame, A, N) for A in range(frame.shape[0])]])
         lin = linear(rep, row, kind)
         slots.append((N, fscale(-1j, lin)))
-        zero.append(fscale(-1j, fmatmul(lin, bilinear(rep, conn, ordering))))
+        conn = bilinear(rep, connections[N], ordering)
+        zero.append(fscale(-1j, fmatmul(lin, conn)))
     return first_order(coords, rep, slots, zero)
 
 

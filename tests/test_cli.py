@@ -1,4 +1,3 @@
-import re
 import shutil
 import subprocess
 import sys
@@ -168,18 +167,9 @@ def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
     assert "Traceback" not in err
     for message in messages:
         assert message in err
-    if "at point (" in err:
-        assert _point_mentions(err) == 1, err
-
-
-def _point_mentions(err):
-    """How often an error message prints the sample point it names after
-    ``at point (``, in any number format."""
-    point = re.search(r"at point \(([^)]*)\)", err).group(1).split(",")
-    numbers = [float(x) for x in
-               re.findall(r"-?\d+\.\d+(?:e[-+]?\d+)?", err)]
-    return min(sum(abs(y - float(x)) <= 1e-5 * max(1.0, abs(float(x)))
-                   for y in numbers) for x in point)
+    # a failed guard's text ends at the value: the point is printed once,
+    # by the "at point (...)" prefix, not again after the value
+    assert " at (" not in err, err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -116,7 +116,7 @@ def test_operator_table_order(path):
     m = cli.build_model(cli.load_scenario(str(path))["model"])
     head = []
     for name in m.charges:
-        head += [name, name + "bar"] if m.rep.kind == "complex" else [name]
+        head += [name, m.bar(name)] if m.rep.kind == "complex" else [name]
     assert m.charges
     assert list(m.ops)[:len(head) + 1] == head + ["H"]
     assert all(isinstance(op, DiffOp) for op in m.ops.values())
@@ -145,7 +145,7 @@ def test_conjugate_invariant_across_models():
     for m in models:
         spec = m.sample_spec(n_points=4, seed=30)
         for name in m.charges:
-            q, qb = m.op(name), m.op(name + "bar")
+            q, qb = m.op(name), m.op(m.bar(name))
             if m.measure is None:
                 want = naive_dagger(q)
             else:

@@ -42,6 +42,14 @@ def test_dolbeault_scalar_metric():
     assert h == pytest.approx(np.exp(2 * u), rel=1e-12)
 
 
+def test_geometric_charge_needs_a_spin_connection():
+    # a Dolbeault geometry keeps only the Hermitian metric, so there is
+    # no connection to build Q from
+    m = zoo.dolbeault([["0.25*x1"]], d=1)
+    with pytest.raises(ValueError, match="0 connections"):
+        zoo.geometric_charge(m.meta["geometry"], m.rep)
+
+
 def test_dolbeault_nondiagonal_with_twist():
     m = zoo.dolbeault(OMEGA_2D, d=2, W="0.3*x1*y1 + 0.1*x2^3")
     spec = m.sample_spec(n_points=8, seed=3)
