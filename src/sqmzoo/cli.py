@@ -67,12 +67,28 @@ class ScenarioError(ValueError):
     pass
 
 
+# libyaml's parser, when PyYAML was built with it, reads a scenario about
+# seven times faster than the pure-Python one and builds the same document
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(text):
+    """The document in ``text``.  A document that the fast parser rejects
+    is parsed again by the pure-Python one, whose error quotes the
+    offending line."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError:
+        return yaml.safe_load(text)
+
+
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        text = fh.read()
+    try:
+        doc = _parse_yaml(text)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     unknown = set(doc) - _SCENARIO_KEYS

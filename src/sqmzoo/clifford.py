@@ -39,9 +39,12 @@ def _chain(factors):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionRep:
-    """Matrix representation of d complex or D Hermitian fermions."""
+    """Matrix representation of d complex or D Hermitian fermions.
+
+    Two representations are equal only when they are one object, so a
+    field node keyed by its representation compares it by identity."""
 
     kind: str                      # "complex" | "hermitian"
     n: int                         # d (complex) or D (hermitian)
@@ -258,34 +261,17 @@ class FermionBilinearField(Field):
     sense (all fermions are their own conjugates).
     """
 
+    params = ("rep", "ordering")
+
     def __init__(self, rep, mfield, ordering="pb"):
-        if ordering not in ("pb", "bp", "pp", "bb"):
-            raise ValueError(f"unknown ordering {ordering!r}")
-        nf = rep.n
-        if mfield.shape != (nf, nf):
-            raise ValueError(
-                f"coefficient shape {mfield.shape} does not match {nf} fermions")
-        if ordering != "pp" and rep.kind == "hermitian":
-            raise ValueError("hermitian fermions have no psibar ordering")
+        _check_bilinear(rep, mfield, ordering)
         self.rep = rep
         self.mfield = mfield
         self.children = (mfield,)
         self.ordering = ordering
         self.shape = (rep.dim, rep.dim)
         self.ncoords = mfield.ncoords
-        self._pairs = self._pair_tensor()
-
-    def _pair_tensor(self):
-        rep, nf = self.rep, self.rep.n
-        first = {"pb": rep.psi, "bp": rep.psibar,
-                 "pp": rep.psi, "bb": rep.psibar}[self.ordering]
-        second = {"pb": rep.psibar, "bp": rep.psi,
-                  "pp": rep.psi, "bb": rep.psibar}[self.ordering]
-        pairs = np.empty((nf, nf, rep.dim, rep.dim), dtype=np.complex128)
-        for a in range(nf):
-            for b in range(nf):
-                pairs[a, b] = first[a] @ second[b]
-        return pairs
+        self._pairs = _pair_tensor(rep, ordering)
 
     def _compute(self, ctx, order):
         mjet = self.mfield.eval_jet(ctx, order)
@@ -299,6 +285,8 @@ class FermionBilinearField(Field):
 
 class FermionLinearField(Field):
     """x -> sum_a v_a(x) * psi_a (or psibar_a)."""
+
+    params = ("rep", "kind")
 
     def __init__(self, rep, vfield, kind="psi"):
         if kind not in ("psi", "psibar"):
@@ -324,6 +312,32 @@ class FermionLinearField(Field):
         return f"[{self.vfield.describe()}]*{self.kind}"
 
 
+def _check_bilinear(rep, mfield, ordering):
+    if ordering not in ("pb", "bp", "pp", "bb"):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    nf = rep.n
+    if mfield.shape != (nf, nf):
+        raise ValueError(
+            f"coefficient shape {mfield.shape} does not match {nf} fermions")
+    if ordering != "pp" and rep.kind == "hermitian":
+        raise ValueError("hermitian fermions have no psibar ordering")
+
+
+def _pair_tensor(rep, ordering):
+    """The Fock matrices of every fermion pair of ``ordering``, indexed
+    by the pair."""
+    nf = rep.n
+    first = {"pb": rep.psi, "bp": rep.psibar,
+             "pp": rep.psi, "bb": rep.psibar}[ordering]
+    second = {"pb": rep.psibar, "bp": rep.psi,
+              "pp": rep.psi, "bb": rep.psibar}[ordering]
+    pairs = np.empty((nf, nf, rep.dim, rep.dim), dtype=np.complex128)
+    for a in range(nf):
+        for b in range(nf):
+            pairs[a, b] = first[a] @ second[b]
+    return pairs
+
+
 def bilinear(rep, mfield, ordering="pb", ncoords=None):
     """Fermion bilinear with a matrix coefficient field (or constant array)."""
     if isinstance(mfield, np.ndarray):
@@ -334,9 +348,9 @@ def bilinear(rep, mfield, ordering="pb", ncoords=None):
     if isinstance(mfield, ZeroField):
         return ZeroField((rep.dim, rep.dim), mfield.ncoords)
     if isinstance(mfield, ConstField):
-        nf = rep.n
-        pairs = FermionBilinearField(rep, mfield, ordering)._pairs
-        mat = np.einsum("ab,abrc->rc", mfield.matrix, pairs)
+        _check_bilinear(rep, mfield, ordering)
+        mat = np.einsum("ab,abrc->rc", mfield.matrix,
+                        _pair_tensor(rep, ordering))
         return fconst(mat, mfield.ncoords)
     return FermionBilinearField(rep, mfield, ordering)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -74,11 +75,11 @@ def _sub_indices(alpha):
 
 
 def _idx_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _idx_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,15 @@ def compose(A, B):
     dim = A.rep.dim
     acc = defaultdict(list)
     for alpha, F in A.terms.items():
+        # the Leibniz weights and derivative orders depend on alpha only
+        leibniz = [(gamma, _binom_multi(alpha, gamma), _idx_sub(alpha, gamma))
+                   for gamma in _sub_indices(alpha)]
         for beta, G in B.terms.items():
             if sum(alpha) + sum(beta) > MAX_ORDER:
                 raise OpError(
                     f"composition order {sum(alpha) + sum(beta)} exceeds cap {MAX_ORDER}")
-            for gamma in _sub_indices(alpha):
-                w = _binom_multi(alpha, gamma)
-                dG = G.deriv(_idx_sub(alpha, gamma))
+            for gamma, w, rest in leibniz:
+                dG = G.deriv(rest)
                 if isinstance(dG, ZeroField):
                     continue
                 acc[_idx_add(gamma, beta)].append(fscale(w, fmatmul(F, dG)))

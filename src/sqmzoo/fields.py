@@ -14,9 +14,16 @@ at the node's own order.  Only a derivative asks for more (its child at
 child runs in a sub-context.  So a node is determined by its type, its
 own parameters and its children.
 
+Nodes are hash-consed: every node class states its own parameters in
+``params``, and building a node whose type, parameters and children
+equal those of a live node returns that live node (see :class:`_Interned`).
+So equal subexpressions are one object, however and wherever they were
+built, and a constant fold of live operands is made once.
+
 All evaluation at one sample point goes through one EvalContext, which
-caches jets by ``(id(node), order)`` so a node shared by many parents,
-or by many relations of one check, is computed once per point.
+caches jets by ``(id(node), order)``.  Since equal nodes are one object,
+a subexpression repeated in many parents, in many operators of one
+model or in many relations of one check is computed once per point.
 :func:`plan_requests` counts the declared requests over a batch of
 roots before the first point, and a context built with that count
 stores only the jets requested more than once and drops each one at its
@@ -28,6 +35,10 @@ one caller.
 """
 
 from __future__ import annotations
+
+import weakref
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -131,9 +142,63 @@ class EvalContext:
         return jets, mag.value
 
 
-class Field:
+class _Interned(type):
+    """Metaclass of :class:`Field`: one live node per structure.
+
+    A class that states ``params`` in its own body, the names of the
+    attributes that with its type and ``children`` determine a node,
+    has its nodes interned by the key ``(type, params, children)``:
+    constructing a node equal to a live one returns the live one.  Key
+    entries compare as Python values do, a constant's matrix by its bits
+    (:class:`_Bits`); fields, expressions and fermion representations
+    define no equality, so they compare by identity.  A class that
+    states no ``params``, such as a private base or a subclass that adds
+    state of its own, is not interned.  A node's caches are private
+    attributes outside its key.  The table holds its nodes weakly, so it
+    never keeps a model alive."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        names = ns.get("params")
+        cls._structure = (None if names is None else
+                          attrgetter("__class__", *names, "children"))
+
+    def __call__(cls, *args, **kwargs):
+        node = type.__call__(cls, *args, **kwargs)
+        structure = cls._structure
+        if structure is None:
+            return node
+        key = structure(node)
+        ref = _NODES.get(key)
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
+        ref = _NODES[key] = _Entry(node, _forget)
+        ref.key = key
+        return node
+
+
+class _Entry(weakref.ref):
+    """The table's weak reference to an interned node, with its key."""
+
+    __slots__ = ("key",)
+
+
+# structural key -> _Entry of the live node of that structure
+_NODES = {}
+
+
+def _forget(ref, table=_NODES):
+    """Weak-reference callback: drop a node's entry once it is gone."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class Field(metaclass=_Interned):
     """Base class.  A subclass sets ``shape`` and ``ncoords``, lists the
-    nodes it is computed from in ``children`` and implements
+    nodes it is computed from in ``children``, states the names of its
+    other structural attributes in ``params`` and implements
     :meth:`_compute`, which requests each child once at its own order
     (see :meth:`deps`)."""
 
@@ -194,6 +259,15 @@ class Field:
         return DerivativeField(self, gamma)
 
     def conj_t(self):
+        """The conjugate transpose, built once while it lives."""
+        ref = self.__dict__.get("_conj")
+        out = None if ref is None else ref()
+        if out is None:
+            out = self._conj_t()
+            self._conj = weakref.ref(out)
+        return out
+
+    def _conj_t(self):
         return ConjTransposeField(self)
 
     def describe(self):
@@ -215,8 +289,10 @@ def evaluate(field, point, order=0, ctx=None):
 
 
 class ZeroField(Field):
+    params = ("shape", "ncoords")
+
     def __init__(self, shape, ncoords):
-        self.shape = shape
+        self.shape = tuple(shape)
         self.ncoords = ncoords
 
     def _compute(self, ctx, order):
@@ -225,30 +301,76 @@ class ZeroField(Field):
     def _deriv(self, gamma):
         return self
 
-    def conj_t(self):
+    def _conj_t(self):
         return ZeroField((self.shape[1], self.shape[0]), self.ncoords)
 
     def describe(self):
         return "0"
 
 
+class _Bits:
+    """A constant's matrix as a key entry, equal to another only when
+    both hold the same bytes.  It is hashed once: by its bytes when it is
+    small, else by a fixed weighted sum of its entries, which takes a
+    few microseconds for a 64x64 matrix where hashing its 64 KiB of
+    bytes takes about 30."""
+
+    __slots__ = ("matrix", "_hash")
+
+    _weights = {}
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        if matrix.size <= 64:
+            self._hash = hash(matrix.tobytes())
+            return
+        flat = matrix.reshape(-1).view(np.float64)
+        w = _Bits._weights.get(flat.size)
+        if w is None:
+            w = _Bits._weights[flat.size] = \
+                np.random.default_rng(flat.size).random(flat.size)
+        self._hash = hash(float(flat @ w))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        a, b = self.matrix, other.matrix
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class ConstField(Field):
+    params = ("_bits", "ncoords", "name")
+
     def __init__(self, matrix, ncoords, name=None):
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
             raise ValueError("constant fields are matrices")
         self.shape = self.matrix.shape
         self.ncoords = ncoords
         self.name = name
+        self._bits = _Bits(self.matrix)
+        # constant folds with this node as first operand: operation and
+        # other operand -> weak reference to the result
+        self._folds = {}
 
     def _compute(self, ctx, order):
         return jet_space(self.ncoords, order).const(self.matrix)
 
     def _deriv(self, gamma):
+        return self._zero
+
+    @cached_property
+    def _zero(self):
         return ZeroField(self.shape, self.ncoords)
 
-    def conj_t(self):
+    def _conj_t(self):
         return ConstField(self.matrix.conj().T, self.ncoords)
+
+    @cached_property
+    def _identity(self):
+        n, m = self.shape
+        return n == m and np.array_equal(self.matrix, np.eye(n))
 
     def describe(self):
         if self.name:
@@ -260,6 +382,8 @@ class ConstField(Field):
 
 class ExprField(Field):
     """1x1 field wrapping a scalar DSL expression."""
+
+    params = ("expr", "ncoords", "name")
 
     def __init__(self, expr, ncoords, name=None):
         if not isinstance(expr, Expr):
@@ -278,6 +402,8 @@ class ExprField(Field):
 
 class GridField(Field):
     """Matrix assembled from a 2D grid of scalar fields."""
+
+    params = ("shape",)
 
     def __init__(self, entries):
         rows = len(entries)
@@ -313,6 +439,8 @@ class GridField(Field):
 
 
 class SumField(Field):
+    params = ()
+
     def __init__(self, children):
         first = children[0]
         for ch in children:
@@ -332,7 +460,7 @@ class SumField(Field):
         return fsum([ch.deriv(gamma) for ch in self.children],
                     self.shape, self.ncoords)
 
-    def conj_t(self):
+    def _conj_t(self):
         return fsum([ch.conj_t() for ch in self.children],
                     (self.shape[1], self.shape[0]), self.ncoords)
 
@@ -341,6 +469,8 @@ class SumField(Field):
 
 
 class MatMulField(Field):
+    params = ()
+
     def __init__(self, a, b):
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
@@ -355,7 +485,7 @@ class MatMulField(Field):
         space = jet_space(self.ncoords, order)
         return space.mul(a.eval_jet(ctx, order), b.eval_jet(ctx, order))
 
-    def conj_t(self):
+    def _conj_t(self):
         a, b = self.children
         return fmatmul(b.conj_t(), a.conj_t())
 
@@ -376,6 +506,8 @@ class _Unary(Field):
 
 
 class ScaleField(_Unary):
+    params = ("coeff",)
+
     def __init__(self, coeff, child):
         super().__init__(child)
         self.coeff = complex(coeff)
@@ -386,7 +518,7 @@ class ScaleField(_Unary):
     def _deriv(self, gamma):
         return fscale(self.coeff, self.child.deriv(gamma))
 
-    def conj_t(self):
+    def _conj_t(self):
         return fscale(self.coeff.conjugate(), self.child.conj_t())
 
     def describe(self):
@@ -395,6 +527,8 @@ class ScaleField(_Unary):
 
 class ScalarMulField(_Unary):
     """Pointwise product of a scalar field with a matrix field."""
+
+    params = ()
 
     def __init__(self, scalar, child):
         if not scalar.is_scalar:
@@ -408,7 +542,7 @@ class ScalarMulField(_Unary):
         return space.scal_mul(self.scalar.eval_jet(ctx, order),
                               self.child.eval_jet(ctx, order))
 
-    def conj_t(self):
+    def _conj_t(self):
         return ScalarMulField(self.scalar.conj_t(), self.child.conj_t())
 
     def describe(self):
@@ -416,6 +550,8 @@ class ScalarMulField(_Unary):
 
 
 class ConjTransposeField(_Unary):
+    params = ()
+
     def __init__(self, child):
         super().__init__(child)
         self.shape = (child.shape[1], child.shape[0])
@@ -427,7 +563,7 @@ class ConjTransposeField(_Unary):
     def _deriv(self, gamma):
         return ConjTransposeField(self.child.deriv(gamma))
 
-    def conj_t(self):
+    def _conj_t(self):
         return self.child
 
     def describe(self):
@@ -436,6 +572,8 @@ class ConjTransposeField(_Unary):
 
 class TransposeField(_Unary):
     """Plain transpose, no conjugation."""
+
+    params = ()
 
     def __init__(self, child):
         super().__init__(child)
@@ -452,6 +590,8 @@ class TransposeField(_Unary):
 
 
 class DerivativeField(_Unary):
+    params = ("gamma",)
+
     def __init__(self, child, gamma):
         super().__init__(child)
         self.gamma = tuple(int(g) for g in gamma)
@@ -474,7 +614,7 @@ class DerivativeField(_Unary):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
         return DerivativeField(self.child, merged)
 
-    def conj_t(self):
+    def _conj_t(self):
         return DerivativeField(self.child.conj_t(), self.gamma)
 
     def describe(self):
@@ -499,18 +639,20 @@ class _Kernel(_Unary):
 
 class MatExpField(_Kernel):
     kernel, text = "matrix_exp", "exp"
+    params = ()
 
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
             raise ValueError("matrix exponential of a non-square field")
         super().__init__(child)
 
-    def conj_t(self):
+    def _conj_t(self):
         return MatExpField(self.child.conj_t())
 
 
 class InverseField(_Kernel):
     kernel, text = "matrix_inv", "inv"
+    params = ()
 
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
@@ -520,6 +662,7 @@ class InverseField(_Kernel):
 
 class DetField(_Kernel):
     kernel, text = "det", "det"
+    params = ()
 
     def __init__(self, child):
         if child.shape[0] != child.shape[1]:
@@ -530,6 +673,8 @@ class DetField(_Kernel):
 
 class ScalarFnField(_Kernel):
     """log or exp of a scalar field."""
+
+    params = ("kernel",)
 
     def __init__(self, op, child):
         if op not in ("log", "exp"):
@@ -544,6 +689,7 @@ class PowField(_Kernel):
     """Scalar field raised to a rational power p/q."""
 
     kernel = "powr"
+    params = ("p", "q")
 
     def __init__(self, child, p, q=1):
         if not child.is_scalar:
@@ -559,6 +705,8 @@ class PowField(_Kernel):
 
 class PositiveGuardField(_Unary):
     """Scalar pass-through that rejects evaluation at nonpositive values."""
+
+    params = ("what",)
 
     def __init__(self, child, what="field"):
         if not child.is_scalar:
@@ -580,6 +728,8 @@ class PositiveGuardField(_Unary):
 class EntryField(_Unary):
     """Scalar extraction of one matrix entry."""
 
+    params = ("r", "c")
+
     def __init__(self, child, r, c):
         super().__init__(child)
         self.shape = (1, 1)
@@ -600,6 +750,8 @@ class EntryField(_Unary):
 class DiagField(_Unary):
     """Scalar field times the n x n identity."""
 
+    params = ("n",)
+
     def __init__(self, child, n):
         if not child.is_scalar:
             raise ValueError("DiagField takes a scalar field")
@@ -618,7 +770,7 @@ class DiagField(_Unary):
     def _deriv(self, gamma):
         return DiagField(self.child.deriv(gamma), self.n)
 
-    def conj_t(self):
+    def _conj_t(self):
         return DiagField(ScalarConjField(self.child), self.n)
 
     def describe(self):
@@ -626,6 +778,8 @@ class DiagField(_Unary):
 
 
 class ScalarConjField(_Unary):
+    params = ()
+
     def __init__(self, child):
         if not child.is_scalar:
             raise ValueError("scalar conjugate of a matrix field")
@@ -651,6 +805,8 @@ class RestrictField(Field):
     The parent is evaluated in an unplanned sub-context at the full
     point, so this node lists no children in its own context.
     """
+
+    params = ("child", "keep", "fixed")
 
     def __init__(self, child, keep, fixed):
         self.child = child
@@ -712,7 +868,7 @@ def fsum(children, shape=None, ncoords=None):
             raise ValueError("empty sum needs explicit shape and ncoords")
         return ZeroField(shape, ncoords)
     flat = []
-    const_acc = None
+    consts = []
     for ch in children:
         if isinstance(ch, ZeroField):
             continue
@@ -721,26 +877,44 @@ def fsum(children, shape=None, ncoords=None):
         else:
             children2 = (ch,)
         for c in children2:
-            if isinstance(c, ConstField):
-                const_acc = c.matrix if const_acc is None else const_acc + c.matrix
-            else:
-                flat.append(c)
-    if const_acc is not None:
-        if flat:
-            cf = fconst(const_acc, flat[0].ncoords)
-            if not isinstance(cf, ZeroField):
-                flat.append(cf)
-        else:
-            ch0 = next(iter(children))
-            return fconst(const_acc, ch0.ncoords)
+            (consts if isinstance(c, ConstField) else flat).append(c)
+    if consts:
+        cf = _const_sum(consts, (flat[0] if flat else children[0]).ncoords)
+        if not flat:
+            return cf
+        if not isinstance(cf, ZeroField):
+            flat.append(cf)
     if not flat:
         if shape is None or ncoords is None:
-            ch0 = next(iter(children))
-            shape, ncoords = ch0.shape, ch0.ncoords
+            shape, ncoords = children[0].shape, children[0].ncoords
         return ZeroField(shape, ncoords)
     if len(flat) == 1:
         return flat[0]
     return SumField(flat)
+
+
+def _fold(const, key, make):
+    """The constant fold ``make()`` of ``const`` with the operation and
+    other operand named by ``key``, made once while its result lives."""
+    ref = const._folds.get(key)
+    out = None if ref is None else ref()
+    if out is None:
+        out = make()
+        const._folds[key] = weakref.ref(out)
+    return out
+
+
+def _const_sum(consts, ncoords):
+    """fconst of the summed matrices of ``consts``, in order; a lone
+    nonzero unnamed constant is that sum already."""
+    first = consts[0]
+    if len(consts) == 1 and first.name is None and \
+            first.ncoords == ncoords and first.matrix.any():
+        return first
+    acc = first.matrix
+    for c in consts[1:]:
+        acc = acc + c.matrix
+    return fconst(acc, ncoords)
 
 
 def fscale(coeff, child):
@@ -750,7 +924,8 @@ def fscale(coeff, child):
     if coeff == 1:
         return child
     if isinstance(child, ConstField):
-        return ConstField(coeff * child.matrix, child.ncoords)
+        return _fold(child, ("scale", coeff),
+                     lambda: ConstField(coeff * child.matrix, child.ncoords))
     if isinstance(child, ScaleField):
         return fscale(coeff * child.coeff, child.child)
     return ScaleField(coeff, child)
@@ -764,15 +939,15 @@ def fmatmul(*factors):
 
 
 def _is_identity(f):
-    return isinstance(f, ConstField) and f.shape[0] == f.shape[1] and \
-        np.array_equal(f.matrix, np.eye(f.shape[0]))
+    return isinstance(f, ConstField) and f._identity
 
 
 def _fmatmul2(a, b):
     if isinstance(a, ZeroField) or isinstance(b, ZeroField):
         return ZeroField((a.shape[0], b.shape[1]), a.ncoords)
     if isinstance(a, ConstField) and isinstance(b, ConstField):
-        return fconst(a.matrix @ b.matrix, a.ncoords)
+        return _fold(a, ("matmul", weakref.ref(b)),
+                     lambda: fconst(a.matrix @ b.matrix, a.ncoords))
     if _is_identity(a):
         return b
     if _is_identity(b):
@@ -814,7 +989,8 @@ def fexp(field):
     if isinstance(field, ZeroField):
         return fidentity(field.shape[0], field.ncoords)
     if isinstance(field, ConstField):
-        return ConstField(_const_expm(field.matrix), field.ncoords)
+        return _fold(field, ("exp",), lambda: ConstField(
+            _const_expm(field.matrix), field.ncoords))
     return MatExpField(field)
 
 

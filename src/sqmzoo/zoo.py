@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cache
 
 import numpy as np
 
@@ -400,17 +401,20 @@ def _geo_coords(geo):
 def kahler(geo, I, omega=None, flat_structure=None):
     """Q plus one extra pair S from a complex structure.
 
-    If the geometry came from a symmetric omega, pass it to also build
-    both supercharges by the similarity route for comparison;
-    flat_structure (a constant matrix) is the structure of the flat
-    parent, defaulting to the constant value of I.
+    Q and S are the geometric charges of ``geo``.  If the geometry came
+    from a symmetric omega, pass it to also build both supercharges by
+    the similarity route, as Q_similarity and S_similarity, for
+    comparison; flat_structure (a constant matrix) is the structure of
+    the flat parent, defaulting to the constant value of I.
     """
     coords = _geo_coords(geo)
     rep = complex_fermions(geo.dim)
     f_plus, f_minus, f_zero = _structure_fields(geo, I, rep)
     ops = {"F+": f_plus, "F-": f_minus, "F0": f_zero}
-    recipe = ["free_real", "similarity(exp(omega psi psibar)) applied to Q and S"]
+    recipe = ["free_real", "geometric_charge applied to Q and S"]
     if omega is not None:
+        recipe.append("similarity(exp(omega psi psibar)) applied to Q and S, "
+                      "naming Q_similarity and S_similarity")
         parent = free_real(geo.dim)
         r_op = bilinear(rep, omega, "pb")
         ops["Q_similarity"] = similarity(parent.op("Q"), r_op)
@@ -434,7 +438,7 @@ def kahler(geo, I, omega=None, flat_structure=None):
         meta={"geometry": geo, "structure": I})
 
 
-def hyperkahler(geo, triple, omega=None, spec=None):
+def hyperkahler(geo, triple, spec=None):
     """Q plus three extra pairs from a quaternionic triple.
 
     When a sample spec is given the triple is validated: a quaternion
@@ -819,7 +823,10 @@ def wz_modes(mode_set=((1, 0, 0),)):
     f_coord = {(k, i): Coord(2 * k + i - 1, coords[2 * k + i - 1])
                for k in range(nm) for i in (1, 2)}
 
+    @cache
     def p_op(k, i):
+        # built once per coordinate: each build makes and hashes a fresh
+        # identity and its -i multiple on the whole Fock space
         return momentum_op(coords, rep, 2 * k + i - 1)
 
     # supercharges, Eq.-literal

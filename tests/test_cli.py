@@ -95,6 +95,22 @@ def test_yaml_syntax_error_has_position(tmp_path, capsys):
     assert "line" in err
 
 
+def test_yaml_syntax_error_quotes_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: [unclosed\nmodel:\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "name: [unclosed" in err and "^" in err
+
+
+def test_fast_yaml_parser_builds_the_same_documents():
+    import yaml
+    from sqmzoo.cli import _parse_yaml
+    for path in ALL_SCENARIOS:
+        text = path.read_text(encoding="utf-8")
+        assert _parse_yaml(text) == yaml.safe_load(text), path.name
+
+
 def test_expected_violation_scenario_exits_zero(tmp_path):
     # a broken-metric scenario with expectation "any" confirms the violation
     code, text = run_scenario(str(SCENARIOS / "kahler_broken.yaml"))

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -84,3 +85,52 @@ def test_unnamed_definition_is_found(tmp_path):
         "def used():\n    pass\n\n\ndef dead():\n    return used()\n")
     counts = _word_counts(tmp_path)
     assert (counts["used"], counts["dead"]) == (2, 1)
+
+
+def _node_types():
+    """The concrete Field subclasses of the package; the private bases
+    (``_Unary``, ``_Kernel``) have no instances of their own."""
+    for path in MODULES:
+        importlib.import_module(f"sqmzoo.{path.stem}")
+    from sqmzoo.fields import Field
+    out, todo = [], [Field]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls is not Field and cls.__module__.startswith("sqmzoo.") \
+                and not cls.__name__.startswith("_"):
+            out.append(cls)
+    return out
+
+
+def _unstated(classes):
+    """Names of the node classes that do not state their structural
+    parameters, the attribute names that with the type and the children
+    make a node's interning key, in their own body."""
+    return sorted(cls.__name__ for cls in classes
+                  if not isinstance(vars(cls).get("params"), tuple)
+                  or not all(isinstance(p, str) and p != "children"
+                             for p in cls.params))
+
+
+def test_every_node_type_states_its_parameters():
+    """A node type without its own ``params`` is not interned, so equal
+    nodes of that type would be evaluated once each."""
+    types = _node_types()
+    assert len(types) >= 20
+    assert _unstated(types) == []
+
+
+def test_unstated_node_type_is_found():
+    from sqmzoo.fields import ScaleField
+
+    class Stated(ScaleField):
+        params = ("coeff",)
+
+    class Inherited(ScaleField):
+        pass
+
+    class Listed(ScaleField):
+        params = ["coeff"]
+
+    assert _unstated([Stated, Inherited, Listed]) == ["Inherited", "Listed"]

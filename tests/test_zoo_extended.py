@@ -61,6 +61,24 @@ def test_warped_kahler_similarity_paths():
     assert_zero(m.op("S") - m.op("S_similarity"), spec)
 
 
+def test_kahler_from_a_geometry_alone():
+    """Without an omega, Q and S are the geometric charges, the recipe
+    names no similarity step and no comparison operator is built."""
+    geo, om = zoo._warped_geometry("0.3*sin(x1) + 0.2*x2^2")
+    I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
+    m = zoo.kahler(geo, I)
+    assert m.recipe == ("free_real", "geometric_charge applied to Q and S")
+    assert "Q_similarity" not in m.ops and "S_similarity" not in m.ops
+    spec = m.sample_spec(n_points=3, seed=2)
+    reports = verify.run_check("extended", m, spec)
+    assert all(r.verdict == "pass" for r in reports), \
+        [r.line() for r in reports if r.verdict != "pass"]
+    both = zoo.kahler(geo, I, omega=om)
+    assert both.recipe[:2] == m.recipe
+    assert both.recipe[2].startswith("similarity(")
+    assert {"Q_similarity", "S_similarity"} <= set(both.ops)
+
+
 def test_non_kahler_deformation_violates():
     m = zoo.kahler_warped(u="0.3*sin(x1) + 0.2*x3^2")
     spec = m.sample_spec(n_points=8, seed=4)
