@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -43,6 +44,10 @@ def _chain(factors):
 class FermionRep:
     """Matrix representation of d complex or D Hermitian fermions.
 
+    There is one representation per fermion system:
+    :func:`complex_fermions`, :func:`hermitian_fermions` and
+    :func:`realify` return the same object for the same arguments, and
+    its arrays are read-only.
     Two representations are equal only when they are one object, so a
     field node keyed by its representation compares it by identity."""
 
@@ -53,6 +58,10 @@ class FermionRep:
     psi: tuple = field(default=(), repr=False)       # operators, color included
     psibar: tuple = field(default=(), repr=False)    # complex kind only
     color: tuple = field(default=(), repr=False)     # color generators
+
+    def __post_init__(self):
+        for op in self.psi + self.psibar + self.color:
+            op.flags.writeable = False
 
     @property
     def dim(self):
@@ -79,7 +88,13 @@ class FermionRep:
 
 
 def complex_fermions(d, color_dim=1):
-    """Jordan-Wigner representation of d complex fermion pairs."""
+    """Jordan-Wigner representation of d complex fermion pairs, one
+    object per ``(d, color_dim)``."""
+    return _jordan_wigner(d, color_dim)
+
+
+@cache
+def _jordan_wigner(d, color_dim):
     if d < 1:
         raise ValueError("need at least one fermion")
     if 2 ** d > FOCK_DIM_CAP:
@@ -98,7 +113,13 @@ def complex_fermions(d, color_dim=1):
 
 
 def hermitian_fermions(D):
-    """D Hermitian fermions psi_A = gamma_A / sqrt(2), {psi_A, psi_B} = delta."""
+    """D Hermitian fermions psi_A = gamma_A / sqrt(2), {psi_A, psi_B} = delta,
+    one object per D."""
+    return _gamma_chain(D)
+
+
+@cache
+def _gamma_chain(D):
     if D % 2 != 0:
         raise ValueError("hermitian fermion count must be even")
     if D > 16:
@@ -115,10 +136,16 @@ def hermitian_fermions(D):
 
 
 def realify(rep):
-    """Split d complex fermions into 2d Hermitian ones on the same space.
+    """Split d complex fermions into 2d Hermitian ones on the same space,
+    one object per ``rep``.
 
     psi_{2a-1} = (psi_a + psibar_a)/sqrt(2), psi_{2a} = i(psi_a - psibar_a)/sqrt(2).
     """
+    return _realify(rep)
+
+
+@cache
+def _realify(rep):
     if rep.kind != "complex":
         raise ValueError("realify expects a complex-kind representation")
     herm = []
@@ -338,12 +365,8 @@ def _pair_tensor(rep, ordering):
     return pairs
 
 
-def bilinear(rep, mfield, ordering="pb", ncoords=None):
-    """Fermion bilinear with a matrix coefficient field (or constant array)."""
-    if isinstance(mfield, np.ndarray):
-        if ncoords is None:
-            raise ValueError("constant bilinear needs an explicit ncoords")
-        mfield = fconst(mfield, ncoords)
+def bilinear(rep, mfield, ordering="pb"):
+    """Fermion bilinear with a matrix coefficient field."""
     from .fields import ConstField, ZeroField
     if isinstance(mfield, ZeroField):
         return ZeroField((rep.dim, rep.dim), mfield.ncoords)

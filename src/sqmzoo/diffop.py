@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from operator import add, sub
 
 import numpy as np
@@ -205,7 +206,7 @@ class DiffOp:
 def _check_compat(A, B):
     if A.coords != B.coords:
         raise OpError(f"coordinate mismatch {A.coords} vs {B.coords}")
-    if A.rep is not B.rep and (A.rep.dim != B.rep.dim):
+    if A.rep is not B.rep:
         raise OpError("fermion representation mismatch")
 
 
@@ -361,7 +362,7 @@ def similarity(A, R):
 # cyclic reduction
 
 
-def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
+def reduce_cyclic(A, dropped, spec):
     """Hamiltonian reduction dropping cyclic coordinates.
 
     Every coefficient field must be independent of the dropped
@@ -370,20 +371,18 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
     dropped directions.  Terms containing dropped-direction derivatives
     act as zero on the constrained subspace and are removed; surviving
     coefficients are restricted onto the section where the dropped
-    coordinates sit at ``fixed`` (default 0).
+    coordinates sit at 0.
     """
     dropped_pos = sorted(A.coords.index(d) if isinstance(d, str) else d
                          for d in dropped)
     keep_pos = [i for i in range(A.ncoords) if i not in dropped_pos]
-    if fixed is None:
-        fixed = [0.0] * A.ncoords
 
     derivs = [F.deriv(unit_index(A.ncoords, dpos))
               for F in A.terms.values() for dpos in dropped_pos]
     derivs = [dF for dF in derivs if not isinstance(dF, ZeroField)]
     if derivs:
         res, = sampled_residual([derivs], spec)
-        if res.max_abs > tol * (1.0 + res.scale):
+        if res.max_abs > 1e-9 * (1.0 + res.scale):
             raise ReductionError("operator depends on dropped coordinates "
                                  f"(residual {res.max_abs:.3e})")
 
@@ -393,7 +392,7 @@ def reduce_cyclic(A, dropped, spec, fixed=None, tol=1e-9):
         if any(alpha[d] for d in dropped_pos):
             continue
         new_alpha = tuple(alpha[i] for i in keep_pos)
-        new_terms[new_alpha] = frestrict(F, keep_pos, fixed)
+        new_terms[new_alpha] = frestrict(F, keep_pos, [0.0] * A.ncoords)
     return DiffOp(new_coords, A.rep, new_terms)
 
 
@@ -471,6 +470,7 @@ def is_zero(A, spec, tol=1e-9):
 # pretty printing
 
 
+@cache
 def _fermion_basis(rep):
     """Complete monomial basis of the Fock endomorphism algebra.
 
@@ -512,22 +512,16 @@ def _subsets(idx):
         yield from itertools.combinations(idx, r)
 
 
-_BASIS_CACHE = {}
-
-
-def describe_matrix(rep, matrix, tol=1e-10):
+def describe_matrix(rep, matrix):
     """Write a constant Fock matrix as a fermion-monomial combination."""
-    key = (rep.kind, rep.n, rep.color_dim)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = _fermion_basis(rep)
-    fb = _BASIS_CACHE[key]
+    fb = _fermion_basis(rep)
     if fb is None:
         return f"<matrix norm {np.abs(matrix).max():.3g}>"
     names, basis = fb
     coeffs, *_ = np.linalg.lstsq(basis, np.asarray(matrix).ravel(), rcond=None)
     parts = []
     for c, name in zip(coeffs, names):
-        if abs(c) < tol:
+        if abs(c) < 1e-10:
             continue
         parts.append(f"({_fmt_c(c)}){'' if name == '1' else ' ' + name}")
     return " + ".join(parts) if parts else "0"
@@ -542,7 +536,7 @@ def _fmt_c(z):
     return f"{z.real:g}{z.imag:+g}i"
 
 
-def pretty(A, describe_constants=True):
+def pretty(A):
     """Human-readable normal-ordered text of the operator."""
     from .fields import ConstField
 
@@ -553,7 +547,7 @@ def pretty(A, describe_constants=True):
         F = A.terms[alpha]
         dtxt = " ".join(f"d_{name}" * 1 for name, k in zip(A.coords, alpha)
                         for _ in range(k))
-        if isinstance(F, ConstField) and describe_constants:
+        if isinstance(F, ConstField):
             body = describe_matrix(A.rep, F.matrix)
         else:
             body = F.describe()

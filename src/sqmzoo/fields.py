@@ -18,7 +18,7 @@ Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
 equal those of a live node returns that live node (see :class:`_Interned`).
 So equal subexpressions are one object, however and wherever they were
-built, and a constant fold of live operands is made once.
+built.
 
 All evaluation at one sample point goes through one EvalContext, which
 caches jets by ``(id(node), order)``.  Since equal nodes are one object,
@@ -151,11 +151,12 @@ class _Interned(type):
     constructing a node equal to a live one returns the live one.  Key
     entries compare as Python values do, a constant's matrix by its bits
     (:class:`_Bits`); fields, expressions and fermion representations
-    define no equality, so they compare by identity.  A class that
-    states no ``params``, such as a private base or a subclass that adds
-    state of its own, is not interned.  A node's caches are private
-    attributes outside its key.  The table holds its nodes weakly, so it
-    never keeps a model alive."""
+    define no equality, so they compare by identity (there is one
+    representation per fermion system).  A class that states no
+    ``params``, such as a private base or a subclass that adds state of
+    its own, is not interned.  A node's caches are private attributes
+    outside its key.  The table holds its nodes weakly, so it never
+    keeps a model alive."""
 
     def __init__(cls, name, bases, ns):
         super().__init__(name, bases, ns)
@@ -350,18 +351,11 @@ class ConstField(Field):
         self.ncoords = ncoords
         self.name = name
         self._bits = _Bits(self.matrix)
-        # constant folds with this node as first operand: operation and
-        # other operand -> weak reference to the result
-        self._folds = {}
 
     def _compute(self, ctx, order):
         return jet_space(self.ncoords, order).const(self.matrix)
 
     def _deriv(self, gamma):
-        return self._zero
-
-    @cached_property
-    def _zero(self):
         return ZeroField(self.shape, self.ncoords)
 
     def _conj_t(self):
@@ -893,17 +887,6 @@ def fsum(children, shape=None, ncoords=None):
     return SumField(flat)
 
 
-def _fold(const, key, make):
-    """The constant fold ``make()`` of ``const`` with the operation and
-    other operand named by ``key``, made once while its result lives."""
-    ref = const._folds.get(key)
-    out = None if ref is None else ref()
-    if out is None:
-        out = make()
-        const._folds[key] = weakref.ref(out)
-    return out
-
-
 def _const_sum(consts, ncoords):
     """fconst of the summed matrices of ``consts``, in order; a lone
     nonzero unnamed constant is that sum already."""
@@ -924,8 +907,7 @@ def fscale(coeff, child):
     if coeff == 1:
         return child
     if isinstance(child, ConstField):
-        return _fold(child, ("scale", coeff),
-                     lambda: ConstField(coeff * child.matrix, child.ncoords))
+        return ConstField(coeff * child.matrix, child.ncoords)
     if isinstance(child, ScaleField):
         return fscale(coeff * child.coeff, child.child)
     return ScaleField(coeff, child)
@@ -946,8 +928,7 @@ def _fmatmul2(a, b):
     if isinstance(a, ZeroField) or isinstance(b, ZeroField):
         return ZeroField((a.shape[0], b.shape[1]), a.ncoords)
     if isinstance(a, ConstField) and isinstance(b, ConstField):
-        return _fold(a, ("matmul", weakref.ref(b)),
-                     lambda: fconst(a.matrix @ b.matrix, a.ncoords))
+        return fconst(a.matrix @ b.matrix, a.ncoords)
     if _is_identity(a):
         return b
     if _is_identity(b):
@@ -989,8 +970,7 @@ def fexp(field):
     if isinstance(field, ZeroField):
         return fidentity(field.shape[0], field.ncoords)
     if isinstance(field, ConstField):
-        return _fold(field, ("exp",), lambda: ConstField(
-            _const_expm(field.matrix), field.ncoords))
+        return ConstField(_const_expm(field.matrix), field.ncoords)
     return MatExpField(field)
 
 

@@ -28,6 +28,10 @@ from .fields import (EvalContext, ZeroField, fconst, fdet, fentry, fexp,
                      fsum, ftranspose)
 from .report import make_report
 
+# largest covariant derivative of a complex structure, relative to
+# 1 + its scale, at which the structure counts as covariantly constant
+STRUCTURE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GeometryData:
@@ -118,8 +122,8 @@ def _spin_connection(e, einv, entries, dim, ncoords):
 def from_omega(omega, kind="real_symmetric"):
     """Geometry generated by a vielbein exponent, e = e^omega.
 
-    real_symmetric / hermitian: omega is D x D over D coordinates and the
-    metric is (e^{-2 omega})_MN (complex Hermitian when omega is).
+    real_symmetric: omega is D x D over D coordinates and the metric is
+    (e^{-2 omega})_MN.
     complex_dolbeault: omega is d x d over 2d real coordinates; only the
     complex vielbein and the Hermitian metric h = e^{omega^+} e^omega are
     populated.
@@ -128,7 +132,7 @@ def from_omega(omega, kind="real_symmetric"):
     if omega.shape[1] != dim:
         raise ValueError("omega must be square")
     ncoords = omega.ncoords
-    if kind in ("real_symmetric", "hermitian"):
+    if kind == "real_symmetric":
         if ncoords != dim:
             raise ValueError(f"{kind} geometry needs dim == ncoords")
         e = fexp(omega)
@@ -255,11 +259,11 @@ def check_complex_structure(I, geo, spec, expected="pass"):
     ]
 
 
-def check_quaternion(i1, i2, i3, spec, ncoords=None, expected="pass"):
+def check_quaternion(i1, i2, i3, spec, expected="pass"):
     """Residual of I^a I^b = -delta^ab + eps^abc I^c over all nine products."""
     trio = (i1, i2, i3)
     dim = trio[0].dim
-    nc = ncoords if ncoords is not None else trio[0].matrix.ncoords
+    nc = trio[0].matrix.ncoords
     eps = clifford.const_tensor("epsilon3")
     fields = []
     for a in range(3):
@@ -273,6 +277,13 @@ def check_quaternion(i1, i2, i3, spec, ncoords=None, expected="pass"):
             fields.append(fsum(parts, (dim, dim), nc))
     r, = sampled_residual([fields], spec)
     return make_report("quaternion algebra", r, spec, expected=expected)
+
+
+def require_quaternion(triple, spec):
+    """Raise ValueError unless ``triple`` passes :func:`check_quaternion`."""
+    qrep = check_quaternion(*triple, spec)
+    if not qrep.ok:
+        raise ValueError(f"triple fails the quaternion algebra: {qrep.line()}")
 
 
 def metric_compatibility_fields(geo):
@@ -326,12 +337,14 @@ def gibbons_hawking(centers, weights, eps=1.0):
     return geo, v, a
 
 
-def select_orientation(geo, spec, tol=1e-8):
+def select_orientation(geo, spec):
     """Pick the 't Hooft orientation whose triple is covariantly constant.
 
-    Tries eta- and eta_bar-built frame triples; returns (triple, variant).
-    Raises if neither orientation passes, which is the expected outcome
-    for metrics that are not hyper-Kahler.
+    Tries eta- and eta_bar-built frame triples and returns (triple,
+    variant) for the first whose structures are covariantly constant
+    within STRUCTURE_TOL at the points of ``spec``, after checking its
+    quaternion algebra there.  Raises if neither orientation passes,
+    which is the expected outcome for metrics that are not hyper-Kahler.
     """
     best = None
     for variant in ("eta", "eta_bar"):
@@ -342,7 +355,8 @@ def select_orientation(geo, spec, tol=1e-8):
         for r in sampled_residual(
                 [covariant_derivative_fields(s, geo) for s in trio], spec):
             worst = max(worst, r.max_abs / (1.0 + r.scale))
-        if worst <= tol:
+        if worst <= STRUCTURE_TOL:
+            require_quaternion(trio, spec)
             return trio, variant
         if best is None or worst < best[0]:
             best = (worst, variant)

@@ -27,6 +27,7 @@ from .diffop import (EvaluationError, anticommutator, commutator, compose,
 from .fields import EvalContext, fexpr, fidentity
 from .report import (EXPECTATIONS, FAIL, TOL_PASS, TOL_VIOLATION, VIOLATED,
                      CheckReport, make_report)
+from .zoo import mode_label
 
 _EPS3 = const_tensor("epsilon3")
 _SIGMA = const_tensor("sigma_pauli")
@@ -269,7 +270,7 @@ def check_wz_similarity(m):
                  anticommutator(qcal, naive_dagger(qcal)) - 2.0 * h),
     ]
     for mvec in m.meta["modes"]:
-        label = "m" + "".join(str(x) for x in mvec)
+        label = mode_label(mvec)
         qn = m.op(f"Qcal_{label}")
         hn = m.op(f"H_{label}")
         out.append(Relation(f"{{Qcal_{label}, bar}} - 2H_{label}",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cache
 
 import numpy as np
 
@@ -33,9 +32,9 @@ from .diffop import (DiffOp, Exclusion, SampleSpec, adjoint_with_measure,
                      naive_dagger, reduce_cyclic, rename_coords,
                      sampled_residual, similarity, unit_index, zero_op)
 from .expr import Const, Coord, parse
-from .fields import (ScalarFnField, ZeroField, fconst, fdet, fdiag, fentry,
-                     fexp, fexpr, fgrid, fidentity, flog, fmatmul, fscale,
-                     fscalarmul, fsum, ftranspose)
+from .fields import (ConstField, ScalarFnField, ZeroField, fconst, fdet,
+                     fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
+                     fmatmul, fscale, fscalarmul, fsum, ftranspose)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,10 +60,9 @@ class Model:
     default_exclusions: tuple = ()
     meta: dict = dc_field(default_factory=dict)
 
-    def sample_spec(self, n_points=20, seed=0, box=None, exclusions=None):
-        box = tuple(box) if box is not None else self.default_box
-        excl = tuple(exclusions) if exclusions is not None else self.default_exclusions
-        return SampleSpec(box=box, n_points=n_points, seed=seed, exclusions=excl)
+    def sample_spec(self, n_points=20, seed=0):
+        return SampleSpec(box=self.default_box, n_points=n_points, seed=seed,
+                          exclusions=self.default_exclusions)
 
     @staticmethod
     def bar(name):
@@ -225,9 +223,8 @@ def witten(W="x^3 - x"):
                        [fscalarmul(fscale(-1j, wp), psibar)])
 
     # the same Q through the engine's own two operations
-    parent = free_complex(1)
     q_red = rename_coords(
-        reduce_cyclic(parent.op("Q"), ["y1"],
+        reduce_cyclic(free_complex_charge(_complex_coords(1), rep, 1), ["y1"],
                       SampleSpec(box=((-1, 1), (-1, 1)), n_points=4, seed=1)),
         coords)
     q_sim = similarity(q_red, wf)
@@ -265,9 +262,8 @@ def dolbeault(omega, d, W=None):
     om = omega if hasattr(omega, "eval_jet") else _matrix_field(omega, coords)
     if om.shape != (d, d):
         raise ValueError("omega must be d x d")
-    parent = free_complex(d)
-    r_op = bilinear(rep, om, "pb")
-    Q = similarity(parent.op("Q"), r_op)
+    Q = similarity(free_complex_charge(coords, rep, d),
+                   bilinear(rep, om, "pb"))
     geo = geometry.from_omega(om, "complex_dolbeault")
     mu = fdet(geo.hermitian_metric)
     recipe = [f"free_complex(d={d})", "similarity(exp(omega psi psibar))"]
@@ -322,8 +318,7 @@ def de_rham(omega, D, W=None, torsion=None):
     n = D
     om = omega if hasattr(omega, "eval_jet") else _matrix_field(omega, coords)
     geo = geometry.from_omega(om, "real_symmetric")
-    parent = free_real(D)
-    Q = similarity(parent.op("Q"), bilinear(rep, om, "pb"))
+    Q = similarity(free_real_charge(coords, rep), bilinear(rep, om, "pb"))
     q_geo = geometric_charge(geo, rep)
     qbar_geo = geometric_charge(geo, rep, bar=True)
     recipe = [f"free_real(D={D})", "similarity(exp(omega psi psibar))"]
@@ -334,7 +329,7 @@ def de_rham(omega, D, W=None, torsion=None):
         recipe.append("similarity(exp(W))")
     if torsion is not None:
         b = torsion if hasattr(torsion, "eval_jet") else _matrix_field(torsion, coords)
-        bk = fscale(1.0, fmatmul(geo.e, b, ftranspose(geo.e)))
+        bk = fmatmul(geo.e, b, ftranspose(geo.e))
         Q = similarity(Q, bilinear(rep, bk, "pp"))
         recipe.append("similarity(exp(B psi^M psi^N))")
     recipe.append("adjoint(measure = sqrt(det g))")
@@ -355,8 +350,7 @@ def quasicomplex(omega, D):
     coords = tuple(f"x{a + 1}" for a in range(D))
     rep = complex_fermions(D)
     om = _matrix_field(omega, coords)
-    parent = free_real(D)
-    Q = similarity(parent.op("Q"), bilinear(rep, om, "pb"))
+    Q = similarity(free_real_charge(coords, rep), bilinear(rep, om, "pb"))
 
     # direct Hadamard form: psi_D (e^om)_DC [p_C - i (e^om d_C e^-om)_AB psi psibar]
     e = fexp(om)
@@ -367,8 +361,8 @@ def quasicomplex(omega, D):
     # reduction path: the same omega lifted to the complex parent space
     coords2 = _complex_coords(D)
     om2 = _matrix_field(omega, coords2)
-    parent2 = free_complex(D)
-    q_parent = similarity(parent2.op("Q"), bilinear(rep, om2, "pb"))
+    q_parent = similarity(free_complex_charge(coords2, rep, D),
+                          bilinear(rep, om2, "pb"))
     spec2 = SampleSpec(box=((-0.9, 0.9),) * (2 * D), n_points=6, seed=23)
     q_reduced = reduce_cyclic(q_parent, [f"y{a + 1}" for a in range(D)], spec2)
 
@@ -398,14 +392,14 @@ def _geo_coords(geo):
     return tuple(f"x{m + 1}" for m in range(geo.ncoords))
 
 
-def kahler(geo, I, omega=None, flat_structure=None):
+def kahler(geo, I, omega=None):
     """Q plus one extra pair S from a complex structure.
 
     Q and S are the geometric charges of ``geo``.  If the geometry came
     from a symmetric omega, pass it to also build both supercharges by
     the similarity route, as Q_similarity and S_similarity, for
-    comparison; flat_structure (a constant matrix) is the structure of
-    the flat parent, defaulting to the constant value of I.
+    comparison; the flat parent's structure is then the constant value
+    of I, so I must be constant.
     """
     coords = _geo_coords(geo)
     rep = complex_fermions(geo.dim)
@@ -415,14 +409,11 @@ def kahler(geo, I, omega=None, flat_structure=None):
     if omega is not None:
         recipe.append("similarity(exp(omega psi psibar)) applied to Q and S, "
                       "naming Q_similarity and S_similarity")
-        parent = free_real(geo.dim)
+        if not isinstance(I.matrix, ConstField):
+            raise ValueError("the similarity route needs a constant I")
+        flat_structure = I.matrix.matrix
         r_op = bilinear(rep, omega, "pb")
-        ops["Q_similarity"] = similarity(parent.op("Q"), r_op)
-        if flat_structure is None:
-            from .fields import ConstField
-            if not isinstance(I.matrix, ConstField):
-                raise ValueError("flat_structure needed for non-constant I")
-            flat_structure = I.matrix.matrix
+        ops["Q_similarity"] = similarity(free_real_charge(coords, rep), r_op)
         s_flat = first_order(coords, rep, [
             (N, fscale(-1j, linear(
                 rep, fconst(flat_structure[:, N][None, :], geo.dim), "psi")))
@@ -449,13 +440,11 @@ def hyperkahler(geo, triple, spec=None):
     rep = complex_fermions(geo.dim)
     structure_ok = True
     if spec is not None:
-        qrep = geometry.check_quaternion(*triple, spec)
-        if not qrep.ok:
-            raise ValueError(f"triple fails the quaternion algebra: {qrep.line()}")
+        geometry.require_quaternion(triple, spec)
         for r in sampled_residual(
                 [geometry.covariant_derivative_fields(s, geo) for s in triple],
                 spec):
-            if r.max_abs > 1e-8 * (1.0 + r.scale):
+            if r.max_abs > geometry.STRUCTURE_TOL * (1.0 + r.scale):
                 structure_ok = False
     charges = [("Q", geometric_charge(geo, rep))]
     ops = {}
@@ -490,9 +479,8 @@ def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
     gf = fexpr(g_expr, n, "g")
     r_field = fdiag(gf, d)
     r_op = bilinear(rep, r_field, "pb")
-    parent = free_complex(d)
-    Q = similarity(parent.op("Q"), r_op)
-    S = similarity(parent.op("S"), r_op)
+    Q = similarity(free_complex_charge(coords, rep, d), r_op)
+    S = similarity(free_complex_s_charge(coords, rep, d), r_op)
 
     ff = ScalarFnField("exp", gf)
     num = fconst(rep.number_op(), n, "N")
@@ -791,7 +779,8 @@ def gauge_sym3_resolved(g0=1.0):
         meta={"g0": g0})
 
 
-def _mode_label(vec):
+def mode_label(vec):
+    """The name of a Wess-Zumino mode in coordinate and operator names."""
     return "m" + "".join(str(int(x)) for x in vec)
 
 
@@ -809,7 +798,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
     nm = len(modes)
     if nm > 4:
         raise ValueError("mode cap is 4 (two complex fermions per mode)")
-    coords = tuple(f"f{i}_{_mode_label(m)}" for m in modes for i in (1, 2))
+    coords = tuple(f"f{i}_{mode_label(m)}" for m in modes for i in (1, 2))
     n = 2 * nm
     rep = complex_fermions(2 * nm)
     sigma = const_tensor("sigma_pauli")
@@ -823,10 +812,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
     f_coord = {(k, i): Coord(2 * k + i - 1, coords[2 * k + i - 1])
                for k in range(nm) for i in (1, 2)}
 
-    @cache
     def p_op(k, i):
-        # built once per coordinate: each build makes and hashes a fresh
-        # identity and its -i multiple on the whole Fock space
         return momentum_op(coords, rep, 2 * k + i - 1)
 
     # supercharges, Eq.-literal
@@ -875,7 +861,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
             ferm = (c_ops[0] @ c_ops[0].conj().T - c_ops[1] @ c_ops[1].conj().T)
             h_k = h_k + mult_op(fconst(-2 * math.pi * lam * ferm, n), coords, rep)
         h_direct = h_direct + h_k
-        ops[f"H_{_mode_label(mvec)}"] = h_k
+        ops[f"H_{mode_label(mvec)}"] = h_k
 
         # P_j = 2 pi n_j [ i (phi Pi - phibar Pibar) + N_f - 1 ]
         phi_f = fexpr((f_coord[(k, 1)] + Const(1j) * f_coord[(k, 2)])
@@ -897,7 +883,7 @@ def wz_modes(mode_set=((1, 0, 0),)):
             Const(-2j * math.pi * lam) * f_coord[(k, 2)], n), coords, rep)
         qcal_k = (compose(mult_op(fconst(c_ops[0], n), coords, rep), x1)
                   + compose(mult_op(fconst(c_ops[1], n), coords, rep), x2))
-        ops[f"Qcal_{_mode_label(mvec)}"] = qcal_k
+        ops[f"Qcal_{mode_label(mvec)}"] = qcal_k
         qcal = qcal + qcal_k
         qcal0 = qcal0 + (compose(mult_op(fconst(c_ops[0], n), coords, rep), p_op(k, 1))
                          + compose(mult_op(fconst(c_ops[1], n), coords, rep), p_op(k, 2)))
@@ -1043,7 +1029,7 @@ def hyperkahler_gibbons_hawking(centers=((0.0, 0.0, 0.0),), weights=(0.5,),
         [tuple(c) for c in centers], list(weights), eps)
     sel_spec = SampleSpec(box=tuple(tuple(b) for b in box), n_points=6, seed=seed)
     trio, variant = geometry.select_orientation(geo, sel_spec)
-    m = hyperkahler(geo, trio, spec=sel_spec)
+    m = hyperkahler(geo, trio)
     return replace(
         m, name="hyperkahler_gh",
         recipe=m.recipe + (f"orientation {variant} selected",),

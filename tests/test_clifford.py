@@ -14,6 +14,18 @@ def anticomm(a, b):
     return a @ b + b @ a
 
 
+def test_one_representation_per_system():
+    assert complex_fermions(2) is complex_fermions(2)
+    assert complex_fermions(d=2, color_dim=1) is complex_fermions(2)
+    assert complex_fermions(2, color_dim=2) is not complex_fermions(2)
+    assert hermitian_fermions(D=4) is hermitian_fermions(4)
+    assert realify(rep=complex_fermions(2)) is realify(complex_fermions(2))
+    rep = complex_fermions(2, color_dim=2)
+    for op in (rep.psi[0], rep.psibar[1], rep.color[2]):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
 def test_single_fermion_matrices():
     rep = complex_fermions(1)
     assert np.array_equal(rep.psi[0], np.array([[0, 0], [1, 0]]))
@@ -201,7 +213,7 @@ def test_epsilon():
 
 def test_bilinear_identity_is_number_operator():
     rep = complex_fermions(1)
-    f = bilinear(rep, np.eye(1), "pb", ncoords=1)
+    f = bilinear(rep, fconst(np.eye(1), 1), "pb")
     val = evaluate(f, (0.0,))[:, :, 0]
     assert np.array_equal(val, np.diag([0.0, 1.0]))
 
@@ -209,7 +221,7 @@ def test_bilinear_identity_is_number_operator():
 def test_bilinear_psi_psi_nilpotent_cube():
     rep = complex_fermions(2)
     m = np.array([[0.0, 1.3], [-1.3, 0.0]])
-    b = bilinear(rep, m, "pp", ncoords=1)
+    b = bilinear(rep, fconst(m, 1), "pp")
     val = evaluate(b, (0.0,))[:, :, 0]
     assert np.abs(val @ val @ val).max() == 0.0   # Grassmann degree count
 
@@ -219,7 +231,7 @@ def test_bilinear_hermiticity():
     rng = np.random.default_rng(3)
     h = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
     h = h + h.conj().T
-    val = evaluate(bilinear(rep, h, "pb", ncoords=1), (0.0,))[:, :, 0]
+    val = evaluate(bilinear(rep, fconst(h, 1), "pb"), (0.0,))[:, :, 0]
     assert np.abs(val - val.conj().T).max() < 1e-14
 
 
@@ -239,7 +251,7 @@ def test_bilinear_field_coefficients():
 def test_bilinear_shape_mismatch():
     rep = complex_fermions(2)
     with pytest.raises(ValueError):
-        bilinear(rep, np.eye(3), "pb", ncoords=1)
+        bilinear(rep, fconst(np.eye(3), 1), "pb")
 
 
 def test_grade_decompose_roundtrip():

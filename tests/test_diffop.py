@@ -216,13 +216,26 @@ def test_similarity_scalar_witten_form():
     assert ok(got - want, tol=1e-10)[0]
 
 
+def test_two_systems_of_one_dimension_do_not_mix():
+    """Operators over two fermion systems with equal Fock dimension are
+    still over two systems."""
+    rep3, rep_colored = complex_fermions(3), complex_fermions(2, color_dim=2)
+    assert rep3.dim == rep_colored.dim
+    a = momentum_op(X, rep3, "x")
+    b = momentum_op(X, rep_colored, "x")
+    with pytest.raises(OpError, match="representation"):
+        compose(a, b)
+    with pytest.raises(OpError, match="representation"):
+        a + b
+
+
 def test_similarity_constant_bilinear_closes_after_one_step():
     """Constant omega: e^R psi_a pi_a e^-R = psi_d (e^om)_dc pi_c exactly."""
     from sqmzoo.zoo import free_complex
     m = free_complex(2)
     rep = m.rep
     om = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])  # Hermitian
-    r = bilinear(rep, om, "pb", ncoords=4)
+    r = bilinear(rep, fconst(om, 4), "pb")
     got = similarity(m.op("Q"), r)
     import scipy.linalg
     e_om = scipy.linalg.expm(om)

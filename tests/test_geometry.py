@@ -208,6 +208,18 @@ def test_gh_one_center_selects_orientation():
         assert r.max_abs < 1e-8 * (1 + r.scale)
 
 
+def test_selected_orientation_must_pass_the_quaternion_algebra(monkeypatch):
+    """A covariantly constant triple that is not quaternionic is rejected
+    when it is selected, with the message hyperkahler gives."""
+    z = ZeroField((1, 1), 4)
+    geo = geometry.from_omega(fgrid([[z] * 4] * 4), "real_symmetric")
+    first = geometry.canonical_triple(4)[0]
+    monkeypatch.setattr(geometry, "canonical_triple",
+                        lambda D, variant="eta": [first] * 3)
+    with pytest.raises(ValueError, match="triple fails the quaternion"):
+        geometry.select_orientation(geo, SPEC4)
+
+
 def test_gh_two_centers():
     geo, _v, _a = geometry.gibbons_hawking(
         [(0.0, 0.0, 0.0), (2.5, 0.0, 0.0)], [0.4, 0.3], eps=1.0)

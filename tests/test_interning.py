@@ -107,6 +107,13 @@ def test_no_two_live_nodes_share_a_structure(path):
     assert not dups, [f"{len(g)} x {g[0]!r}" for g in dups[:5]]
 
 
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_every_operator_carries_its_models_representation(path):
+    model = cli.build_model(cli.load_scenario(path)["model"])
+    assert [name for name, op in model.ops.items()
+            if op.rep is not model.rep] == []
+
+
 def test_oracle_finds_duplicates():
     """Nodes from a subclass that states no parameters are not interned,
     so two equal ones are two objects, and the oracle reports them."""
@@ -128,7 +135,7 @@ _X = ExprField(parse("1.3 + 0.2*sin(x)*y", _COORDS), 2)
 _Y = ExprField(parse("0.5*x*y + 0.1*x^2", _COORDS), 2)
 _GRID = GridField([[_X, _Y], [_Y, _X]])
 _GRID3 = GridField([[ExprField(parse("x + z", ("x", "y", "z")), 3)]])
-_REP, _OTHER_REP = complex_fermions(2), complex_fermions(2)
+_REP, _OTHER_REP = complex_fermions(2), complex_fermions(2, color_dim=2)
 
 
 def _const(scale=1.0, name=None):

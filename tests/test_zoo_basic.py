@@ -68,6 +68,18 @@ def test_free_real_reduction_path_exact():
     assert res.max_abs == 0.0   # constant coefficients: exactly equal
 
 
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_free_real_charge_is_the_reduced_charge(D):
+    """The constructors that start from free real dynamics take its charge
+    from free_real_charge: the same nodes, term by term, as the cyclic
+    reduction free_real runs."""
+    m = zoo.free_real(D)
+    direct = zoo.free_real_charge(m.coords, m.rep)
+    reduced = m.op("Q").terms
+    assert list(direct.terms) == list(reduced)
+    assert all(direct.terms[k] is f for k, f in reduced.items())
+
+
 def test_free_complex_d2_n4():
     m = zoo.free_complex(2)
     spec = m.sample_spec(n_points=4, seed=7)

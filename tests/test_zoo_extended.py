@@ -77,6 +77,9 @@ def test_kahler_from_a_geometry_alone():
     assert both.recipe[:2] == m.recipe
     assert both.recipe[2].startswith("similarity(")
     assert {"Q_similarity", "S_similarity"} <= set(both.ops)
+    for name in ("Q", "S"):
+        shared = both.op(name).terms
+        assert all(shared[k] is f for k, f in m.op(name).terms.items())
 
 
 def test_non_kahler_deformation_violates():
@@ -99,6 +102,22 @@ def test_flat_hyperkahler_n8_and_theorem2():
     reports = verify.run_check("theorem2", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
+
+
+def test_gibbons_hawking_validates_its_triple_once(monkeypatch):
+    """select_orientation validates the triple it returns, so the model
+    build samples its covariant constancy once, for one orientation."""
+    calls = []
+    sample = geometry.covariant_derivative_fields
+
+    def counted(I, geo):
+        calls.append(I)
+        return sample(I, geo)
+
+    monkeypatch.setattr(geometry, "covariant_derivative_fields", counted)
+    m = zoo.hyperkahler_gibbons_hawking()
+    assert len(calls) == 3
+    assert m.meta["structure_ok"]
 
 
 def test_gibbons_hawking_theorem2():
