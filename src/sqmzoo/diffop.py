@@ -19,6 +19,7 @@ measure, so seeded random sample points give a sound practical test.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -30,6 +31,11 @@ from .fields import (EvalContext, PlanError, ZeroField, fdiag, fexp,
                      fidentity, fmatmul, fpow, frestrict, fscale, fsum,
                      plan_requests)
 from .jets import MAX_ORDER, _binom_multi
+
+
+# largest relative residual (see Residual.relative) at which a sampled
+# coefficient counts as zero
+TOL_PASS = 1e-9
 
 
 class OpError(ValueError):
@@ -107,6 +113,11 @@ class SampleSpec:
     seed: int = 0
     exclusions: tuple = ()
 
+    def __post_init__(self):
+        if self.n_points < 1:
+            raise OpError(f"a sample spec needs at least one point, "
+                          f"got n_points={self.n_points}")
+
     def points(self):
         rng = np.random.default_rng(self.seed)
         lo = np.array([b[0] for b in self.box])
@@ -131,6 +142,14 @@ class Residual:
     max_abs: float
     argmax_point: tuple
     scale: float
+
+    @property
+    def relative(self):
+        """max_abs / (1 + scale), or inf when either is NaN or infinite:
+        the one number every zero test compares with its tolerance."""
+        if not (math.isfinite(self.max_abs) and math.isfinite(self.scale)):
+            return math.inf
+        return self.max_abs / (1.0 + self.scale)
 
     def __str__(self):
         return f"max {self.max_abs:.3e} at {self.argmax_point} (scale {self.scale:.3e})"
@@ -371,7 +390,8 @@ def reduce_cyclic(A, dropped, spec):
     dropped directions.  Terms containing dropped-direction derivatives
     act as zero on the constrained subspace and are removed; surviving
     coefficients are restricted onto the section where the dropped
-    coordinates sit at 0.
+    coordinates sit at 0.  A derivative whose relative residual exceeds
+    TOL_PASS, or is NaN or infinite, raises ReductionError.
     """
     dropped_pos = sorted(A.coords.index(d) if isinstance(d, str) else d
                          for d in dropped)
@@ -382,7 +402,7 @@ def reduce_cyclic(A, dropped, spec):
     derivs = [dF for dF in derivs if not isinstance(dF, ZeroField)]
     if derivs:
         res, = sampled_residual([derivs], spec)
-        if res.max_abs > 1e-9 * (1.0 + res.scale):
+        if res.relative > TOL_PASS:
             raise ReductionError("operator depends on dropped coordinates "
                                  f"(residual {res.max_abs:.3e})")
 
@@ -446,8 +466,7 @@ def sampled_residual(groups, spec):
         if ctx.cache:
             raise PlanError(f"{len(ctx.cache)} planned jets never requested "
                             "at a sample point")
-    return [Residual(*acc) if fields
-            else Residual(0.0, points[0] if points else (), 0.0)
+    return [Residual(*acc) if fields else Residual(0.0, points[0], 0.0)
             for fields, acc in zip(groups, found)]
 
 
@@ -459,11 +478,12 @@ def op_residuals(ops, spec):
     return sampled_residual([A.terms.values() for A in ops], spec)
 
 
-def is_zero(A, spec, tol=1e-9):
-    """Evaluate all coefficients at sampled points; pass iff the largest
-    entry magnitude stays below tol * (1 + scale)."""
+def is_zero(A, spec, tol=TOL_PASS):
+    """Evaluate all coefficients at sampled points; pass iff the
+    residual's ``relative`` is at most tol, which a NaN or infinite
+    residual or scale never is."""
     res, = op_residuals([A], spec)
-    return res.max_abs <= tol * (1.0 + res.scale), res
+    return res.relative <= tol, res
 
 
 # ---------------------------------------------------------------------------

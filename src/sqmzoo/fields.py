@@ -765,28 +765,10 @@ class DiagField(_Unary):
         return DiagField(self.child.deriv(gamma), self.n)
 
     def _conj_t(self):
-        return DiagField(ScalarConjField(self.child), self.n)
+        return DiagField(ConjTransposeField(self.child), self.n)
 
     def describe(self):
         return f"({self.child.describe()})*1"
-
-
-class ScalarConjField(_Unary):
-    params = ()
-
-    def __init__(self, child):
-        if not child.is_scalar:
-            raise ValueError("scalar conjugate of a matrix field")
-        super().__init__(child)
-
-    def _compute(self, ctx, order):
-        return np.conj(self.child.eval_jet(ctx, order))
-
-    def _deriv(self, gamma):
-        return ScalarConjField(self.child.deriv(gamma))
-
-    def describe(self):
-        return f"conj({self.child.describe()})"
 
 
 class RestrictField(Field):

@@ -41,13 +41,10 @@ class GeometryData:
     ncoords: int
     e: object                 # e[A, M]
     einv: object              # einv[M, A]
-    metric: object            # g[M, N] or None
-    metric_inv: object
+    metric: object            # g[M, N]
     christoffel: tuple        # christoffel[N] is the matrix field [M, K]
     spin_connection: tuple    # spin_connection[M] is the matrix field [A, B]
-    hermitian_metric: object = None   # complex case: h = e^{omega^+} e^omega
-    kind: str = "real_symmetric"
-    christoffel_entries: dict = None  # scalar fields keyed (N, M, K)
+    christoffel_entries: dict  # scalar fields keyed (N, M, K)
 
     def sqrt_det_metric(self):
         return fpow(fdet(self.metric), 1, 2)
@@ -119,43 +116,26 @@ def _spin_connection(e, einv, entries, dim, ncoords):
     return tuple(omegas)
 
 
-def from_omega(omega, kind="real_symmetric"):
-    """Geometry generated by a vielbein exponent, e = e^omega.
-
-    real_symmetric: omega is D x D over D coordinates and the metric is
-    (e^{-2 omega})_MN.
-    complex_dolbeault: omega is d x d over 2d real coordinates; only the
-    complex vielbein and the Hermitian metric h = e^{omega^+} e^omega are
-    populated.
-    """
+def from_omega(omega):
+    """Geometry generated by a real symmetric vielbein exponent, e =
+    e^omega: omega is D x D over D coordinates and the metric is
+    (e^{-2 omega})_MN."""
     dim = omega.shape[0]
     if omega.shape[1] != dim:
         raise ValueError("omega must be square")
     ncoords = omega.ncoords
-    if kind == "real_symmetric":
-        if ncoords != dim:
-            raise ValueError(f"{kind} geometry needs dim == ncoords")
-        e = fexp(omega)
-        einv = fexp(fscale(-1.0, omega))
-        g = fexp(fscale(-2.0, omega))
-        ginv = fexp(fscale(2.0, omega))
-        entries = _christoffel_entries(g, ginv, dim, ncoords)
-        return GeometryData(
-            dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
-            metric_inv=ginv,
-            christoffel=_christoffel_matrices(entries, dim),
-            spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
-            kind=kind, christoffel_entries=entries)
-    if kind == "complex_dolbeault":
-        if ncoords != 2 * dim:
-            raise ValueError("complex geometry needs 2*dim real coordinates")
-        e = fexp(omega)
-        h = fmatmul(fexp(omega.conj_t()), fexp(omega))
-        return GeometryData(
-            dim=dim, ncoords=ncoords, e=e, einv=fexp(fscale(-1.0, omega)),
-            metric=None, metric_inv=None, christoffel=(), spin_connection=(),
-            hermitian_metric=h, kind=kind)
-    raise ValueError(f"unknown geometry kind {kind!r}")
+    if ncoords != dim:
+        raise ValueError("geometry from omega needs dim == ncoords")
+    e = fexp(omega)
+    einv = fexp(fscale(-1.0, omega))
+    g = fexp(fscale(-2.0, omega))
+    ginv = fexp(fscale(2.0, omega))
+    entries = _christoffel_entries(g, ginv, dim, ncoords)
+    return GeometryData(
+        dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
+        christoffel=_christoffel_matrices(entries, dim),
+        spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
+        christoffel_entries=entries)
 
 
 def from_vielbein(einv):
@@ -169,10 +149,10 @@ def from_vielbein(einv):
     ginv = fmatmul(ftranspose(e), e)
     entries = _christoffel_entries(g, ginv, dim, ncoords)
     return GeometryData(
-        dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g, metric_inv=ginv,
+        dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
         christoffel=_christoffel_matrices(entries, dim),
         spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
-        kind="vielbein", christoffel_entries=entries)
+        christoffel_entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +317,31 @@ def gibbons_hawking(centers, weights, eps=1.0):
     return geo, v, a
 
 
+def worst_covariant_derivative(triple, geo, spec):
+    """Largest ``relative`` residual of the covariant derivatives of the
+    structures in ``triple`` at the points of ``spec``: the one number
+    compared with STRUCTURE_TOL, and inf when any of them is NaN or
+    infinite."""
+    return max(r.relative for r in sampled_residual(
+        [covariant_derivative_fields(s, geo) for s in triple], spec))
+
+
 def select_orientation(geo, spec):
     """Pick the 't Hooft orientation whose triple is covariantly constant.
 
     Tries eta- and eta_bar-built frame triples and returns (triple,
-    variant) for the first whose structures are covariantly constant
-    within STRUCTURE_TOL at the points of ``spec``, after checking its
-    quaternion algebra there.  Raises if neither orientation passes,
-    which is the expected outcome for metrics that are not hyper-Kahler.
+    variant) for the first whose worst_covariant_derivative at the
+    points of ``spec`` is at most STRUCTURE_TOL, after checking its
+    quaternion algebra there.  A NaN or infinite covariant derivative
+    never passes.  Raises if neither orientation passes, which is the
+    expected outcome for metrics that are not hyper-Kahler.
     """
     best = None
     for variant in ("eta", "eta_bar"):
         consts = canonical_triple(geo.dim, variant)
         trio = [frame_structure(geo, c, label=a + 1)
                 for a, c in enumerate(consts)]
-        worst = 0.0
-        for r in sampled_residual(
-                [covariant_derivative_fields(s, geo) for s in trio], spec):
-            worst = max(worst, r.max_abs / (1.0 + r.scale))
+        worst = worst_covariant_derivative(trio, geo, spec)
         if worst <= STRUCTURE_TOL:
             require_quaternion(trio, spec)
             return trio, variant

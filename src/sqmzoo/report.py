@@ -1,13 +1,13 @@
 """Structured check results shared by the geometry and algebra suites.
 
 Verdict policy: a relation expected to hold passes when its sampled
-residual stays below tol_pass * (1 + scale); a negative control is
-"violated-as-expected" only when the residual clears the much larger
-tol_violation * (1 + scale).  Residuals in the gap between the two
-thresholds are a gray zone and fail the run so they get investigated.
-Exploratory relations only report their residual.  A residual or
-scale that is NaN or infinite fails every other expectation: no gate
-computed from it means anything.
+residual's ``relative`` (max_abs / (1 + scale)) is at most tol_pass; a
+negative control is "violated-as-expected" only when ``relative``
+reaches the much larger tol_violation.  Residuals in the gap between
+the two thresholds are a gray zone and fail the run so they get
+investigated.  Exploratory relations only report their residual.  A
+residual or scale that is NaN or infinite fails every other
+expectation: no gate computed from it means anything.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diffop import Residual, SampleSpec
+from .diffop import TOL_PASS, Residual, SampleSpec
 
-TOL_PASS = 1e-9
 TOL_VIOLATION = 1e-3
 
 PASS = "pass"
@@ -55,22 +54,21 @@ def classify(residual, expected="pass", tol_pass=TOL_PASS,
         return EXPLORATORY, tol_pass
     if expected not in EXPECTATIONS:
         raise ValueError(f"unknown expectation {expected!r}")
-    if not (math.isfinite(residual.max_abs) and math.isfinite(residual.scale)):
+    rel = residual.relative
+    if rel == math.inf:
         return FAIL, (tol_violation if expected == "violated" else tol_pass)
-    gate_pass = tol_pass * (1.0 + residual.scale)
-    gate_violation = tol_violation * (1.0 + residual.scale)
     if expected == "pass":
-        return (PASS if residual.max_abs <= gate_pass else FAIL), tol_pass
+        return (PASS if rel <= tol_pass else FAIL), tol_pass
     if expected == "violated":
-        if residual.max_abs >= gate_violation:
+        if rel >= tol_violation:
             return VIOLATED, tol_violation
         return FAIL, tol_violation
     # "any", for negative controls: every relation must either hold
     # cleanly or be violated decisively; verify.run_check asserts at least
     # one violation per check
-    if residual.max_abs <= gate_pass:
+    if rel <= tol_pass:
         return PASS, tol_pass
-    if residual.max_abs >= gate_violation:
+    if rel >= tol_violation:
         return VIOLATED, tol_violation
     return FAIL, tol_pass
 

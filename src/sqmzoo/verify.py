@@ -357,7 +357,7 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
                                    tol_violation))
     if expect == "any" and not any(r.verdict == VIOLATED for r in reports):
         worst = max((r.residual for r in reports),
-                    key=lambda res: res.max_abs / (1.0 + res.scale))
+                    key=lambda res: res.relative)
         reports.append(CheckReport(f"{name}: no relation violated", worst,
                                    tol_violation, FAIL, spec))
     return reports

@@ -30,7 +30,7 @@ from .clifford import bilinear, complex_fermions, const_tensor, hermitian_fermio
 from .diffop import (DiffOp, Exclusion, SampleSpec, adjoint_with_measure,
                      anticommutator, compose, momentum_op, mult_op,
                      naive_dagger, reduce_cyclic, rename_coords,
-                     sampled_residual, similarity, unit_index, zero_op)
+                     similarity, unit_index, zero_op)
 from .expr import Const, Coord, parse
 from .fields import (ConstField, ScalarFnField, ZeroField, fconst, fdet,
                      fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
@@ -264,10 +264,10 @@ def dolbeault(omega, d, W=None):
         raise ValueError("omega must be d x d")
     Q = similarity(free_complex_charge(coords, rep, d),
                    bilinear(rep, om, "pb"))
-    geo = geometry.from_omega(om, "complex_dolbeault")
-    mu = fdet(geo.hermitian_metric)
+    h = fmatmul(fexp(om.conj_t()), fexp(om))
+    mu = fdet(h)
     recipe = [f"free_complex(d={d})", "similarity(exp(omega psi psibar))"]
-    meta = {"geometry": geo}
+    meta = {"hermitian_metric": h}
     if W is not None:
         w_expr = _expr(W, coords)
         g_field = fsum([fexpr(w_expr, n, "W"),
@@ -317,7 +317,7 @@ def de_rham(omega, D, W=None, torsion=None):
     rep = complex_fermions(D)
     n = D
     om = omega if hasattr(omega, "eval_jet") else _matrix_field(omega, coords)
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     Q = similarity(free_real_charge(coords, rep), bilinear(rep, om, "pb"))
     q_geo = geometric_charge(geo, rep)
     qbar_geo = geometric_charge(geo, rep, bar=True)
@@ -373,8 +373,7 @@ def quasicomplex(omega, D):
         expected_algebra="N2",
         recipe=(f"free_complex(d={D})", "similarity(exp(omega psi psibar))",
                 "reduce_cyclic(drop all y)", "adjoint(measure = det h)"),
-        default_box=((-0.9, 0.9),) * D,
-        meta={"omega_entries": omega})
+        default_box=((-0.9, 0.9),) * D)
 
 
 def _structure_fields(geo, I, rep):
@@ -426,7 +425,7 @@ def kahler(geo, I, omega=None):
         measure=geo.sqrt_det_metric(), ops=ops,
         expected_algebra="N4", recipe=tuple(recipe),
         default_box=((-0.9, 0.9),) * geo.ncoords,
-        meta={"geometry": geo, "structure": I})
+        meta={"geometry": geo})
 
 
 def hyperkahler(geo, triple, spec=None):
@@ -441,11 +440,8 @@ def hyperkahler(geo, triple, spec=None):
     structure_ok = True
     if spec is not None:
         geometry.require_quaternion(triple, spec)
-        for r in sampled_residual(
-                [geometry.covariant_derivative_fields(s, geo) for s in triple],
-                spec):
-            if r.max_abs > geometry.STRUCTURE_TOL * (1.0 + r.scale):
-                structure_ok = False
+        structure_ok = (geometry.worst_covariant_derivative(triple, geo, spec)
+                        <= geometry.STRUCTURE_TOL)
     charges = [("Q", geometric_charge(geo, rep))]
     ops = {}
     for a, I in enumerate(triple, start=1):
@@ -610,8 +606,7 @@ def instanton(rho=1.0):
         "instanton", coords, rep, charges, h_pairs=2, ops=constraints,
         expected_algebra="N4",
         recipe=("free_complex(d=2) x color", "self-dual gauge rotation",),
-        default_box=((-1.2, 1.2),) * 4,
-        meta={"rho": rho})
+        default_box=((-1.2, 1.2),) * 4)
 
 
 def gauge_sym3():
@@ -775,8 +770,7 @@ def gauge_sym3_resolved(g0=1.0):
         recipe=("gauge_sym3", "polar decomposition, gauge fixed",
                 "hamiltonian reduction by Gauss constraints"),
         default_box=((1.0, 2.0), (0.2, 0.8), (0.0, 6.28)),
-        default_exclusions=exclusions,
-        meta={"g0": g0})
+        default_exclusions=exclusions)
 
 
 def mode_label(vec):
@@ -976,8 +970,7 @@ def torsion_rotate(model, B, kind="holomorphic"):
         measure=model.measure, expected_algebra="N2",
         recipe=model.recipe + (f"similarity(exp({kind} bilinear))",),
         default_box=model.default_box,
-        default_exclusions=model.default_exclusions,
-        meta={"parent": model.name})
+        default_exclusions=model.default_exclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +985,7 @@ def _warped_geometry(u):
     z = ZeroField((1, 1), 4)
     om = fgrid([[mu, z, z, z], [z, mu, z, z],
                 [z, z, z, z], [z, z, z, z]])
-    return geometry.from_omega(om, "real_symmetric"), om
+    return geometry.from_omega(om), om
 
 
 def kahler_warped(u="0.3*sin(x1) + 0.2*x2^2"):
@@ -1011,7 +1004,7 @@ def hyperkahler_flat(D=4):
     """Flat space with the canonical quaternionic triple: N=8 exactly."""
     nc = D
     zgrid = fgrid([[ZeroField((1, 1), nc)] * D] * D)
-    geo = geometry.from_omega(zgrid, "real_symmetric")
+    geo = geometry.from_omega(zgrid)
     trio = [geometry.constant_structure(c, nc, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(D))]
     return hyperkahler(geo, trio)
@@ -1025,7 +1018,7 @@ def hyperkahler_gibbons_hawking(centers=((0.0, 0.0, 0.0),), weights=(0.5,),
     """Gibbons-Hawking metric with the covariantly constant 't Hooft
     orientation auto-selected; the sample box must avoid the centers and
     the gauge strings on the negative x3-axis below them."""
-    geo, v, a = geometry.gibbons_hawking(
+    geo, _v, _a = geometry.gibbons_hawking(
         [tuple(c) for c in centers], list(weights), eps)
     sel_spec = SampleSpec(box=tuple(tuple(b) for b in box), n_points=6, seed=seed)
     trio, variant = geometry.select_orientation(geo, sel_spec)
@@ -1034,8 +1027,7 @@ def hyperkahler_gibbons_hawking(centers=((0.0, 0.0, 0.0),), weights=(0.5,),
         m, name="hyperkahler_gh",
         recipe=m.recipe + (f"orientation {variant} selected",),
         default_box=tuple(tuple(b) for b in box),
-        meta={**m.meta, "potential": v, "vector_potential": a,
-              "orientation": variant})
+        meta={**m.meta, "orientation": variant})
 
 
 def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):

@@ -5,19 +5,22 @@ with sympy (an independent code path) and compares coefficient by
 coefficient at sample points.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy
 
 from sqmzoo.clifford import bilinear, complex_fermions
-from sqmzoo.diffop import (DiffOp, OpError, ReductionError, SampleSpec,
-                           adjoint_with_measure, anticommutator, commutator,
-                           compose, is_zero, momentum_op, mult_op,
+from sqmzoo.diffop import (DiffOp, OpError, ReductionError, Residual,
+                           SampleSpec, adjoint_with_measure, anticommutator,
+                           commutator, compose, is_zero, momentum_op, mult_op,
                            naive_dagger, partial_op, pretty, reduce_cyclic,
                            rename_coords, similarity, zero_op)
 from sqmzoo.expr import parse
 from sqmzoo.fields import (evaluate, fconst, fdiag, fexpr, fidentity, fpow,
                            fscale)
+from sqmzoo.report import TOL_PASS
 
 REP1 = complex_fermions(1)
 X = ("x",)
@@ -300,6 +303,15 @@ def test_reduce_rejects_dependence():
         reduce_cyclic(f, ["y"], spec)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reduce_rejects_a_nonfinite_dependence():
+    # exp(800 y) overflows in the box, so the y-derivative is not finite
+    f = scalar_op("exp(800*y) + x", ("x", "y"))
+    spec = SampleSpec(box=((-1, 1), (-1, 1)), n_points=8, seed=1)
+    with pytest.raises(ReductionError):
+        reduce_cyclic(f, ["y"], spec)
+
+
 def test_reduce_commutes_with_brackets():
     coords = ("x", "y")
     rep = complex_fermions(1)
@@ -331,6 +343,29 @@ def test_is_zero_negative():
     assert not flag
     assert res.max_abs > 0.1
     assert res.argmax_point is not None
+
+
+@pytest.mark.parametrize("max_abs,scale,relative", [
+    (math.nan, 0.0, math.inf), (math.inf, math.inf, math.inf),
+    (1e-12, 0.0, 1e-12), (1e-8, 1e2, 1e-8 / 101.0)])
+def test_relative_residual(max_abs, scale, relative):
+    res = Residual(max_abs, (0.0,), scale)
+    assert res.relative == relative
+    assert (res.relative <= TOL_PASS) == math.isfinite(relative)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_is_zero_rejects_an_infinite_residual():
+    # exp(800 x) overflows on [0.5, 1]: max_abs and scale are both inf
+    spec = SampleSpec(box=((0.5, 1.0),), n_points=12, seed=0)
+    flag, res = is_zero(scalar_op("exp(800*x)"), spec)
+    assert res.max_abs == res.scale == math.inf
+    assert not flag
+
+
+def test_sample_spec_needs_a_point():
+    with pytest.raises(OpError, match="at least one point"):
+        SampleSpec(box=((-1, 1),), n_points=0)
 
 
 def test_sample_exclusions():

@@ -13,9 +13,9 @@ from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            DetField, DiagField, EntryField, EvalContext,
                            ExprField, GridField, InverseField, MatExpField,
                            MatMulField, PlanError, PositiveGuardField,
-                           PowField, RestrictField, ScalarConjField,
-                           ScalarFnField, ScalarMulField, ScaleField,
-                           SumField, TransposeField, ZeroField, plan_requests)
+                           PowField, RestrictField, ScalarFnField,
+                           ScalarMulField, ScaleField, SumField,
+                           TransposeField, ZeroField, plan_requests)
 
 SPEC2 = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=3, seed=4)
 
@@ -70,7 +70,7 @@ def _every_node_type():
     square = MatMulField(grid, TransposeField(grid))
     inv = InverseField(SumField([grid, ConstField(3.0 * np.eye(2), 2)]))
     expo = MatExpField(ScaleField(0.3, grid))
-    diag = DiagField(ScalarConjField(root_a), 2)
+    diag = DiagField(ConjTransposeField(root_a), 2)
     det = DetField(grid)
     twice = SumField([chain, chain])
     scaled = ScalarMulField(SumField([det, log_a]), ConjTransposeField(square))
@@ -129,11 +129,12 @@ _CHAIN = "d1[d0[grid(2, 2)]]"
 _SCALED = f"(det(grid(2, 2)) + log({_X}))*({_GRID_SQ})^+"
 _FOCK = ("[grid(2, 2) + restrict(grid(2, 2))]*psi.psibar + "
          "[grid(1, 2)]*psi + 0")
-_DIAG = f"(conj(({_X})^(1/2)))*1"
+_DIAG = f"((({_X})^(1/2))^+)*1"
 
 # (type name, describe()) of every node _every_node_type reaches
 NODE_DESCRIPTIONS = {
     ("ConjTransposeField", f"({_GRID_SQ})^+"),
+    ("ConjTransposeField", f"(({_X})^(1/2))^+"),
     ("ConstField", "const(2, 2)"),
     ("DerivativeField", "d0[grid(2, 2)]"),
     ("DerivativeField", "d0d1[d0[grid(2, 2)]]"),
@@ -161,7 +162,6 @@ NODE_DESCRIPTIONS = {
     ("PositiveGuardField", _X),
     ("PowField", f"({_X})^(1/2)"),
     ("RestrictField", "restrict(grid(2, 2))"),
-    ("ScalarConjField", f"conj(({_X})^(1/2))"),
     ("ScalarFnField", f"log({_X})"),
     ("ScalarMulField", _SCALED),
     ("ScaleField", "(0.3)*grid(2, 2)"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqmzoo import geometry
+from sqmzoo import geometry, zoo
 from sqmzoo.diffop import SampleSpec, sampled_residual
 from sqmzoo.expr import Const, Coord, parse
 from sqmzoo.fields import (EvalContext, ZeroField, evaluate, fexpr, fgrid,
@@ -29,7 +29,7 @@ SPEC4 = SampleSpec(box=((-0.9, 0.9),) * 4, n_points=8, seed=1)
 
 def test_flat_geometry():
     z = ZeroField((1, 1), 2)
-    geo = geometry.from_omega(fgrid([[z, z], [z, z]]), "real_symmetric")
+    geo = geometry.from_omega(fgrid([[z, z], [z, z]]))
     spec = SampleSpec(box=((-1, 1), (-1, 1)), n_points=3, seed=2)
     p = spec.points()[0]
     assert np.allclose(evaluate(geo.metric, p)[:, :, 0], np.eye(2))
@@ -40,7 +40,7 @@ def test_flat_geometry():
 
 def test_one_dimensional_closed_forms():
     om = _scalar_grid([["0.4*x^2"]], ["x"])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     x = 0.6
     w, wp = 0.4 * x * x, 0.8 * x
     assert evaluate(geo.metric, (x,))[0, 0, 0] == pytest.approx(np.exp(-2 * w))
@@ -55,7 +55,7 @@ def test_conformally_flat_metric():
     g = fexpr(parse("0.2*(x1^2+x3^2)", coords), 4)
     om = fgrid([[g if i == j else ZeroField((1, 1), 4) for j in range(4)]
                 for i in range(4)])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     p = (0.5, -0.3, 0.8, 0.1)
     gval = 0.2 * (0.25 + 0.64)
     assert np.allclose(evaluate(geo.metric, p)[:, :, 0],
@@ -66,7 +66,7 @@ def test_christoffels_match_finite_difference_oracle():
     """Independent oracle: Gamma from centred differences of the metric."""
     om = _scalar_grid([["0.3*sin(x1)", "0.1*x1*x2"],
                        ["0.1*x1*x2", "0.2*x2^2"]], ["x1", "x2"])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     h = 1e-5
     spec = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=5, seed=4)
     for p in spec.points():
@@ -91,7 +91,7 @@ def test_christoffels_match_finite_difference_oracle():
 
 def test_christoffel_symmetric_and_metric_compatible():
     om = warped_omega("0.3*sin(x1) + 0.2*x2^2")
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     p = SPEC4.points()[0]
     for n in range(4):
         g = evaluate(geo.christoffel[n], p)[:, :, 0]
@@ -104,7 +104,7 @@ def test_christoffel_symmetric_and_metric_compatible():
 def test_spin_connection_antisymmetry():
     om = _scalar_grid([["0.3*sin(x1)", "0.1*x1*x2"],
                        ["0.1*x1*x2", "0.2*x2^2"]], ["x1", "x2"])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     spec = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=6, seed=5)
     for p in spec.points():
         for m in range(2):
@@ -117,7 +117,7 @@ def test_spin_connection_antisymmetry():
 
 def test_flat_canonical_structure_all_residuals_zero():
     z = ZeroField((1, 1), 4)
-    geo = geometry.from_omega(fgrid([[z] * 4] * 4), "real_symmetric")
+    geo = geometry.from_omega(fgrid([[z] * 4] * 4))
     I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
     reports = geometry.check_complex_structure(I, geo, SPEC4)
     for r in reports:
@@ -126,8 +126,7 @@ def test_flat_canonical_structure_all_residuals_zero():
 
 
 def test_warped_kahler_covariantly_constant():
-    geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x2^2"),
-                              "real_symmetric")
+    geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x2^2"))
     I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
     reports = geometry.check_complex_structure(I, geo, SPEC4)
     assert all(r.verdict == "pass" for r in reports)
@@ -136,8 +135,7 @@ def test_warped_kahler_covariantly_constant():
 
 
 def test_warping_third_coordinate_breaks_constancy():
-    geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x3^2"),
-                              "real_symmetric")
+    geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x3^2"))
     I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
     reports = geometry.check_complex_structure(I, geo, SPEC4, expected="violated")
     cov = [r for r in reports if r.name.startswith("cov-const")][0]
@@ -147,7 +145,7 @@ def test_warping_third_coordinate_breaks_constancy():
 
 def test_quaternion_check_variants():
     z = ZeroField((1, 1), 4)
-    geo = geometry.from_omega(fgrid([[z] * 4] * 4), "real_symmetric")
+    geo = geometry.from_omega(fgrid([[z] * 4] * 4))
     canon = [geometry.constant_structure(c, 4, label=a + 1)
              for a, c in enumerate(geometry.canonical_triple(4))]
     assert geometry.check_quaternion(*canon, SPEC4).verdict == "pass"
@@ -212,12 +210,43 @@ def test_selected_orientation_must_pass_the_quaternion_algebra(monkeypatch):
     """A covariantly constant triple that is not quaternionic is rejected
     when it is selected, with the message hyperkahler gives."""
     z = ZeroField((1, 1), 4)
-    geo = geometry.from_omega(fgrid([[z] * 4] * 4), "real_symmetric")
+    geo = geometry.from_omega(fgrid([[z] * 4] * 4))
     first = geometry.canonical_triple(4)[0]
     monkeypatch.setattr(geometry, "canonical_triple",
                         lambda D, variant="eta": [first] * 3)
     with pytest.raises(ValueError, match="triple fails the quaternion"):
         geometry.select_orientation(geo, SPEC4)
+
+
+def _overflowing_geometry():
+    """diag(u, u, 0, 0) with u = 0.001 exp(800 x1): on [0.5, 1]^4 the
+    metric overflows, so every covariant derivative is NaN."""
+    coords = ("x1", "x2", "x3", "x4")
+    u = fexpr(parse("0.001*exp(800*x1)", coords), 4)
+    z = ZeroField((1, 1), 4)
+    return geometry.from_omega(fgrid([[u, z, z, z], [z, u, z, z],
+                                      [z, z, z, z], [z, z, z, z]]))
+
+
+NAN_SPEC = SampleSpec(box=((0.5, 1.0),) * 4, n_points=6, seed=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_covariant_derivative_is_not_a_structure():
+    geo = _overflowing_geometry()
+    trio = [geometry.constant_structure(c, 4, label=a + 1)
+            for a, c in enumerate(geometry.canonical_triple(4))]
+    m = zoo.hyperkahler(geo, trio, spec=NAN_SPEC)
+    assert not m.meta["structure_ok"]
+    cov = geometry.check_complex_structure(trio[0], geo, NAN_SPEC)[2]
+    assert cov.verdict == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_covariant_derivative_selects_no_orientation():
+    with pytest.raises(ValueError,
+                       match="no covariantly constant orientation"):
+        geometry.select_orientation(_overflowing_geometry(), NAN_SPEC)
 
 
 def test_gh_two_centers():
@@ -258,7 +287,7 @@ def test_gh_nonpositive_weight_guard():
 def test_pointwise_polar_extraction():
     om = _scalar_grid([["0.3*sin(x1)", "0.1*x1*x2"],
                        ["0.1*x1*x2", "0.2*x2^2"]], ["x1", "x2"])
-    geo = geometry.from_omega(om, "real_symmetric")
+    geo = geometry.from_omega(om)
     p = (0.4, -0.7)
     got = geometry.pointwise_symmetric_omega(geo.einv, p)
     want = evaluate(om, p)[:, :, 0]

@@ -134,3 +134,45 @@ def test_unstated_node_type_is_found():
         params = ["coeff"]
 
     assert _unstated([Stated, Inherited, Listed]) == ["Inherited", "Listed"]
+
+
+# a residual's parts; only diffop, where Residual.relative is defined,
+# may compare them or compute with them
+RESIDUAL_PARTS = ("max_abs", "scale")
+
+
+def _residual_arithmetic(tree):
+    """Lines where a comparison or an arithmetic operation has a
+    residual's ``max_abs`` or ``scale`` as an operand."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any(isinstance(op, ast.Attribute) and op.attr in RESIDUAL_PARTS
+               for op in operands):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "diffop.py"],
+                         ids=lambda p: p.name)
+def test_one_zero_rule(path):
+    """Every sampled decision reads Residual.relative, so no module
+    re-derives the rule from max_abs and scale."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _residual_arithmetic(tree) == []
+
+
+def test_residual_arithmetic_is_found():
+    tree = ast.parse("ok = r.max_abs <= tol * (1.0 + r.scale)\n"
+                     "rel = r.max_abs / 2\n"
+                     "text = f'{r.max_abs:.3e} (scale {r.scale:.3e})'\n"
+                     "ok = r.relative <= tol\n"
+                     "big = max(r.scale, 1.0)\n"
+                     "if res.scale > 0:\n    pass\n")
+    assert _residual_arithmetic(tree) == [1, 2, 6]

@@ -14,8 +14,8 @@ from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            DetField, DiagField, EntryField, ExprField,
                            GridField, InverseField, MatExpField, MatMulField,
                            PositiveGuardField, PowField, RestrictField,
-                           ScalarConjField, ScalarFnField, ScalarMulField,
-                           ScaleField, SumField, TransposeField, ZeroField)
+                           ScalarFnField, ScalarMulField, ScaleField,
+                           SumField, TransposeField, ZeroField)
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
                    .glob("*.yaml"))
@@ -184,8 +184,6 @@ NODE_TYPES = {
     EntryField: (lambda: EntryField(_GRID, 0, 1),
                  [lambda: EntryField(_GRID, 1, 0)]),
     DiagField: (lambda: DiagField(_X, 2), [lambda: DiagField(_X, 3)]),
-    ScalarConjField: (lambda: ScalarConjField(_X),
-                      [lambda: ScalarConjField(_Y)]),
     RestrictField: (lambda: RestrictField(_GRID3, (0, 1), (0.0, 0.0, 0.4)),
                     [lambda: RestrictField(_GRID3, (0, 1), (0.0, 0.0, 0.5)),
                      lambda: RestrictField(_GRID3, (0, 2), (0.0, 0.0, 0.4))]),

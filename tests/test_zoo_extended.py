@@ -152,8 +152,7 @@ def test_mixed_orientation_triple_rejected():
     z = [[  # flat geometry
         "0" for _ in range(4)] for _ in range(4)]
     from sqmzoo.fields import ZeroField, fgrid
-    geo = geometry.from_omega(
-        fgrid([[ZeroField((1, 1), 4)] * 4] * 4), "real_symmetric")
+    geo = geometry.from_omega(fgrid([[ZeroField((1, 1), 4)] * 4] * 4))
     canon = geometry.canonical_triple(4)
     canon_bar = geometry.canonical_triple(4, "eta_bar")
     trio = [geometry.constant_structure(canon[0], 4, 1),

@@ -8,7 +8,8 @@ from sqmzoo.clifford import bilinear, grade_decompose
 from sqmzoo.diffop import (SampleSpec, anticommutator, compose, is_zero,
                            similarity)
 from sqmzoo.fields import (EvalContext, ZeroField, evaluate, fdet, fexpr,
-                           fgrid, flog, fmatmul, fscale, ftranspose)
+                           fgrid, fidentity, flog, fmatmul, fscale,
+                           ftranspose)
 from sqmzoo.expr import parse
 
 OMEGA_2D = [["0.2*sin(x1)", "0.1*(x2 + y1)"],
@@ -38,16 +39,15 @@ def test_dolbeault_scalar_metric():
     # h = e^{2u} for scalar omega = u
     p = spec.points()[0]
     u = 0.25 * (p[0] ** 2 + p[1] ** 2)
-    h = evaluate(m.meta["geometry"].hermitian_metric, p)[0, 0, 0]
+    h = evaluate(m.meta["hermitian_metric"], p)[0, 0, 0]
     assert h == pytest.approx(np.exp(2 * u), rel=1e-12)
 
 
 def test_geometric_charge_needs_a_spin_connection():
-    # a Dolbeault geometry keeps only the Hermitian metric, so there is
-    # no connection to build Q from
-    m = zoo.dolbeault([["0.25*x1"]], d=1)
-    with pytest.raises(ValueError, match="0 connections"):
-        zoo.geometric_charge(m.meta["geometry"], m.rep)
+    # one connection per frame column, or there is nothing to build Q from
+    m = zoo.free_real(2)
+    with pytest.raises(ValueError, match="2 columns but 0 connections"):
+        zoo.frame_charge(m.coords, m.rep, fidentity(2, 2), [])
 
 
 def test_dolbeault_nondiagonal_with_twist():
@@ -65,7 +65,7 @@ def test_dolbeault_antiholomorphic_twist_statement():
     coords = ("x1", "x2", "y1", "y2")
     m = zoo.dolbeault(om_entries, d=2)
     om = zoo._matrix_field(om_entries, coords)
-    h = m.meta["geometry"].hermitian_metric
+    h = m.meta["hermitian_metric"]
     g_field = fscale(-0.5, flog(fdet(h)))
     q_twisted = similarity(m.op("Q"), g_field)
     free = zoo.free_complex(2)
