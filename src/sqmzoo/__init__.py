@@ -10,7 +10,6 @@ from .diffop import (DiffOp, Exclusion, Residual, SampleSpec,
 from .expr import Expr, parse
 from .fields import evaluate
 from .geometry import (ComplexStructure, GeometryData, canonical_triple,
-                       check_complex_structure, check_quaternion,
                        from_omega, from_vielbein, gibbons_hawking,
                        kahler_block_structure, select_orientation)
 from .report import CheckReport, render_report
@@ -20,11 +19,10 @@ __all__ = [
     "CATALOG", "CheckReport", "ComplexStructure", "DiffOp", "Exclusion",
     "Expr", "FermionRep", "GeometryData", "Model", "Residual", "SampleSpec",
     "adjoint_with_measure", "anticommutator", "bilinear", "canonical_triple",
-    "check_complex_structure", "check_quaternion", "commutator",
-    "complex_fermions", "compose", "const_tensor", "evaluate", "from_omega",
-    "from_vielbein", "gibbons_hawking", "hermitian_fermions", "is_zero",
-    "kahler_block_structure", "linear", "list_models", "momentum_op",
-    "mult_op", "naive_dagger", "parse", "partial_op", "pretty",
+    "commutator", "complex_fermions", "compose", "const_tensor", "evaluate",
+    "from_omega", "from_vielbein", "gibbons_hawking", "hermitian_fermions",
+    "is_zero", "kahler_block_structure", "linear", "list_models",
+    "momentum_op", "mult_op", "naive_dagger", "parse", "partial_op", "pretty",
     "realify", "reduce_cyclic", "render_report", "select_orientation",
     "similarity",
 ]

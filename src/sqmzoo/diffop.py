@@ -470,19 +470,13 @@ def sampled_residual(groups, spec):
             for fields, acc in zip(groups, found)]
 
 
-def op_residuals(ops, spec):
-    """Residual of each operator's coefficients, in one sampled pass."""
-    for A in ops:
-        if len(spec.box) != A.ncoords:
-            raise OpError("sample box does not match operator coordinates")
-    return sampled_residual([A.terms.values() for A in ops], spec)
-
-
 def is_zero(A, spec, tol=TOL_PASS):
     """Evaluate all coefficients at sampled points; pass iff the
     residual's ``relative`` is at most tol, which a NaN or infinite
     residual or scale never is."""
-    res, = op_residuals([A], spec)
+    if len(spec.box) != A.ncoords:
+        raise OpError("sample box does not match operator coordinates")
+    res, = sampled_residual([A.terms.values()], spec)
     return res.relative <= tol, res
 
 

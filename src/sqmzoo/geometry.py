@@ -21,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .diffop import sampled_residual, unit_index
+from .diffop import TOL_PASS, sampled_residual, unit_index
 from .expr import Coord, Const
-from .fields import (EvalContext, ZeroField, fconst, fdet, fentry, fexp,
-                     fexpr, fgrid, fidentity, finv, fmatmul, fpow, fscale,
-                     fsum, ftranspose)
-from .report import make_report
+from .fields import (ZeroField, fconst, fdet, fentry, fexp, fexpr, fgrid,
+                     fidentity, finv, fmatmul, fpow, fscale, fsum, ftranspose)
 
 # largest covariant derivative of a complex structure, relative to
 # 1 + its scale, at which the structure counts as covariantly constant
@@ -223,25 +221,20 @@ def covariant_derivative_fields(I, geo):
     return _covariant_derivative(lowered(I, geo), geo)
 
 
-def check_complex_structure(I, geo, spec, expected="pass"):
-    """Reports for I^2 = -1, antisymmetry of I_MN, and covariant constancy."""
+def structure_fields(I, geo):
+    """The three groups of fields that vanish when I is a covariantly
+    constant complex structure compatible with the metric: I^2 + 1, the
+    symmetric part I_MN + I_NM, and D_P I_MN for each P."""
     dim, nc = geo.dim, geo.ncoords
     sq = fsum([fmatmul(I.matrix, I.matrix), fidentity(dim, nc)], (dim, dim), nc)
     ilow = lowered(I, geo)
     asym = fsum([ilow, ftranspose(ilow)], (dim, dim), nc)
-    r_sq, r_asym, r_cov = sampled_residual(
-        [[sq], [asym], covariant_derivative_fields(I, geo)], spec)
-    tag = f"I{I.label}" if I.label else "I"
-    return [
-        make_report(f"{tag}^2 = -1", r_sq, spec),
-        make_report(f"{tag}_MN antisymmetric", r_asym, spec),
-        make_report(f"cov-const {tag}", r_cov, spec, expected=expected),
-    ]
+    return [sq], [asym], covariant_derivative_fields(I, geo)
 
 
-def check_quaternion(i1, i2, i3, spec, expected="pass"):
-    """Residual of I^a I^b = -delta^ab + eps^abc I^c over all nine products."""
-    trio = (i1, i2, i3)
+def quaternion_fields(trio):
+    """The nine fields I^a I^b + delta^ab - eps^abc I^c, which vanish when
+    the triple obeys the quaternion algebra."""
     dim = trio[0].dim
     nc = trio[0].matrix.ncoords
     eps = clifford.const_tensor("epsilon3")
@@ -255,15 +248,15 @@ def check_quaternion(i1, i2, i3, spec, expected="pass"):
                 if eps[a, b, c]:
                     parts.append(fscale(-eps[a, b, c], trio[c].matrix))
             fields.append(fsum(parts, (dim, dim), nc))
-    r, = sampled_residual([fields], spec)
-    return make_report("quaternion algebra", r, spec, expected=expected)
+    return fields
 
 
 def require_quaternion(triple, spec):
-    """Raise ValueError unless ``triple`` passes :func:`check_quaternion`."""
-    qrep = check_quaternion(*triple, spec)
-    if not qrep.ok:
-        raise ValueError(f"triple fails the quaternion algebra: {qrep.line()}")
+    """Raise ValueError unless the :func:`quaternion_fields` of ``triple``
+    vanish at the points of ``spec``."""
+    r, = sampled_residual([quaternion_fields(triple)], spec)
+    if r.relative > TOL_PASS:
+        raise ValueError(f"triple fails the quaternion algebra: {r}")
 
 
 def metric_compatibility_fields(geo):
@@ -317,31 +310,24 @@ def gibbons_hawking(centers, weights, eps=1.0):
     return geo, v, a
 
 
-def worst_covariant_derivative(triple, geo, spec):
-    """Largest ``relative`` residual of the covariant derivatives of the
-    structures in ``triple`` at the points of ``spec``: the one number
-    compared with STRUCTURE_TOL, and inf when any of them is NaN or
-    infinite."""
-    return max(r.relative for r in sampled_residual(
-        [covariant_derivative_fields(s, geo) for s in triple], spec))
-
-
 def select_orientation(geo, spec):
     """Pick the 't Hooft orientation whose triple is covariantly constant.
 
     Tries eta- and eta_bar-built frame triples and returns (triple,
-    variant) for the first whose worst_covariant_derivative at the
-    points of ``spec`` is at most STRUCTURE_TOL, after checking its
-    quaternion algebra there.  A NaN or infinite covariant derivative
-    never passes.  Raises if neither orientation passes, which is the
-    expected outcome for metrics that are not hyper-Kahler.
+    variant) for the first whose largest covariant-derivative
+    ``relative`` residual at the points of ``spec`` is at most
+    STRUCTURE_TOL, after checking its quaternion algebra there.  A NaN
+    or infinite covariant derivative never passes.  Raises if neither
+    orientation passes, which is the expected outcome for metrics that
+    are not hyper-Kahler.
     """
     best = None
     for variant in ("eta", "eta_bar"):
         consts = canonical_triple(geo.dim, variant)
         trio = [frame_structure(geo, c, label=a + 1)
                 for a, c in enumerate(consts)]
-        worst = worst_covariant_derivative(trio, geo, spec)
+        worst = max(r.relative for r in sampled_residual(
+            [covariant_derivative_fields(s, geo) for s in trio], spec))
         if worst <= STRUCTURE_TOL:
             require_quaternion(trio, spec)
             return trio, variant
@@ -349,18 +335,3 @@ def select_orientation(geo, spec):
             best = (worst, variant)
     raise ValueError(
         f"no covariantly constant orientation (best {best[1]}: {best[0]:.3e})")
-
-
-def pointwise_symmetric_omega(einv, point):
-    """Diagnostic polar extraction: symmetric log-vielbein at one point.
-
-    Splits off the tangent-space rotation of the vielbein value and
-    returns omega with e^{-omega} equal to the symmetric polar factor.
-    """
-    val = einv.eval_jet(EvalContext(point), 0)[:, :, 0]
-    u, s, vt = np.linalg.svd(val)
-    sym = (u * s) @ u.conj().T          # polar: val = sym . (u vt)
-    w, vecs = np.linalg.eigh((sym + sym.conj().T) / 2)
-    if np.any(w <= 0):
-        raise ValueError("vielbein polar factor not positive definite")
-    return -vecs @ np.diag(np.log(w)) @ vecs.conj().T

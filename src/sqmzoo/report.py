@@ -1,4 +1,4 @@
-"""Structured check results shared by the geometry and algebra suites.
+"""Structured check results; ``verify.run_check`` is the one producer.
 
 Verdict policy: a relation expected to hold passes when its sampled
 residual's ``relative`` (max_abs / (1 + scale)) is at most tol_pass; a

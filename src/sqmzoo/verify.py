@@ -1,12 +1,13 @@
 """Superalgebra checks as data, and the one function that evaluates them.
 
 A check is a function ``(model, **params) -> list[Relation]``: it builds
-the operators that a claimed relation says must vanish and labels them,
-but samples nothing.  ``CHECKS`` maps each check name to its function;
+the fields that a claimed relation says must vanish and labels them, but
+samples nothing.  ``CHECKS`` maps each check name to its function;
 ``run_check`` evaluates a check's relations at the sample points of a
-spec and turns each into a CheckReport.  Reports are deterministic given
-the sample spec.  Sign conventions frozen by flat-space computation (and
-asserted there by the test suite):
+spec and turns each into a CheckReport; it is the only producer of
+sampled verdicts.  Reports are deterministic given the sample spec.
+Sign conventions frozen by flat-space computation (and asserted there by
+the test suite):
 
 * [F+, F-] = F0 - D/2,
 * [S^a, F^b+] = delta^ab Qbar + eps^abc Sbar^c  (and the conjugate with
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clifford import const_tensor
-from .diffop import (EvaluationError, anticommutator, commutator, compose,
-                     is_zero, momentum_op, mult_op, naive_dagger,
-                     op_residuals, similarity, zero_op)
-from .fields import EvalContext, fexpr, fidentity
+from .diffop import (DiffOp, EvaluationError, OpError, anticommutator,
+                     commutator, compose, momentum_op, mult_op, naive_dagger,
+                     sampled_residual, similarity, zero_op)
+from .fields import fexpr, fidentity
+from .geometry import quaternion_fields, structure_fields
 from .report import (EXPECTATIONS, FAIL, TOL_PASS, TOL_VIOLATION, VIOLATED,
                      CheckReport, make_report)
 from .zoo import mode_label
@@ -35,15 +35,22 @@ _SIGMA = const_tensor("sigma_pauli")
 
 @dataclass(frozen=True)
 class Relation:
-    """A claimed operator identity: ``op`` is the operator that must
-    vanish.  ``expected`` is what the relation should do (see
-    ``report.classify``); ``tol``, when set, tightens the pass tolerance
-    for this relation only."""
+    """A claimed identity: every field of ``fields`` must vanish.  An
+    operator given as ``fields`` stands for its coefficient fields.
+    ``expected`` is what the relation should do (see ``report.classify``);
+    ``tol``, when set, tightens the pass tolerance for this relation
+    only."""
 
     label: str
-    op: object                # DiffOp
+    fields: tuple
     expected: str = "pass"
     tol: float = None
+
+    def __post_init__(self):
+        fields = self.fields
+        if isinstance(fields, DiffOp):
+            fields = fields.terms.values()
+        object.__setattr__(self, "fields", tuple(fields))
 
 
 def _pair(m, name):
@@ -281,6 +288,26 @@ def check_wz_similarity(m):
     return out
 
 
+def check_structure(m):
+    """The hypotheses of Theorems 1 and 2 for each complex structure of
+    the model: I^2 = -1, I_MN antisymmetric and I covariantly constant,
+    and the quaternion algebra of a triple."""
+    structures = m.meta.get("structures")
+    if not structures:
+        raise KeyError(f"model {m.name} has no complex structure")
+    out = []
+    for I in structures:
+        tag = f"I{I.label}" if I.label else "I"
+        square, asym, cov = structure_fields(I, m.meta["geometry"])
+        out += [Relation(f"{tag}^2 = -1", square),
+                Relation(f"{tag}_MN antisymmetric", asym),
+                Relation(f"cov-const {tag}", cov)]
+    if len(structures) == 3:
+        out.append(Relation("quaternion algebra",
+                            quaternion_fields(structures)))
+    return out
+
+
 def check_equal(m, a, b, tol=None):
     """Operator comparison: the named operators a and b coincide."""
     return [Relation(f"{a} == {b}", m.op(a) - m.op(b),
@@ -315,6 +342,7 @@ CHECKS = {
     "instanton_su2": check_instanton,
     "exploratory": check_exploratory,
     "wz_similarity": check_wz_similarity,
+    "structure": check_structure,
     "equal": check_equal,
 }
 
@@ -323,7 +351,7 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
               **params):
     """Evaluate the relations of check ``name`` at the points of ``spec``.
 
-    All relations go through one ``op_residuals`` pass: each sample point
+    All relations go through one ``sampled_residual`` pass: each sample point
     gets one evaluation context shared by every relation of the check, so
     an operator that several relations contain is evaluated once per
     point, and each relation's scale is still taken over its own DAG
@@ -337,14 +365,17 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
     a failing record ``<name>: no relation violated`` is appended.
 
     An EvaluationError from the sampled pass leaves with the label of
-    the relation that raised it.
+    the relation that raised it; a sample box that does not match the
+    model's coordinates raises OpError.
     """
     if expect is not None and expect not in EXPECTATIONS:
         raise ValueError(f"unknown expectation {expect!r}")
+    if len(spec.box) != len(model.coords):
+        raise OpError("sample box does not match the model's coordinates")
     tol_pass, tol_violation = tols
     relations = CHECKS[name](model, **params)
     try:
-        residuals = op_residuals([rel.op for rel in relations], spec)
+        residuals = sampled_residual([rel.fields for rel in relations], spec)
     except EvaluationError as exc:
         exc.relation = relations[exc.group].label
         raise
@@ -361,44 +392,3 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
         reports.append(CheckReport(f"{name}: no relation violated", worst,
                                    tol_violation, FAIL, spec))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# graded Jacobi helper
-
-
-def op_parity(op, point):
-    """+1 / -1 for fermion-even / fermion-odd operators (must be pure)."""
-    par = op.rep.parity()
-    ctx = EvalContext(point)
-    even = odd = 0.0
-    for _alpha, f in op.terms.items():
-        val = f.eval_jet(ctx, 0)[:, :, 0]
-        even = max(even, float(np.abs(par @ val @ par - val).max()))
-        odd = max(odd, float(np.abs(par @ val @ par + val).max()))
-    if even < 1e-10:
-        return 1
-    if odd < 1e-10:
-        return -1
-    raise ValueError("operator has mixed fermion parity")
-
-
-def graded_bracket(a, b, pa, pb):
-    """[a, b} = a b - (-1)^{pa pb} b a for parities pa, pb in {+1, -1}."""
-    sign = -1.0 if (pa < 0 and pb < 0) else 1.0
-    return compose(a, b) - sign * compose(b, a)
-
-
-def jacobi_residual(a, b, c, spec):
-    """Graded Jacobi identity residual for three parity-homogeneous ops."""
-    pt = spec.points()[0]
-    pa, pb, pc = (op_parity(x, pt) for x in (a, b, c))
-
-    def s(p, q):
-        return -1.0 if (p < 0 and q < 0) else 1.0
-
-    term1 = s(pa, pc) * graded_bracket(a, graded_bracket(b, c, pb, pc), pa, pb * pc)
-    term2 = s(pb, pa) * graded_bracket(b, graded_bracket(c, a, pc, pa), pb, pc * pa)
-    term3 = s(pc, pb) * graded_bracket(c, graded_bracket(a, b, pa, pb), pc, pa * pb)
-    _ok, res = is_zero(term1 + term2 + term3, spec)
-    return res

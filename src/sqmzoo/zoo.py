@@ -425,23 +425,19 @@ def kahler(geo, I, omega=None):
         measure=geo.sqrt_det_metric(), ops=ops,
         expected_algebra="N4", recipe=tuple(recipe),
         default_box=((-0.9, 0.9),) * geo.ncoords,
-        meta={"geometry": geo})
+        meta={"geometry": geo, "structures": (I,)})
 
 
-def hyperkahler(geo, triple, spec=None):
+def hyperkahler(geo, triple):
     """Q plus three extra pairs from a quaternionic triple.
 
-    When a sample spec is given the triple is validated: a quaternion
-    failure rejects the triple outright, while failing covariant
-    constancy only flags the model (negative controls rely on that).
+    Nothing is sampled here: the ``structure`` check reports whether the
+    triple obeys the quaternion algebra and is covariantly constant
+    (negative controls rely on building a model from a triple that is
+    not).
     """
     coords = _geo_coords(geo)
     rep = complex_fermions(geo.dim)
-    structure_ok = True
-    if spec is not None:
-        geometry.require_quaternion(triple, spec)
-        structure_ok = (geometry.worst_covariant_derivative(triple, geo, spec)
-                        <= geometry.STRUCTURE_TOL)
     charges = [("Q", geometric_charge(geo, rep))]
     ops = {}
     for a, I in enumerate(triple, start=1):
@@ -455,8 +451,7 @@ def hyperkahler(geo, triple, spec=None):
         ops=ops, expected_algebra="N8",
         recipe=("free_real", "geometric_charge applied to Q and S^a",),
         default_box=((-0.9, 0.9),) * geo.ncoords,
-        meta={"geometry": geo, "triple": triple,
-              "structure_ok": structure_ok})
+        meta={"geometry": geo, "structures": tuple(triple)})
 
 
 def hkt_conformal(g="0.1*(x1^2 + x2^2 + y1^2 + y2^2)"):
@@ -900,38 +895,6 @@ def wz_modes(mode_set=((1, 0, 0),)):
         meta={"modes": modes, "superpotential": w_total})
 
 
-def wz_interacting_charge(model, mass=1.0):
-    """Mass-deformed supercharges of the mode truncation, for display and
-    bracket experiments only.
-
-    Adds to Q_alpha the term i sqrt(2) m sum_n phibar_n psibar_{alpha,-n}
-    (the mode transcription of a quadratic superpotential); the mode set
-    must be closed under n -> -n.  Nothing is asserted about these
-    charges: whether they relate to the free ones by any similarity map
-    is a universally quantified question the engine cannot test.
-    """
-    modes = model.meta["modes"]
-    index = {tuple(m): k for k, m in enumerate(modes)}
-    coords, rep, n = model.coords, model.rep, len(model.coords)
-    out = []
-    for alpha in range(2):
-        extra = zero_op(coords, rep)
-        for k, mvec in enumerate(modes):
-            neg = tuple(-x for x in mvec)
-            if neg not in index:
-                raise ValueError("mode set must be closed under negation")
-            kneg = index[neg]
-            phibar = fexpr((Coord(2 * k, coords[2 * k])
-                            - Const(1j) * Coord(2 * k + 1, coords[2 * k + 1]))
-                           * Const(1 / SQRT2), n)
-            psibar = rep.psibar[2 * kneg + alpha]
-            extra = extra + mult_op(
-                fscalarmul(fscale(1j * SQRT2 * mass, phibar),
-                           fconst(psibar, n)), coords, rep)
-        out.append(model.op(f"Q{alpha + 1}") + extra)
-    return tuple(out)
-
-
 def _eigenmodes(m_eff, lam):
     """Orthonormal eigenvectors of the fermion matrix, phase-fixed so the
     first nonvanishing component is real positive; chi[0] has eigenvalue
@@ -1037,8 +1000,7 @@ def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):
     geo, _om = _warped_geometry(u)
     trio = [geometry.constant_structure(c, 4, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(4))]
-    spec = SampleSpec(box=((-0.9, 0.9),) * 4, n_points=6, seed=3)
-    return hyperkahler(geo, trio, spec=spec)
+    return hyperkahler(geo, trio)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sqmzoo import geometry, verify, zoo
+from sqmzoo import verify, zoo
 from sqmzoo.clifford import const_tensor
 from sqmzoo.diffop import (SampleSpec, anticommutator, commutator, compose,
                            is_zero, mult_op, naive_dagger, similarity)
@@ -137,13 +137,10 @@ def test_criterion_07_theorem2():
              for r in verify.run_check("theorem2", flat, spec_f))
     m = zoo.hyperkahler_gibbons_hawking()
     spec = m.sample_spec(n_points=N_POINTS, seed=107)
-    trio = m.meta["triple"]
-    geo = m.meta["geometry"]
-    q_rep = geometry.check_quaternion(*trio, spec)
-    ok &= q_rep.verdict == "pass"
-    for s in trio:
-        reps = geometry.check_complex_structure(s, geo, spec)
-        ok &= all(r.verdict == "pass" for r in reps)
+    hypotheses = verify.run_check("structure", m, spec)
+    ok &= len(hypotheses) == 10
+    ok &= hypotheses[-1].name == "quaternion algebra"
+    ok &= all(r.verdict == "pass" for r in hypotheses)
     reports = verify.run_check("theorem2", m, spec)
     ok &= all(r.verdict == "pass" for r in reports)
     _line(7, "theorem 2: Gibbons-Hawking quaternion + covariant constancy + N=8",

@@ -156,9 +156,13 @@ FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
      "unexpected token"),
     ("{constructor: torsion_rotate, params: {base: " + FREE_COMPLEX + "}}",
      "[n2]", "'B'"),
+    (WITTEN, "[structure]",
+     "check 'structure' on model witten: model witten has no complex "
+     "structure"),
 ], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
         "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol",
-        "unparsable-model-param", "missing-model-param"])
+        "unparsable-model-param", "missing-model-param",
+        "no-complex-structure"])
 def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
                                            message):
     assert main(["run", _scenario(tmp_path, model, checks)]) == 2

@@ -292,7 +292,7 @@ def test_batched_check_matches_brute_force():
     for rep, rel in zip(reports, relations):
         res = rep.residual
         assert (res.max_abs, res.argmax_point, res.scale) == \
-            _brute_residual(list(rel.op.terms.values()), points)
+            _brute_residual(list(rel.fields), points)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sqmzoo import geometry, zoo
-from sqmzoo.diffop import SampleSpec, sampled_residual
+from sqmzoo import geometry, verify, zoo
+from sqmzoo.diffop import TOL_PASS, SampleSpec, sampled_residual
 from sqmzoo.expr import Const, Coord, parse
 from sqmzoo.fields import (EvalContext, ZeroField, evaluate, fexpr, fgrid,
                            fmatmul, fpow, fscale)
@@ -115,32 +115,41 @@ def test_spin_connection_antisymmetry():
 # -- complex structures --------------------------------------------------------
 
 
+def _structure(model, spec, expect=None):
+    """The ``structure`` check's reports on ``model``, by label."""
+    return {r.name: r for r in verify.run_check("structure", model, spec,
+                                                expect=expect)}
+
+
+def _kahler_block(geo):
+    I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
+    return zoo.kahler(geo, I)
+
+
 def test_flat_canonical_structure_all_residuals_zero():
     z = ZeroField((1, 1), 4)
-    geo = geometry.from_omega(fgrid([[z] * 4] * 4))
-    I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
-    reports = geometry.check_complex_structure(I, geo, SPEC4)
-    for r in reports:
+    reports = _structure(_kahler_block(geometry.from_omega(
+        fgrid([[z] * 4] * 4))), SPEC4)
+    assert list(reports) == ["I^2 = -1", "I_MN antisymmetric", "cov-const I"]
+    for r in reports.values():
         assert r.verdict == "pass"
         assert r.residual.max_abs < 1e-14
 
 
 def test_warped_kahler_covariantly_constant():
     geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x2^2"))
-    I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
-    reports = geometry.check_complex_structure(I, geo, SPEC4)
-    assert all(r.verdict == "pass" for r in reports)
-    cov = [r for r in reports if r.name.startswith("cov-const")][0]
-    assert cov.residual.max_abs < 1e-9 * (1 + cov.residual.scale)
+    reports = _structure(_kahler_block(geo), SPEC4)
+    assert all(r.verdict == "pass" for r in reports.values())
+    cov = reports["cov-const I"]
+    assert cov.residual.relative < 1e-9
 
 
 def test_warping_third_coordinate_breaks_constancy():
     geo = geometry.from_omega(warped_omega("0.3*sin(x1) + 0.2*x3^2"))
-    I = geometry.constant_structure(geometry.kahler_block_structure(4), 4)
-    reports = geometry.check_complex_structure(I, geo, SPEC4, expected="violated")
-    cov = [r for r in reports if r.name.startswith("cov-const")][0]
+    reports = _structure(_kahler_block(geo), SPEC4, expect="any")
+    cov = reports["cov-const I"]
     assert cov.verdict == "violated-as-expected"
-    assert cov.residual.max_abs > 1e-3 * (1 + cov.residual.scale)
+    assert cov.residual.relative > 1e-3
 
 
 def test_quaternion_check_variants():
@@ -148,13 +157,16 @@ def test_quaternion_check_variants():
     geo = geometry.from_omega(fgrid([[z] * 4] * 4))
     canon = [geometry.constant_structure(c, 4, label=a + 1)
              for a, c in enumerate(geometry.canonical_triple(4))]
-    assert geometry.check_quaternion(*canon, SPEC4).verdict == "pass"
+    quaternion = "quaternion algebra"
+    assert _structure(zoo.hyperkahler(geo, canon),
+                      SPEC4)[quaternion].verdict == "pass"
     canon_bar = [geometry.constant_structure(c, 4, label=a + 1)
                  for a, c in enumerate(geometry.canonical_triple(4, "eta_bar"))]
-    assert geometry.check_quaternion(*canon_bar, SPEC4).verdict == "pass"
+    assert _structure(zoo.hyperkahler(geo, canon_bar),
+                      SPEC4)[quaternion].verdict == "pass"
     mixed = [canon[0], canon[1], canon_bar[2]]
-    rep = geometry.check_quaternion(*mixed, SPEC4, expected="violated")
-    assert rep.verdict == "violated-as-expected"
+    rep = _structure(zoo.hyperkahler(geo, mixed), SPEC4, expect="any")
+    assert rep[quaternion].verdict == "violated-as-expected"
 
 
 # -- Gibbons-Hawking -------------------------------------------------------------
@@ -198,8 +210,8 @@ def test_gh_gauge_satisfies_curl_condition():
 def test_gh_one_center_selects_orientation():
     geo, _v, _a = geometry.gibbons_hawking([(0.0, 0.0, 0.0)], [0.5], eps=1.0)
     trio, variant = geometry.select_orientation(geo, GH_SPEC)
-    q = geometry.check_quaternion(*trio, GH_SPEC)
-    assert q.verdict == "pass"
+    q, = sampled_residual([geometry.quaternion_fields(trio)], GH_SPEC)
+    assert q.relative <= TOL_PASS
     for s in trio:
         r, = sampled_residual(
             [geometry.covariant_derivative_fields(s, geo)], GH_SPEC)
@@ -236,10 +248,9 @@ def test_nan_covariant_derivative_is_not_a_structure():
     geo = _overflowing_geometry()
     trio = [geometry.constant_structure(c, 4, label=a + 1)
             for a, c in enumerate(geometry.canonical_triple(4))]
-    m = zoo.hyperkahler(geo, trio, spec=NAN_SPEC)
-    assert not m.meta["structure_ok"]
-    cov = geometry.check_complex_structure(trio[0], geo, NAN_SPEC)[2]
-    assert cov.verdict == "fail"
+    reports = _structure(zoo.hyperkahler(geo, trio), NAN_SPEC)
+    for a in (1, 2, 3):
+        assert reports[f"cov-const I{a}"].verdict == "fail"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -282,13 +293,3 @@ def test_gh_nonpositive_weight_guard():
     # V < 0 on the sample box: the vielbein sqrt must fail there
     with pytest.raises(Exception):
         evaluate(geo.metric, (1.0, 1.0, 1.0, 0.0))
-
-
-def test_pointwise_polar_extraction():
-    om = _scalar_grid([["0.3*sin(x1)", "0.1*x1*x2"],
-                       ["0.1*x1*x2", "0.2*x2^2"]], ["x1", "x2"])
-    geo = geometry.from_omega(om)
-    p = (0.4, -0.7)
-    got = geometry.pointwise_symmetric_omega(geo.einv, p)
-    want = evaluate(om, p)[:, :, 0]
-    assert np.abs(got - want).max() < 1e-10

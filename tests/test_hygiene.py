@@ -176,3 +176,31 @@ def test_residual_arithmetic_is_found():
                      "big = max(r.scale, 1.0)\n"
                      "if res.scale > 0:\n    pass\n")
     assert _residual_arithmetic(tree) == [1, 2, 6]
+
+
+# the names that make a verdict; verify.run_check is the one producer of
+# sampled verdicts, so only report (which defines them) and verify read them
+REPORT_NAMES = ("CheckReport", "make_report", "classify")
+REPORT_MODULES = ("report.py", "verify.py")
+
+
+def _report_names(text):
+    """The report names that a module's source text names."""
+    return sorted(set(re.findall(r"\b(?:%s)\b" % "|".join(REPORT_NAMES),
+                                 text)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in REPORT_MODULES],
+                         ids=lambda p: p.name)
+def test_one_report_path(path):
+    """No other module builds a verdict of its own; the package
+    ``__init__`` only re-exports."""
+    assert _report_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_report_name_is_found():
+    text = ("from .report import make_report\n"
+            "verdict, tol = classify(res)\n"
+            "reclassify = CheckReports = 1\n")
+    assert _report_names(text) == ["classify", "make_report"]

@@ -101,7 +101,7 @@ def test_no_two_live_nodes_share_a_structure(path):
         name = entry if isinstance(entry, str) else params.pop("name")
         params.pop("expect", None)
         for rel in verify.CHECKS[name](model, **params):
-            roots.extend(rel.op.terms.values())
+            roots.extend(rel.fields)
     assert roots
     dups = _duplicates(roots)
     assert not dups, [f"{len(g)} x {g[0]!r}" for g in dups[:5]]

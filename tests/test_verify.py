@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from sqmzoo import verify, zoo
-from sqmzoo.diffop import Residual, SampleSpec, compose, momentum_op, mult_op
-from sqmzoo.clifford import complex_fermions
-from sqmzoo.expr import parse
-from sqmzoo.fields import fconst, fexpr
+from sqmzoo.diffop import OpError, Residual, SampleSpec
 from sqmzoo.report import (EXPLORATORY, FAIL, PASS, VIOLATED, classify,
                            make_report, render_report)
 
@@ -86,33 +83,22 @@ def test_okt_suite():
     assert all(r.verdict == PASS for r in reports)
 
 
-def test_jacobi_identity_random_low_order_ops():
-    rep = complex_fermions(1)
-    coords = ("x",)
-    spec = SampleSpec(box=((-1, 1),), n_points=6, seed=5)
-    p = momentum_op(coords, rep, "x")
-    ops = [
-        compose(mult_op(fexpr(parse("sin(x)", coords), 1), coords, rep), p),
-        mult_op(fexpr(parse("x^2 + 1", coords), 1), coords, rep),
-        compose(mult_op(fconst(rep.psi[0], 1), coords, rep), p),
-        mult_op(fconst(rep.psi[0] @ rep.psibar[0], 1), coords, rep),
-        compose(mult_op(fconst(rep.psibar[0], 1), coords, rep),
-                mult_op(fexpr(parse("exp(x)", coords), 1), coords, rep)),
-    ]
-    import itertools
-    for a, b, c in itertools.combinations(ops, 3):
-        r = verify.jacobi_residual(a, b, c, spec)
-        assert r.max_abs < 1e-9 * (1 + r.scale), r
+def test_structure_names_the_broken_hypothesis():
+    """The non-Kahler warping keeps I a pointwise complex structure
+    compatible with the metric, but not a covariantly constant one."""
+    m = zoo.kahler_warped(u="0.3*sin(x1) + 0.2*x3^2")
+    reports = verify.run_check("structure", m,
+                               m.sample_spec(n_points=10, seed=7),
+                               expect="any")
+    assert [(r.name, r.verdict) for r in reports] == [
+        ("I^2 = -1", PASS), ("I_MN antisymmetric", PASS),
+        ("cov-const I", VIOLATED)]
+    assert reports[2].residual.relative > 0.1
 
 
-def test_op_parity():
-    rep = complex_fermions(1)
-    coords = ("x",)
-    point = (0.3,)
-    odd = mult_op(fconst(rep.psi[0], 1), coords, rep)
-    even = mult_op(fconst(rep.psi[0] @ rep.psibar[0], 1), coords, rep)
-    assert verify.op_parity(odd, point) == -1
-    assert verify.op_parity(even, point) == 1
-    mixed = odd + even
-    with pytest.raises(ValueError):
-        verify.op_parity(mixed, point)
+def test_run_check_rejects_a_box_of_the_wrong_length():
+    m = zoo.kahler_warped()
+    spec = SampleSpec(box=((-0.9, 0.9),) * 3, n_points=2, seed=1)
+    for name in ("theorem1", "structure"):
+        with pytest.raises(OpError, match="sample box"):
+            verify.run_check(name, m, spec)

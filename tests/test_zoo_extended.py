@@ -117,14 +117,16 @@ def test_gibbons_hawking_validates_its_triple_once(monkeypatch):
     monkeypatch.setattr(geometry, "covariant_derivative_fields", counted)
     m = zoo.hyperkahler_gibbons_hawking()
     assert len(calls) == 3
-    assert m.meta["structure_ok"]
+    assert m.meta["structures"] == tuple(calls)
 
 
 def test_gibbons_hawking_theorem2():
     m = zoo.hyperkahler_gibbons_hawking()
-    assert m.meta["structure_ok"]
     assert m.meta["orientation"] in ("eta", "eta_bar")
     spec = m.sample_spec(n_points=3, seed=6)
+    hypotheses = verify.run_check("structure", m, spec)
+    assert hypotheses[-1].name == "quaternion algebra"
+    assert all(r.verdict == "pass" for r in hypotheses)
     reports = verify.run_check("theorem2", m, spec)
     assert all(r.verdict == "pass" for r in reports), \
         [r.line() for r in reports if r.verdict != "pass"]
@@ -132,8 +134,14 @@ def test_gibbons_hawking_theorem2():
 
 def test_kahler_but_not_hyperkahler_violates():
     m = zoo.hyperkahler_kahler_control()
-    assert not m.meta["structure_ok"]
     spec = m.sample_spec(n_points=6, seed=7)
+    hypotheses = {r.name: r.verdict for r in verify.run_check(
+        "structure", m, spec, expect="any")}
+    for a in (1, 2):
+        assert hypotheses[f"I{a}_MN antisymmetric"] == VIOLATED
+        assert hypotheses[f"cov-const I{a}"] == VIOLATED
+    assert hypotheses["I3_MN antisymmetric"] == "pass"
+    assert hypotheses["cov-const I3"] == "pass"
     # some cross anticommutator {S^a, Sbar^b}, a != b, must blow up
     worst = 0.0
     for a in range(3):
@@ -149,8 +157,6 @@ def test_kahler_but_not_hyperkahler_violates():
 
 
 def test_mixed_orientation_triple_rejected():
-    z = [[  # flat geometry
-        "0" for _ in range(4)] for _ in range(4)]
     from sqmzoo.fields import ZeroField, fgrid
     geo = geometry.from_omega(fgrid([[ZeroField((1, 1), 4)] * 4] * 4))
     canon = geometry.canonical_triple(4)
@@ -159,8 +165,9 @@ def test_mixed_orientation_triple_rejected():
             geometry.constant_structure(canon[1], 4, 2),
             geometry.constant_structure(canon_bar[2], 4, 3)]
     spec = SampleSpec(box=((-1, 1),) * 4, n_points=4, seed=8)
-    with pytest.raises(ValueError, match="quaternion"):
-        zoo.hyperkahler(geo, trio, spec=spec)
+    reports = verify.run_check("structure", zoo.hyperkahler(geo, trio), spec)
+    assert [(r.name, r.verdict) for r in reports if not r.ok] == \
+        [("quaternion algebra", "fail")]
 
 
 # -- HKT ------------------------------------------------------------------------

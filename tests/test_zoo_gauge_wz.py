@@ -161,21 +161,3 @@ def test_wz_similarity_matches_eigen_charges_exactly():
 def test_wz_mode_cap():
     with pytest.raises(ValueError):
         zoo.wz_modes([(1, 0, 0)] * 5)
-
-
-def test_wz_interacting_charges_constructible():
-    """Mass-deformed charges exist for bracket experiments; the engine
-    reports their brackets without asserting any similarity claim."""
-    m = zoo.wz_modes([(0, 0, 0)])
-    q1, q2 = zoo.wz_interacting_charge(m, mass=0.7)
-    spec = m.sample_spec(n_points=5, seed=13)
-    # the deformation changes the charge: the psibar-momentum-free extra
-    # term shows up at order zero
-    flag, res = is_zero(q1 - m.op("Q1"), spec)
-    assert not flag and res.max_abs > 0.1
-    # brackets are computable; for the zero mode {Q1,Q2} stays zero
-    assert_zero(anticommutator(q1, q2), spec)
-    # mode sets not closed under negation are rejected
-    m2 = zoo.wz_modes([(1, 0, 0)])
-    with pytest.raises(ValueError, match="negation"):
-        zoo.wz_interacting_charge(m2)
