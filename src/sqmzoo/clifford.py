@@ -67,9 +67,6 @@ class FermionRep:
     def dim(self):
         return self.fock_dim * self.color_dim
 
-    def identity(self):
-        return np.eye(self.dim, dtype=np.complex128)
-
     def parity(self):
         """Fermion parity (-1)^N as a matrix."""
         num = self.number_op()
@@ -300,9 +297,8 @@ class FermionBilinearField(Field):
         self.ncoords = mfield.ncoords
         self._pairs = _pair_tensor(rep, ordering)
 
-    def _compute(self, ctx, order):
-        mjet = self.mfield.eval_jet(ctx, order)
-        return np.einsum("abt,abrc->rct", mjet, self._pairs)
+    def _compute(self, at, order, kids):
+        return np.einsum("abt,abrc->rct", kids[0], self._pairs)
 
     def describe(self):
         names = {"pb": "psi.psibar", "bp": "psibar.psi",
@@ -331,9 +327,8 @@ class FermionLinearField(Field):
         ops = rep.psi if kind == "psi" else rep.psibar
         self._ops = np.asarray(ops)
 
-    def _compute(self, ctx, order):
-        vjet = self.vfield.eval_jet(ctx, order)
-        return np.einsum("at,arc->rct", vjet[0], self._ops)
+    def _compute(self, at, order, kids):
+        return np.einsum("at,arc->rct", kids[0][0], self._ops)
 
     def describe(self):
         return f"[{self.vfield.describe()}]*{self.kind}"

@@ -27,9 +27,8 @@ from operator import add, sub
 
 import numpy as np
 
-from .fields import (EvalContext, PlanError, ZeroField, fdiag, fexp,
-                     fidentity, fmatmul, fpow, frestrict, fscale, fsum,
-                     plan_requests)
+from .fields import (Tape, ZeroField, fdiag, fexp, fidentity, fmatmul, fpow,
+                     frestrict, fscale, fsum)
 from .jets import MAX_ORDER, _binom_multi
 
 
@@ -436,24 +435,22 @@ def sampled_residual(groups, spec):
     value magnitude among all the jets the group's fields are computed
     from.  A NaN ranks above every number, so the first NaN met is kept
     with its point.  The point is None when every sampled entry is
-    exactly 0, and the first sample point when the group is empty.  Each
-    point gets one evaluation context, planned over every group, so a
-    node the groups share is computed once per point and its jet freed
-    after its last use.  A ValueError or ArithmeticError raised while a
-    group is evaluated (a failed positivity guard, an order overflow, a
-    series that does not converge, a division by zero) becomes an
+    exactly 0, and the first sample point when the group is empty.  The
+    groups are compiled into one tape, run once per point, so a node the
+    groups share is computed once per point and its jet dropped after
+    its last use.  A ValueError or ArithmeticError raised while a group
+    is evaluated (a failed positivity guard, an order overflow, a series
+    that does not converge, a division by zero) becomes an
     EvaluationError that carries the group's index and the point."""
     groups = [list(fields) for fields in groups]
     points = spec.points()
-    plan = plan_requests([f for fields in groups for f in fields])
+    tape = Tape(groups)
     found = [[0.0, None, 0.0] for _ in groups]
     for p in points:
-        ctx = EvalContext(p, plan)
-        for g, (fields, acc) in enumerate(zip(groups, found)):
-            if not fields:
-                continue
+        run = tape.run(p)
+        for g, acc in enumerate(found):
             try:
-                jets, scale = ctx.values(fields)
+                jets, scale = next(run)
             except (ValueError, ArithmeticError) as exc:
                 raise EvaluationError(g, p, exc) from exc
             for jet in jets:
@@ -463,9 +460,6 @@ def sampled_residual(groups, spec):
                     acc[1] = p
             if scale > acc[2] or scale != scale:
                 acc[2] = scale
-        if ctx.cache:
-            raise PlanError(f"{len(ctx.cache)} planned jets never requested "
-                            "at a sample point")
     return [Residual(*acc) if fields else Residual(0.0, points[0], 0.0)
             for fields, acc in zip(groups, found)]
 

@@ -8,11 +8,11 @@ requested order.
 
 Every node has the same form: it lists the nodes it is computed from in
 ``children`` (leaves list none), and :meth:`Field.deps` turns that list
-into the ``(child, order)`` requests its ``_compute`` makes, each child
+into the ``(child, order)`` jets its ``_compute`` is given, each child
 at the node's own order.  Only a derivative asks for more (its child at
-``order + |gamma|``), and a restriction lists no children because its
-child runs in a sub-context.  So a node is determined by its type, its
-own parameters and its children.
+``order + |gamma|``).  ``_compute`` sees those jets and the point, and
+no cache, so a node is determined by its type, its own parameters and
+its children.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -20,18 +20,16 @@ equal those of a live node returns that live node (see :class:`_Interned`).
 So equal subexpressions are one object, however and wherever they were
 built.
 
-All evaluation at one sample point goes through one EvalContext, which
-caches jets by ``(id(node), order)``.  Since equal nodes are one object,
-a subexpression repeated in many parents, in many operators of one
-model or in many relations of one check is computed once per point.
-:func:`plan_requests` counts the declared requests over a batch of
-roots before the first point, and a context built with that count
-stores only the jets requested more than once and drops each one at its
-last request.  Every cache entry also carries its subtree maximum, the
-largest ``|value|`` of its own jet and of every jet it was computed
-from, which is the scale a residual is measured against.  Fields
-themselves hold no evaluation state; a context belongs to one point and
-one caller.
+Evaluation runs a :class:`Tape`: groups of roots compiled once into one
+step per ``(node, order, frame)`` they need, where a frame is the sample
+point or the full point a restriction's child runs at.  Since equal
+nodes are one object, a subexpression repeated in many parents, in many
+operators of one model or in many relations of one check is one step,
+computed once per point, and its jet is dropped after its last use.
+Each step also records its subtree maximum, the largest ``|value|`` of
+its own jet and of every jet it was computed from, which is the scale a
+residual is measured against.  Fields themselves hold no evaluation
+state.
 """
 
 from __future__ import annotations
@@ -50,96 +48,118 @@ class OrderOverflow(ValueError):
     """A derivative request exceeded the engine's jet-order cap."""
 
 
-class PlanError(RuntimeError):
-    """A node requested a jet its declared dependencies do not count."""
-
-
 class _Mag:
-    """Largest value magnitude met in one subtree of a DAG walk; a NaN,
-    once met, stays."""
+    """Subtree maxima of one tape run, by step: the largest ``|value|`` of
+    a step's jet and of every jet it was computed from.  A NaN, once met,
+    stays."""
 
-    __slots__ = ("value",)
+    def __init__(self, nsteps):
+        self.value = [0.0] * nsteps
 
-    def __init__(self):
-        self.value = 0.0
+    def fold(self, steps, m=0.0):
+        """``m`` folded with the subtree maxima of ``steps``."""
+        value = self.value
+        for k in steps:
+            v = value[k]
+            if v > m or v != v:
+                m = v
+        return m
 
-    def update(self, arr):
-        if arr.size:
-            m = float(np.abs(arr[..., 0]).max())
-            if m > self.value or m != m:
-                self.value = m
-
-
-def plan_requests(roots):
-    """Number of times evaluating each of ``roots`` at order 0 requests
-    each ``(id(node), order)``, from the nodes' declared dependencies.
-
-    The nodes must outlive every context that uses the plan, so that no
-    id is reused while the plan is in force."""
-    counts = {}
-    todo = [(f, 0) for f in roots]
-    while todo:
-        node, order = todo.pop()
-        key = (id(node), order)
-        n = counts.get(key)
-        if n is None:
-            counts[key] = 1
-            todo.extend(node.deps(order))
-        else:
-            counts[key] = n + 1
-    return counts
+    def update(self, step, jet, kids):
+        m = float(np.abs(jet[..., 0]).max()) if jet.size else 0.0
+        self.value[step] = self.fold(kids, m)
 
 
-class EvalContext:
-    """Evaluation state of one sample point.
+class _At:
+    """The point of one tape frame, with its coordinate jets built once
+    per order."""
 
-    ``cache`` maps ``(id(node), order)`` to ``(jet, subtree maximum)``.
-    With a ``plan`` from :func:`plan_requests`, an entry is stored only
-    when more requests for it are still to come and is dropped at the
-    last one, and a request the plan does not count raises PlanError.
-    Without a plan every entry is kept while the context lives.
-    """
-
-    def __init__(self, point, plan=None):
-        self.point = tuple(float(x) for x in point)
-        self.cache = {}
-        # requests still to come per key, counted down as they arrive
-        self.left = None if plan is None else dict(plan)
-        # one _Mag per node being computed; the bottom one collects the
-        # roots of a group (see values)
-        self.frames = [_Mag()]
-        self._subs = {}
-        self._coord_jets = {}
+    def __init__(self, point):
+        self.point = point
+        self._jets = {}
 
     def coord_jets(self, order):
-        jets = self._coord_jets.get(order)
-        if jets is None:
+        if order not in self._jets:
             space = jet_space(len(self.point), order)
-            jets = [space.coordinate(i, x) for i, x in enumerate(self.point)]
-            self._coord_jets[order] = jets
-        return jets
+            self._jets[order] = [space.coordinate(i, x)
+                                 for i, x in enumerate(self.point)]
+        return self._jets[order]
 
-    def sub(self, point):
-        """Unplanned context at another point whose subtree maxima count
-        towards the node that asked for it."""
-        key = tuple(point)
-        ctx = self._subs.get(key)
-        if ctx is None:
-            ctx = EvalContext(key)
-            ctx.frames = self.frames
-            self._subs[key] = ctx
-        return ctx
 
-    def values(self, fields, order=0):
-        """Jets of ``fields`` and the largest ``|value|`` met while
-        evaluating them, cached subtrees included."""
-        mag = _Mag()
-        self.frames.append(mag)
-        try:
-            jets = [f.eval_jet(self, order) for f in fields]
-        finally:
-            self.frames.pop()
-        return jets, mag.value
+class Tape:
+    """Groups of root fields compiled into one list of steps.
+
+    There is one step per ``(node, order, frame)`` the roots need at
+    ``order``: the roots of each group, in group order, and their
+    :meth:`Field.deps` in post-order, so a node the groups share is one
+    step.  Frame 0 is the point a run is given; a restriction's child
+    runs in the frame of its full point, which restrictions with equal
+    ``keep`` and ``fixed`` share.  A group's roots are read out after
+    the last step it needs, and each jet is dropped after its last use,
+    by a step or a read-out."""
+
+    def __init__(self, groups, order=0):
+        frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
+        index = {}                  # (node, order, frame) -> step
+        steps = self._steps = []    # (node, order, frame, kid steps)
+        last = self._last = []      # each step's last reader: step or ~group
+        reads = self._reads = []    # (root steps, end of the group's steps)
+        for g, roots in enumerate(groups):
+            todo = [(f, order, 0) for f in reversed(roots)]
+            while todo:
+                key = todo[-1]
+                if key in index:
+                    todo.pop()
+                    continue
+                node, node_order, frame = key
+                kid_frame = frame
+                if isinstance(node, RestrictField):
+                    kid_frame = frames.setdefault(
+                        (frame, node.keep, node.fixed), len(frames) + 1)
+                deps = [(c, o, kid_frame) for c, o in node.deps(node_order)]
+                new = [d for d in deps if d not in index]
+                if new:
+                    todo.extend(reversed(new))
+                    continue
+                todo.pop()
+                i = index[key] = len(steps)
+                kids = tuple([index[d] for d in deps])
+                for k in kids:
+                    last[k] = i
+                steps.append((node, node_order, frame, kids))
+                last.append(None)
+            roots = tuple([index[(f, order, 0)] for f in roots])
+            for k in roots:
+                last[k] = ~g
+            reads.append((roots, len(steps)))
+
+    def run(self, point):
+        """Evaluate at ``point``: yield ``(root jets, scale)`` for each
+        group in order, its scale folding its roots' subtree maxima."""
+        ats = [_At(tuple(float(x) for x in point))]
+        for parent, keep, fixed in self._frames:
+            full = list(fixed)
+            for k, pos in enumerate(keep):
+                full[pos] = ats[parent].point[k]
+            ats.append(_At(tuple(full)))
+        steps, last = self._steps, self._last
+        jets = [None] * len(steps)
+        mag = _Mag(len(steps))
+        start = 0
+        for g, (roots, stop) in enumerate(self._reads):
+            for i in range(start, stop):
+                node, order, frame, kids = steps[i]
+                jet = node._compute(ats[frame], order, [jets[k] for k in kids])
+                mag.update(i, jet, kids)
+                jets[i] = jet
+                for k in kids:
+                    if last[k] == i:
+                        jets[k] = None
+            start = stop
+            yield [jets[k] for k in roots], mag.fold(roots)
+            for k in roots:
+                if last[k] == ~g:
+                    jets[k] = None
 
 
 class _Interned(type):
@@ -200,49 +220,25 @@ class Field(metaclass=_Interned):
     """Base class.  A subclass sets ``shape`` and ``ncoords``, lists the
     nodes it is computed from in ``children``, states the names of its
     other structural attributes in ``params`` and implements
-    :meth:`_compute`, which requests each child once at its own order
-    (see :meth:`deps`)."""
+    :meth:`_compute`.  It is given ``kids``, the jets of :meth:`deps` in
+    order, and ``at``, the point with its coordinate jets."""
 
     shape = (1, 1)
     ncoords = 0
     children = ()
 
-    def eval_jet(self, ctx, order=0):
-        key = (id(self), order)
-        left = ctx.left
-        if left is not None:
-            n = left.get(key, 0) - 1
-            if n < 0:
-                raise PlanError(f"{self!r} at order {order} requested more "
-                                "often than the declared dependencies say")
-            left[key] = n
-        entry = ctx.cache.get(key)
-        if entry is None:
-            mag = _Mag()
-            frames = ctx.frames
-            frames.append(mag)
-            try:
-                res = self._compute(ctx, order)
-            finally:
-                frames.pop()
-            mag.update(res)
-            entry = (res, mag.value)
-            if left is None or n:
-                ctx.cache[key] = entry
-        elif left is not None and not n:
-            del ctx.cache[key]
-        res, m = entry
-        top = ctx.frames[-1]
-        if m > top.value or m != m:
-            top.value = m
-        return res
+    def eval_jet(self, point, order=0):
+        """Jet of this field at ``point`` up to ``order``: a one-root
+        tape."""
+        ((jet,), _), = Tape([[self]], order).run(point)
+        return jet
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         raise NotImplementedError
 
     def deps(self, order):
-        """The ``(child, order)`` jets :meth:`_compute` requests from
-        ``ctx`` at ``order``, once per request."""
+        """The ``(child, order)`` jets :meth:`_compute` is given at
+        ``order``: each child at the node's own order."""
         return [(c, order) for c in self.children]
 
     @property
@@ -278,11 +274,9 @@ class Field(metaclass=_Interned):
         return f"<{self.describe()} {self.shape}>"
 
 
-def evaluate(field, point, order=0, ctx=None):
+def evaluate(field, point, order=0):
     """Jet matrix of ``field`` at ``point`` (tuple of reals)."""
-    if ctx is None:
-        ctx = EvalContext(point)
-    return field.eval_jet(ctx, order)
+    return field.eval_jet(point, order)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ class ZeroField(Field):
         self.shape = tuple(shape)
         self.ncoords = ncoords
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         return jet_space(self.ncoords, order).zeros(*self.shape)
 
     def _deriv(self, gamma):
@@ -352,7 +346,7 @@ class ConstField(Field):
         self.name = name
         self._bits = _Bits(self.matrix)
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         return jet_space(self.ncoords, order).const(self.matrix)
 
     def _deriv(self, gamma):
@@ -386,9 +380,9 @@ class ExprField(Field):
         self.ncoords = ncoords
         self.name = name
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         space = jet_space(self.ncoords, order)
-        return self.expr.eval_jet(space, ctx.coord_jets(order))
+        return self.expr.eval_jet(space, at.coord_jets(order))
 
     def describe(self):
         return self.name or to_text(self.expr)
@@ -413,13 +407,9 @@ class GridField(Field):
         self.shape = (rows, cols)
         self.ncoords = entries[0][0].ncoords
 
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        out = space.zeros(*self.shape)
-        for r, row in enumerate(self.entries):
-            for c, e in enumerate(row):
-                out[r, c, :] = e.eval_jet(ctx, order)[0, 0, :]
-        return out
+    def _compute(self, at, order, kids):
+        return np.array([jet[0, 0] for jet in kids],
+                        dtype=np.complex128).reshape(*self.shape, -1)
 
     def _deriv(self, gamma):
         return GridField([[e.deriv(gamma) for e in row] for row in self.entries])
@@ -444,10 +434,10 @@ class SumField(Field):
         self.shape = first.shape
         self.ncoords = first.ncoords
 
-    def _compute(self, ctx, order):
-        out = self.children[0].eval_jet(ctx, order).copy()
-        for ch in self.children[1:]:
-            out += ch.eval_jet(ctx, order)
+    def _compute(self, at, order, kids):
+        out = kids[0].copy()
+        for jet in kids[1:]:
+            out += jet
         return out
 
     def _deriv(self, gamma):
@@ -474,10 +464,8 @@ class MatMulField(Field):
         self.shape = (a.shape[0], b.shape[1])
         self.ncoords = a.ncoords
 
-    def _compute(self, ctx, order):
-        a, b = self.children
-        space = jet_space(self.ncoords, order)
-        return space.mul(a.eval_jet(ctx, order), b.eval_jet(ctx, order))
+    def _compute(self, at, order, kids):
+        return jet_space(self.ncoords, order).mul(*kids)
 
     def _conj_t(self):
         a, b = self.children
@@ -506,8 +494,8 @@ class ScaleField(_Unary):
         super().__init__(child)
         self.coeff = complex(coeff)
 
-    def _compute(self, ctx, order):
-        return self.coeff * self.child.eval_jet(ctx, order)
+    def _compute(self, at, order, kids):
+        return self.coeff * kids[0]
 
     def _deriv(self, gamma):
         return fscale(self.coeff, self.child.deriv(gamma))
@@ -531,10 +519,8 @@ class ScalarMulField(_Unary):
         self.scalar = scalar
         self.children = (scalar, child)
 
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        return space.scal_mul(self.scalar.eval_jet(ctx, order),
-                              self.child.eval_jet(ctx, order))
+    def _compute(self, at, order, kids):
+        return jet_space(self.ncoords, order).scal_mul(*kids)
 
     def _conj_t(self):
         return ScalarMulField(self.scalar.conj_t(), self.child.conj_t())
@@ -550,9 +536,8 @@ class ConjTransposeField(_Unary):
         super().__init__(child)
         self.shape = (child.shape[1], child.shape[0])
 
-    def _compute(self, ctx, order):
-        jet = self.child.eval_jet(ctx, order)
-        return np.conj(np.swapaxes(jet, 0, 1))
+    def _compute(self, at, order, kids):
+        return np.conj(np.swapaxes(kids[0], 0, 1))
 
     def _deriv(self, gamma):
         return ConjTransposeField(self.child.deriv(gamma))
@@ -573,8 +558,8 @@ class TransposeField(_Unary):
         super().__init__(child)
         self.shape = (child.shape[1], child.shape[0])
 
-    def _compute(self, ctx, order):
-        return np.swapaxes(self.child.eval_jet(ctx, order), 0, 1)
+    def _compute(self, at, order, kids):
+        return np.swapaxes(kids[0], 0, 1)
 
     def _deriv(self, gamma):
         return TransposeField(self.child.deriv(gamma))
@@ -592,17 +577,20 @@ class DerivativeField(_Unary):
         if len(self.gamma) != child.ncoords:
             raise ValueError("derivative multi-index length mismatch")
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         total = order + sum(self.gamma)
-        if total > MAX_ORDER:
+        if not kids:
             raise OrderOverflow(
                 f"derivative request of order {total} exceeds cap {MAX_ORDER}")
         parent = jet_space(self.ncoords, total)
         target = jet_space(self.ncoords, order)
-        return parent.extract(self.child.eval_jet(ctx, total), self.gamma, target)
+        return parent.extract(kids[0], self.gamma, target)
 
     def deps(self, order):
-        return ((self.child, order + sum(self.gamma)),)
+        """The child at ``order + |gamma|``; none past MAX_ORDER, where
+        the step raises OrderOverflow."""
+        total = order + sum(self.gamma)
+        return ((self.child, total),) if total <= MAX_ORDER else ()
 
     def _deriv(self, gamma):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
@@ -623,9 +611,9 @@ class _Kernel(_Unary):
 
     args = ()
 
-    def _compute(self, ctx, order):
+    def _compute(self, at, order, kids):
         return getattr(jet_space(self.ncoords, order), self.kernel)(
-            self.child.eval_jet(ctx, order), *self.args)
+            kids[0], *self.args)
 
     def describe(self):
         return f"{self.text}({self.child.describe()})"
@@ -708,8 +696,8 @@ class PositiveGuardField(_Unary):
         super().__init__(child)
         self.what = what
 
-    def _compute(self, ctx, order):
-        jet = self.child.eval_jet(ctx, order)
+    def _compute(self, at, order, kids):
+        jet = kids[0]
         v = jet[0, 0, 0]
         if not (v.real > 0 and abs(v.imag) <= 1e-12 * (1 + abs(v.real))):
             raise ValueError(f"{self.what} must be positive, got {v:g}")
@@ -730,9 +718,8 @@ class EntryField(_Unary):
         self.r = r
         self.c = c
 
-    def _compute(self, ctx, order):
-        jet = self.child.eval_jet(ctx, order)
-        return jet[self.r:self.r + 1, self.c:self.c + 1, :]
+    def _compute(self, at, order, kids):
+        return kids[0][self.r:self.r + 1, self.c:self.c + 1, :]
 
     def _deriv(self, gamma):
         return EntryField(self.child.deriv(gamma), self.r, self.c)
@@ -753,12 +740,9 @@ class DiagField(_Unary):
         self.n = n
         self.shape = (n, n)
 
-    def _compute(self, ctx, order):
-        space = jet_space(self.ncoords, order)
-        s = self.child.eval_jet(ctx, order)
-        out = space.zeros(self.n, self.n)
-        for k in range(self.n):
-            out[k, k, :] = s[0, 0, :]
+    def _compute(self, at, order, kids):
+        out = jet_space(self.ncoords, order).zeros(self.n, self.n)
+        out[range(self.n), range(self.n)] = kids[0][0, 0]
         return out
 
     def _deriv(self, gamma):
@@ -778,14 +762,14 @@ class RestrictField(Field):
     other parent coordinates are frozen at ``fixed`` values.  Only valid
     when the parent does not actually depend on the frozen coordinates
     (the reduction machinery verifies this before constructing one).
-    The parent is evaluated in an unplanned sub-context at the full
-    point, so this node lists no children in its own context.
+    A tape runs the parent at the full point (see :class:`Tape`).
     """
 
-    params = ("child", "keep", "fixed")
+    params = ("keep", "fixed")
 
     def __init__(self, child, keep, fixed):
         self.child = child
+        self.children = (child,)
         self.keep = tuple(keep)
         self.fixed = tuple(float(x) for x in fixed)
         if len(self.fixed) != child.ncoords:
@@ -794,12 +778,7 @@ class RestrictField(Field):
         self.ncoords = len(self.keep)
         self._tables = {}
 
-    def _compute(self, ctx, order):
-        full_point = list(self.fixed)
-        for k, pos in enumerate(self.keep):
-            full_point[pos] = ctx.point[k]
-        sub = ctx.sub(full_point)
-        jet = self.child.eval_jet(sub, order)
+    def _compute(self, at, order, kids):
         table = self._tables.get(order)
         if table is None:
             parent_space = jet_space(self.child.ncoords, order)
@@ -812,7 +791,7 @@ class RestrictField(Field):
                 rows.append(parent_space.index[tuple(full)])
             table = np.asarray(rows, dtype=np.intp)
             self._tables[order] = table
-        return jet[:, :, table]
+        return kids[0][:, :, table]
 
     def describe(self):
         return f"restrict({self.child.describe()})"

@@ -9,13 +9,11 @@ import itertools
 from pathlib import Path
 
 import numpy as np
-import pytest
 import yaml
 
 from sqmzoo import verify, zoo
 from sqmzoo.clifford import const_tensor
-from sqmzoo.diffop import (SampleSpec, anticommutator, commutator, compose,
-                           is_zero, mult_op, naive_dagger, similarity)
+from sqmzoo.diffop import anticommutator, compose, is_zero, similarity
 from sqmzoo.expr import parse
 from sqmzoo.fields import evaluate, fexpr
 from sqmzoo.jets import jet_space

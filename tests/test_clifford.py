@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from sqmzoo import clifford
 from sqmzoo.clifford import (bilinear, complex_fermions, const_tensor,
                              grade_decompose, hermitian_fermions, realify)
 from sqmzoo.fields import evaluate, fconst, fgrid, fexpr

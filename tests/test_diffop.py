@@ -18,8 +18,7 @@ from sqmzoo.diffop import (DiffOp, OpError, ReductionError, Residual,
                            naive_dagger, partial_op, pretty, reduce_cyclic,
                            rename_coords, similarity, zero_op)
 from sqmzoo.expr import parse
-from sqmzoo.fields import (evaluate, fconst, fdiag, fexpr, fidentity, fpow,
-                           fscale)
+from sqmzoo.fields import evaluate, fconst, fexpr, fidentity, fscale
 from sqmzoo.report import TOL_PASS
 
 REP1 = complex_fermions(1)

@@ -1,4 +1,4 @@
-"""The planned per-point evaluation: fan-in counts, freeing and exact scales."""
+"""The evaluation tape: one step per needed jet, freeing and exact scales."""
 
 import numpy as np
 import pytest
@@ -10,45 +10,45 @@ from sqmzoo.diffop import (EvaluationError, Residual, SampleSpec,
                            sampled_residual)
 from sqmzoo.expr import parse
 from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
-                           DetField, DiagField, EntryField, EvalContext,
-                           ExprField, GridField, InverseField, MatExpField,
-                           MatMulField, PlanError, PositiveGuardField,
-                           PowField, RestrictField, ScalarFnField,
-                           ScalarMulField, ScaleField, SumField,
-                           TransposeField, ZeroField, plan_requests)
+                           DetField, DiagField, EntryField, ExprField,
+                           GridField, InverseField, MatExpField, MatMulField,
+                           PositiveGuardField, PowField, RestrictField,
+                           ScalarFnField, ScalarMulField, ScaleField,
+                           SumField, Tape, TransposeField, ZeroField)
 
 SPEC2 = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=3, seed=4)
 
 
 def _brute_residual(group, points):
-    """(max_abs, argmax, scale) of a group without a plan: each point
-    gets fresh unplanned contexts, and the scale is the largest |value|
-    of every (node, order) the group needs, read from the jets directly
-    (a RestrictField's child at the full point included)."""
+    """(max_abs, argmax, scale) of a group on its own: the scale is the
+    largest |value| of every (node, order, point) the group needs, a
+    RestrictField's child at the full point included, read from the jets
+    of one tape per (order, point) that has each of them as a root of
+    its own group, instead of from stored subtree maxima."""
     max_abs, argmax, scale = 0.0, None, 0.0
     for p in points:
         for f in group:
             v = float(np.max(np.abs(fields.evaluate(f, p))))
             if v > max_abs:
                 max_abs, argmax = v, p
-        ctxs = {}
-        seen = set()
+        need = {}                   # (order, point) -> {id: node}
         todo = [(f, 0, tuple(p)) for f in group]
         while todo:
             node, order, at = todo.pop()
-            if (id(node), order, at) in seen:
+            nodes = need.setdefault((order, at), {})
+            if id(node) in nodes:
                 continue
-            seen.add((id(node), order, at))
-            ctx = ctxs.setdefault(at, EvalContext(at))
-            jet = fields.evaluate(node, at, order, ctx)
-            scale = max(scale, float(np.max(np.abs(jet[..., 0]))))
+            nodes[id(node)] = node
             if isinstance(node, RestrictField):
                 full = list(node.fixed)
                 for k, pos in enumerate(node.keep):
                     full[pos] = at[k]
-                todo.append((node.child, order, tuple(full)))
-            else:
-                todo.extend((c, o, at) for c, o in node.deps(order))
+                at = tuple(full)
+            todo.extend((c, o, at) for c, o in node.deps(order))
+        for (order, at), nodes in need.items():
+            tape = Tape([[node] for node in nodes.values()], order)
+            for (jet,), _ in tape.run(at):
+                scale = max(scale, float(np.max(np.abs(jet[..., 0]))))
     return max_abs, argmax, scale
 
 
@@ -75,7 +75,7 @@ def _every_node_type():
     twice = SumField([chain, chain])
     scaled = ScalarMulField(SumField([det, log_a]), ConjTransposeField(square))
     # the restricted child passes through +-7, larger than any value of
-    # the restriction itself, so its scale must come from the sub-context
+    # the restriction itself, so its scale must come from the child's frame
     over3 = ("x", "y", "z")
     big = SumField([e("x + 7", over3), e("-7", over3)])
     grid3 = GridField([[big, e("x*y + z", over3)],
@@ -92,7 +92,7 @@ def _every_node_type():
 
 
 def _nodes(groups):
-    """Every node the groups reach, sub-context children included."""
+    """Every node the groups reach."""
     out = {}
     todo = [(f, 0) for g in groups for f in g]
     while todo:
@@ -101,8 +101,6 @@ def _nodes(groups):
             continue
         out[(id(node), order)] = node
         todo.extend(node.deps(order))
-        if isinstance(node, RestrictField):
-            todo.append((node.child, order))
     return list(out.values())
 
 
@@ -186,6 +184,9 @@ def test_describe_of_every_node_type_is_pinned():
 
 
 def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
+    """One tape over every node type: each (node, order, point) is
+    computed once, the jets equal one-node evaluation, and each step is
+    dropped by its last reader, the last step or read-out that reads it."""
     groups = _every_node_type()
     points = SPEC2.points()
     expected = [[fields.evaluate(f, p) for g in groups for f in g]
@@ -194,28 +195,32 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
     for cls in {type(node) for node in _nodes(groups)}:
         orig = cls._compute
 
-        def counting(self, ctx, order, _orig=orig):
-            key = (id(ctx), id(self), order)
+        def counting(self, at, order, kids, _orig=orig):
+            key = (id(self), order, at.point)
             computed[key] = computed.get(key, 0) + 1
-            return _orig(self, ctx, order)
+            return _orig(self, at, order, kids)
 
         monkeypatch.setattr(cls, "_compute", counting)
-    plan = plan_requests([f for g in groups for f in g])
-    alive = []                  # keeps context ids unique across points
+    tape = Tape(groups)
     for p, want in zip(points, expected):
-        ctx = EvalContext(p, plan)
-        alive.append(ctx)
-        got = []
-        for group in groups:
-            got.extend(ctx.values(group)[0])
-            assert len(ctx.frames) == 1
-        assert ctx.cache == {}
+        got = [jet for jets, _ in tape.run(p) for jet in jets]
+        assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(computed) == len(points) * len(tape._steps)
     assert max(computed.values()) == 1
-    # the sub-context of the restriction keeps its entries until the
-    # point ends
-    assert all(c._subs and all(s.cache for s in c._subs.values())
-               for c in alive)
+    # readers in run order: step i, and read-out g between its last step
+    # and the next group's first
+    readers = {}
+    start = 0
+    for g, (roots, stop) in enumerate(tape._reads):
+        for i in range(start, stop):
+            for k in tape._steps[i][3]:
+                readers.setdefault(k, []).append(i)
+        for k in roots:
+            readers.setdefault(k, []).append(~g)
+        start = stop
+    assert sorted(readers) == list(range(len(tape._steps)))
+    assert [readers[k][-1] for k in sorted(readers)] == tape._last
 
 
 def test_planned_residual_matches_unplanned_brute_force():
@@ -225,40 +230,9 @@ def test_planned_residual_matches_unplanned_brute_force():
     for group, res in zip(groups[:-1], got):
         assert (res.max_abs, res.argmax_point, res.scale) == \
             _brute_residual(group, points)
-    # the restriction's scale comes from its sub-context
+    # the restriction's scale comes from its child, run at the full point
     assert got[3].max_abs < 7.0 <= got[3].scale
     assert got[-1] == Residual(0.0, points[0], 0.0)
-
-
-class _Undeclared(ScaleField):
-    """Evaluates a child its deps do not list."""
-
-    def __init__(self, coeff, child, hidden):
-        super().__init__(coeff, child)
-        self.hidden = hidden
-
-    def _compute(self, ctx, order):
-        self.hidden.eval_jet(ctx, order)
-        return super()._compute(ctx, order)
-
-
-class _Twice(ScaleField):
-    """Requests its declared child twice."""
-
-    def _compute(self, ctx, order):
-        self.child.eval_jet(ctx, order)
-        return super()._compute(ctx, order)
-
-
-@pytest.mark.parametrize("make", [
-    lambda a, b: _Undeclared(2.0, a, b),
-    lambda a, b: _Twice(2.0, SumField([a, b])),
-], ids=["undeclared-child", "extra-request"])
-def test_undeclared_request_fails_loudly(make):
-    a = ExprField(parse("x + y", ("x", "y")), 2)
-    b = ExprField(parse("x*y", ("x", "y")), 2)
-    with pytest.raises(PlanError):
-        sampled_residual([[make(a, b)]], SPEC2)
 
 
 @pytest.mark.parametrize("make, cause", [
@@ -281,8 +255,8 @@ def test_evaluation_failure_names_group_and_point(make, cause):
 def test_batched_check_matches_brute_force():
     """theorem1 on kahler_warped: max_abs, argmax and scale of every
     relation equal a brute-force computation that shares nothing between
-    relations, uses no plan, and reads the scale from every reachable
-    jet instead of from stored subtree maxima."""
+    relations and reads the scale from every reachable jet instead of
+    from stored subtree maxima."""
     m = zoo.kahler_warped()
     spec = m.sample_spec(n_points=2, seed=7)
     reports = verify.run_check("theorem1", m, spec)

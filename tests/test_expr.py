@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqmzoo.expr import Const, Coord, ExprError, parse, to_text
-from sqmzoo.fields import EvalContext, evaluate, fexpr
+from sqmzoo.fields import evaluate, fexpr
 
 
 def value(text, coords, point):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from sqmzoo import geometry, verify, zoo
-from sqmzoo.clifford import const_tensor
-from sqmzoo.diffop import (SampleSpec, anticommutator, commutator, compose,
-                           is_zero, mult_op, naive_dagger)
+from sqmzoo.diffop import SampleSpec, anticommutator, compose, is_zero, mult_op
 from sqmzoo.fields import fconst
 from sqmzoo.report import VIOLATED, all_ok
 

@@ -1,13 +1,11 @@
 """Gauge models and the Wess-Zumino mode truncation."""
 
-import numpy as np
 import pytest
 
 from sqmzoo import verify, zoo
 from sqmzoo.clifford import const_tensor
 from sqmzoo.diffop import (anticommutator, commutator, compose, is_zero,
-                           momentum_op, mult_op, naive_dagger, pretty,
-                           similarity)
+                           mult_op, naive_dagger, pretty, similarity)
 from sqmzoo.fields import fexpr
 from sqmzoo.expr import parse
 

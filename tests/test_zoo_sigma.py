@@ -5,12 +5,8 @@ import pytest
 
 from sqmzoo import zoo
 from sqmzoo.clifford import bilinear, grade_decompose
-from sqmzoo.diffop import (SampleSpec, anticommutator, compose, is_zero,
-                           similarity)
-from sqmzoo.fields import (EvalContext, ZeroField, evaluate, fdet, fexpr,
-                           fgrid, fidentity, flog, fmatmul, fscale,
-                           ftranspose)
-from sqmzoo.expr import parse
+from sqmzoo.diffop import anticommutator, compose, is_zero, similarity
+from sqmzoo.fields import evaluate, fdet, fidentity, flog, fscale, ftranspose
 
 OMEGA_2D = [["0.2*sin(x1)", "0.1*(x2 + y1)"],
             ["0.1*x1*y2", "0.15*(x2^2 - y2)"]]
@@ -162,12 +158,12 @@ def test_antiholomorphic_rotation_structure():
     spec = m.sample_spec(n_points=4, seed=13)
     assert_zero(compose(m.op("Q"), m.op("Q")), spec)
     assert_zero(anticommutator(m.op("Qbar"), m.op("Q")) - 2.0 * m.op("H"), spec)
-    ctx = EvalContext(spec.points()[0])
+    p = spec.points()[0]
     found = False
     for alpha, f in m.op("Q").terms.items():
         if sum(alpha) != 1:
             continue
-        val = f.eval_jet(ctx, 0)[:, :, 0]
+        val = evaluate(f, p)[:, :, 0]
         grades = grade_decompose(m.rep, val)
         if -1 in grades and np.abs(grades[-1]).max() > 1e-10:
             found = True
