@@ -239,11 +239,18 @@ def mult_op(coeff, coords, rep):
     return DiffOp(coords, rep, {(0,) * len(coords): coeff})
 
 
+@cache
+def _identity(rep, n):
+    """The identity on ``rep``'s Fock space over ``n`` coordinates, built
+    once per (rep, n): a representation lives for the whole run."""
+    return fidentity(rep.dim, n)
+
+
 def partial_op(coords, rep, name_or_pos):
     """Plain d/dx_M."""
     pos = name_or_pos if isinstance(name_or_pos, int) else coords.index(name_or_pos)
     n = len(coords)
-    return DiffOp(coords, rep, {unit_index(n, pos): fidentity(rep.dim, n)})
+    return DiffOp(coords, rep, {unit_index(n, pos): _identity(rep, n)})
 
 
 def momentum_op(coords, rep, name_or_pos):
@@ -361,7 +368,7 @@ def similarity(A, R):
 
     d_ops = []
     for m in range(n):
-        terms = {unit_index(n, m): fidentity(dim, n)}
+        terms = {unit_index(n, m): _identity(A.rep, n)}
         if not isinstance(cs[m], ZeroField):
             terms[zero] = cs[m]
         d_ops.append(DiffOp(A.coords, A.rep, terms))

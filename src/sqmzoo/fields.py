@@ -7,12 +7,21 @@ point produces a jet matrix carrying exact partial derivatives up to a
 requested order.
 
 Every node has the same form: it lists the nodes it is computed from in
-``children`` (leaves list none), and :meth:`Field.deps` turns that list
-into the ``(child, order)`` jets its ``_compute`` is given, each child
-at the node's own order.  Only a derivative asks for more (its child at
+``children`` (leaves list none), and :meth:`Field.kid_orders` gives the
+orders its ``_compute`` is given their jets at, each child at the node's
+own order.  Only a derivative asks for more (its child at
 ``order + |gamma|``).  ``_compute`` sees those jets and the point, and
 no cache, so a node is determined by its type, its own parameters and
 its children.
+
+A node's jet holds only its ``support``: the ascending coordinates it
+can depend on.  An expression's support is the coordinates it reads, a
+constant's is empty, a restriction maps its child's through ``keep``,
+and every other node takes the union of its children's.  So a product
+of two fields of one coordinate each runs over two coordinates' terms,
+whatever the model's coordinate count; a reader over more coordinates
+reads a jet embedded by a compile-time table, and
+:meth:`Field.eval_jet` returns the jet over all the node's coordinates.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -21,15 +30,18 @@ So equal subexpressions are one object, however and wherever they were
 built.
 
 Evaluation runs a :class:`Tape`: groups of roots compiled once into one
-step per ``(node, order, frame)`` they need, where a frame is the sample
-point or the full point a restriction's child runs at.  Since equal
-nodes are one object, a subexpression repeated in many parents, in many
-operators of one model or in many relations of one check is one step,
-computed once per point, and its jet is dropped after its last use.
-Each step also records its subtree maximum, the largest ``|value|`` of
-its own jet and of every jet it was computed from, which is the scale a
-residual is measured against.  Fields themselves hold no evaluation
-state.
+step per ``(node, frame)`` they need, where a frame is the sample point
+or the full point a restriction's child runs at.  A step runs at the
+highest order any reader needs, and a reader at a lower order reads its
+prefix (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Nodes
+computed from an inverse keep one step per order, since the inverse's
+iteration count depends on the order.  Since equal nodes are one
+object, a subexpression repeated in many parents, in many operators of
+one model or in many relations of one check is computed once per point,
+and its jet is dropped after its last use.  Each step also records its
+subtree maximum, the largest ``|value|`` of its own jet and of every jet
+it was computed from, which is the scale a residual is measured
+against.  Fields themselves hold no evaluation state.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .expr import Expr, to_text
+from .expr import Binary, Coord, Expr, Pow, Unary, to_text
 from .jets import MAX_ORDER, jet_space
 
 
@@ -72,70 +84,233 @@ class _Mag:
 
 class _At:
     """The point of one tape frame, with its coordinate jets built once
-    per order."""
+    per support and order."""
 
     def __init__(self, point):
         self.point = point
         self._jets = {}
 
-    def coord_jets(self, order):
-        if order not in self._jets:
-            space = jet_space(len(self.point), order)
-            self._jets[order] = [space.coordinate(i, x)
-                                 for i, x in enumerate(self.point)]
-        return self._jets[order]
+    def coord_jets(self, support, order):
+        """The jets of the coordinates in ``support`` over those
+        coordinates, indexed by coordinate; None elsewhere."""
+        key = (support, order)
+        jets = self._jets.get(key)
+        if jets is None:
+            space = jet_space(len(support), order)
+            jets = self._jets[key] = [None] * len(self.point)
+            for j, i in enumerate(support):
+                jets[i] = space.coordinate(j, self.point[i])
+        return jets
+
+
+def _view(have, sub, order, sup):
+    """How a reader over the coordinates ``sup`` reads, at ``order``, a
+    jet held over ``sub`` at order ``have``: None for the jet itself, a
+    term count for a prefix, or ``(table, nterms)`` for an embedding."""
+    if sub == sup:
+        return None if have == order else jet_space(len(sub), order).nterms
+    target = jet_space(len(sup), order)
+    return jet_space(len(sub), order).embedding(
+        tuple([sup.index(i) for i in sub]), target), target.nterms
+
+
+def _serve(jet, view):
+    """``jet`` as a reader with ``view`` (see :func:`_view`) reads it."""
+    if view is None:
+        return jet
+    if view.__class__ is int:
+        return jet[..., :view]
+    table, nterms = view
+    out = np.zeros(jet.shape[:2] + (nterms,), dtype=np.complex128)
+    out[..., table] = jet[..., :len(table)]
+    return out
+
+
+# the orders of each mask of orders up to MAX_ORDER, ascending
+_ORDERS = [tuple(k for k in range(MAX_ORDER + 1) if m >> k & 1)
+           for m in range(1 << (MAX_ORDER + 1))]
 
 
 class Tape:
     """Groups of root fields compiled into one list of steps.
 
-    There is one step per ``(node, order, frame)`` the roots need at
-    ``order``: the roots of each group, in group order, and their
-    :meth:`Field.deps` in post-order, so a node the groups share is one
-    step.  Frame 0 is the point a run is given; a restriction's child
-    runs in the frame of its full point, which restrictions with equal
-    ``keep`` and ``fixed`` share.  A group's roots are read out after
-    the last step it needs, and each jet is dropped after its last use,
-    by a step or a read-out."""
+    The roots of each group are needed at ``order``, and a step at order
+    k needs its children at its node's :meth:`Field.kid_orders` of k.  A
+    frame is the point a run is given (frame 0) or the full point a
+    restriction's child runs at, which restrictions with equal ``keep``
+    and ``fixed`` share.
+
+    Each ``(node, frame)`` pair the roots reach is one step, run at the
+    highest order any of its readers needs; a reader at a lower order k
+    reads the prefix ``jet[..., :T_k]``, since in the graded multi-index
+    order an order-k jet is a prefix of a higher-order one.  Products,
+    sums, Horner series and extraction sum the same term pairs in the
+    same order at either order, so the prefix is bit for bit the
+    lower-order jet.  A matrix exponential is lifted too: its series
+    stops once the largest entry of a term, over every grade, is below
+    1e-18, so a higher order can add a few terms below that to the lower
+    grades.  Two kinds of step keep their own order instead:
+
+    - a node whose subtree holds an :class:`InverseField` (its
+      ``_lift`` is False) has one step per order it is read at: the
+      Newton-Schulz iteration count grows with the order, so a lower
+      order inverse is not a prefix of a higher one;
+    - an order past the node's ``_reach``, where a derivative in its
+      subtree would exceed MAX_ORDER, is a step of its own that raises
+      OrderOverflow, and the node is lifted only up to its reach.
+
+    Planning takes one pass over the pairs, parents first.  A pair's
+    steps up to its reach are placed in the first group that needs the
+    pair, a step past its reach in the first group that asks for that
+    order, so an evaluation error names the same group as an unlifted
+    evaluation; each is placed after the steps it reads, in the
+    post-order of the roots' dependencies.  A reader over more
+    coordinates than a step's support reads its jet embedded by a
+    compile-time table (:func:`_view`).  A group's roots are read out
+    over their support after the last step it needs, and each jet is
+    dropped after its last use, by a step or a read-out.  The compile
+    tables are dropped when the constructor returns; a step record is
+    ``(node, order, frame, kid steps, kid views)``."""
 
     def __init__(self, groups, order=0):
         frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
-        index = {}                  # (node, order, frame) -> step
-        steps = self._steps = []    # (node, order, frame, kid steps)
-        last = self._last = []      # each step's last reader: step or ~group
-        reads = self._reads = []    # (root steps, end of the group's steps)
-        for g, roots in enumerate(groups):
-            todo = [(f, order, 0) for f in reversed(roots)]
+        # The (node, frame) pairs the roots reach, in post-order: each
+        # pair's children come before it.  A pair's key is its node in
+        # frame 0, else the pair itself.
+        ids, nodes, frame_of, kids_of, reach = {}, [], [], [], []
+        for roots in groups:
+            todo = [(f, 0, None) for f in reversed(roots)]
             while todo:
-                key = todo[-1]
-                if key in index:
-                    todo.pop()
-                    continue
-                node, node_order, frame = key
-                kid_frame = frame
-                if isinstance(node, RestrictField):
-                    kid_frame = frames.setdefault(
-                        (frame, node.keep, node.fixed), len(frames) + 1)
-                deps = [(c, o, kid_frame) for c, o in node.deps(node_order)]
-                new = [d for d in deps if d not in index]
-                if new:
-                    todo.extend(reversed(new))
-                    continue
-                todo.pop()
-                i = index[key] = len(steps)
-                kids = tuple([index[d] for d in deps])
-                for k in kids:
-                    last[k] = i
-                steps.append((node, node_order, frame, kids))
-                last.append(None)
-            roots = tuple([index[(f, order, 0)] for f in roots])
-            for k in roots:
-                last[k] = ~g
-            reads.append((roots, len(steps)))
+                node, frame, kids = todo.pop()
+                key = node if frame == 0 else (node, frame)
+                if kids is None:
+                    if key in ids:
+                        continue
+                    kf = frame
+                    if isinstance(node, RestrictField):
+                        kf = frames.setdefault((frame, node.keep, node.fixed),
+                                               len(frames) + 1)
+                    kids = node.children
+                    if kids and kf == 0:
+                        todo.append((node, frame, kids))
+                        todo += [(c, 0, None) for c in kids[::-1]
+                                 if c not in ids]
+                        continue
+                    if kids:
+                        kids = tuple([(c, kf) for c in kids])
+                        todo.append((node, frame, kids))
+                        todo += [(c, kf, None) for c, k in
+                                 zip(node.children[::-1], kids[::-1])
+                                 if k not in ids]
+                        continue
+                ids[key] = len(nodes)
+                nodes.append(node)
+                frame_of.append(frame)
+                kids_of.append(tuple([ids[k] for k in kids]))
+                if node._reach is None:
+                    node._settle()
+                reach.append(node._reach)
+        # The orders each pair is asked for, parents first, so a pair's
+        # requests are complete when it is planned: up to the pair's
+        # reach a bit per order in ``mask`` and the first group asking in
+        # ``first``; past it, each order with the first group asking for
+        # it in ``past``.
+        n, ng = len(nodes), len(groups)
+        mask, first, past = [0] * n, [ng] * n, {}
+
+        def ask(i, o, g):
+            if o <= reach[i]:
+                mask[i] |= 1 << o
+                if g < first[i]:
+                    first[i] = g
+                return
+            asked = past.get(i)
+            if asked is None:
+                past[i] = {o: g}
+            elif asked.get(o, ng) > g:
+                asked[o] = g
+
+        for g, roots in enumerate(groups):
+            for f in roots:
+                ask(ids[f], order, g)
+        # Each group's pairs, with their steps past the reach, in reverse
+        # post-order.  A lifted pair keeps only its top order.
+        placed = [[] for _ in groups]
+        for i in range(n - 1, -1, -1):
+            node, m = nodes[i], mask[i]
+            if m:
+                if node._lift:
+                    m = mask[i] = 1 << (m.bit_length() - 1)
+                g = first[i]
+                placed[g].append(i)
+                for k in _ORDERS[m]:
+                    for kid, o in zip(kids_of[i], node.kid_orders(k)):
+                        if o <= reach[kid]:
+                            mask[kid] |= 1 << o
+                            if g < first[kid]:
+                                first[kid] = g
+                        else:
+                            ask(kid, o, g)
+            for k, g in past.pop(i, {}).items():
+                placed[g].append((i, k))
+                for kid, o in zip(kids_of[i], node.kid_orders(k)):
+                    ask(kid, o, g)
+        # The steps, in run order.  A pair's steps up to its reach follow
+        # one another from ``base``, in ascending order, so its step at o
+        # is the one its mask bits below o count past ``base``.
+        base, beyond = [0] * n, {}      # beyond: (pair, order) -> step
+        order_of = []               # each step's order
+        steps = self._steps = []    # (node, order, frame, kid steps, views)
+        last = self._last = []      # each step's last reader: step or ~group
+        reads = self._reads = []    # (root steps, root views, end of group)
+
+        def step_of(i, o):
+            """The step that serves pair i at order o."""
+            if o > reach[i]:
+                return beyond[i, o]
+            below = mask[i] & ((1 << o) - 1)
+            return base[i] + below.bit_count() if below else base[i]
+
+        for g, roots in enumerate(groups):
+            for item in reversed(placed[g]):
+                if item.__class__ is int:
+                    i = item
+                    base[i] = len(steps)
+                    todo = _ORDERS[mask[i]]
+                else:
+                    i, k = item
+                    beyond[item] = len(steps)
+                    todo = (k,)
+                node, kids = nodes[i], kids_of[i]
+                sup = (node.child.support if isinstance(node, RestrictField)
+                       else node.support)
+                for k in todo:
+                    s = len(steps)
+                    read, views = [], None
+                    for kid, o in zip(kids, node.kid_orders(k)):
+                        j = step_of(kid, o)
+                        last[j] = s
+                        sub = nodes[kid].support
+                        if sub is not sup or order_of[j] != o:
+                            if views is None:
+                                views = [None] * len(kids)
+                            views[len(read)] = _view(order_of[j], sub, o, sup)
+                        read.append(j)
+                    steps.append((node, k, frame_of[i], tuple(read),
+                                  views and tuple(views)))
+                    order_of.append(k)
+                    last.append(None)
+            read = tuple([step_of(ids[f], order) for f in roots])
+            for j in read:
+                last[j] = ~g
+            reads.append((read, tuple([
+                _view(order_of[j], f.support, order, f.support)
+                for j, f in zip(read, roots)]), len(steps)))
 
     def run(self, point):
         """Evaluate at ``point``: yield ``(root jets, scale)`` for each
-        group in order, its scale folding its roots' subtree maxima."""
+        group in order, its scale folding its roots' subtree maxima.  A
+        root jet holds the root's support."""
         ats = [_At(tuple(float(x) for x in point))]
         for parent, keep, fixed in self._frames:
             full = list(fixed)
@@ -146,17 +321,23 @@ class Tape:
         jets = [None] * len(steps)
         mag = _Mag(len(steps))
         start = 0
-        for g, (roots, stop) in enumerate(self._reads):
+        for g, (roots, views, stop) in enumerate(self._reads):
             for i in range(start, stop):
-                node, order, frame, kids = steps[i]
-                jet = node._compute(ats[frame], order, [jets[k] for k in kids])
+                node, order, frame, kids, kid_views = steps[i]
+                if kid_views is None:
+                    args = [jets[k] for k in kids]
+                else:
+                    args = [_serve(jets[k], v)
+                            for k, v in zip(kids, kid_views)]
+                jet = node._compute(ats[frame], order, args)
                 mag.update(i, jet, kids)
                 jets[i] = jet
                 for k in kids:
                     if last[k] == i:
                         jets[k] = None
             start = stop
-            yield [jets[k] for k in roots], mag.fold(roots)
+            yield ([_serve(jets[k], v) for k, v in zip(roots, views)],
+                   mag.fold(roots))
             for k in roots:
                 if last[k] == ~g:
                     jets[k] = None
@@ -186,6 +367,7 @@ class _Interned(type):
 
     def __call__(cls, *args, **kwargs):
         node = type.__call__(cls, *args, **kwargs)
+        node._reach = None      # not settled yet (see Field._settle)
         structure = cls._structure
         if structure is None:
             return node
@@ -220,26 +402,68 @@ class Field(metaclass=_Interned):
     """Base class.  A subclass sets ``shape`` and ``ncoords``, lists the
     nodes it is computed from in ``children``, states the names of its
     other structural attributes in ``params`` and implements
-    :meth:`_compute`.  It is given ``kids``, the jets of :meth:`deps` in
-    order, and ``at``, the point with its coordinate jets."""
+    :meth:`_compute`.  It is given ``kids``, the jets of its children at
+    :meth:`kid_orders`, and ``at``, the point with its coordinate jets.
 
+    :meth:`_settle` sets three facts of a node, once, from its
+    children's: ``support``, the ascending coordinates it can depend on
+    (:meth:`_support`), over which its jets are built (:meth:`_space`)
+    and its kids arrive; ``_reach``, the highest order it can be
+    computed at before a derivative in its subtree exceeds MAX_ORDER;
+    and ``_lift``, False when its subtree holds an inverse (see
+    :class:`Tape`)."""
+
+    __slots__ = ("support", "_reach", "_lift")
     shape = (1, 1)
     ncoords = 0
     children = ()
 
     def eval_jet(self, point, order=0):
-        """Jet of this field at ``point`` up to ``order``: a one-root
-        tape."""
+        """Jet of this field at ``point`` up to ``order`` over all its
+        coordinates: a one-root tape."""
         ((jet,), _), = Tape([[self]], order).run(point)
-        return jet
+        full = tuple(range(self.ncoords))
+        return _serve(jet, _view(order, self.support, order, full))
+
+    def __getattr__(self, name):
+        """The facts :meth:`_settle` sets, set on first use."""
+        if name not in ("support", "_lift", "_along"):
+            raise AttributeError(name)
+        self._settle()
+        return object.__getattribute__(self, name)
+
+    def _settle(self):
+        """Set ``support``, ``_reach`` and ``_lift`` from the children's,
+        once: a tape settles its nodes in post-order, children first."""
+        reach, lift = MAX_ORDER, True
+        for c in self.children:
+            if c._reach is None:
+                c._settle()
+            if c._reach < reach:
+                reach = c._reach
+            lift = lift and c._lift
+        self.support = self._support()
+        self._reach, self._lift = reach, lift
+
+    def _support(self):
+        """The union of the children's supports."""
+        kids = self.children
+        first = kids[0].support if kids else ()
+        for c in kids:
+            if c.support is not first:
+                return _support({i for c in kids for i in c.support})
+        return first
+
+    def _space(self, order):
+        return jet_space(len(self.support), order)
 
     def _compute(self, at, order, kids):
         raise NotImplementedError
 
-    def deps(self, order):
-        """The ``(child, order)`` jets :meth:`_compute` is given at
-        ``order``: each child at the node's own order."""
-        return [(c, order) for c in self.children]
+    def kid_orders(self, order):
+        """The orders :meth:`_compute` is given its children's jets at,
+        when it runs at ``order``, one per child: the node's own."""
+        return (order,) * len(self.children)
 
     @property
     def is_scalar(self):
@@ -274,6 +498,16 @@ class Field(metaclass=_Interned):
         return f"<{self.describe()} {self.shape}>"
 
 
+# each support, as one tuple object
+_SUPPORTS = {}
+
+
+def _support(coords):
+    """The one ascending tuple of the coordinate set ``coords``."""
+    key = tuple(sorted(coords))
+    return _SUPPORTS.setdefault(key, key)
+
+
 def evaluate(field, point, order=0):
     """Jet matrix of ``field`` at ``point`` (tuple of reals)."""
     return field.eval_jet(point, order)
@@ -291,7 +525,7 @@ class ZeroField(Field):
         self.ncoords = ncoords
 
     def _compute(self, at, order, kids):
-        return jet_space(self.ncoords, order).zeros(*self.shape)
+        return self._space(order).zeros(*self.shape)
 
     def _deriv(self, gamma):
         return self
@@ -347,7 +581,7 @@ class ConstField(Field):
         self._bits = _Bits(self.matrix)
 
     def _compute(self, at, order, kids):
-        return jet_space(self.ncoords, order).const(self.matrix)
+        return self._space(order).const(self.matrix)
 
     def _deriv(self, gamma):
         return ZeroField(self.shape, self.ncoords)
@@ -380,9 +614,24 @@ class ExprField(Field):
         self.ncoords = ncoords
         self.name = name
 
+    def _support(self):
+        """The coordinates the expression reads."""
+        found, todo = set(), [self.expr]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, Coord):
+                found.add(e.index)
+            elif isinstance(e, Binary):
+                todo += (e.left, e.right)
+            elif isinstance(e, Unary):
+                todo.append(e.child)
+            elif isinstance(e, Pow):
+                todo.append(e.base)
+        return _support(found)
+
     def _compute(self, at, order, kids):
-        space = jet_space(self.ncoords, order)
-        return self.expr.eval_jet(space, at.coord_jets(order))
+        return self.expr.eval_jet(self._space(order),
+                                  at.coord_jets(self.support, order))
 
     def describe(self):
         return self.name or to_text(self.expr)
@@ -465,7 +714,7 @@ class MatMulField(Field):
         self.ncoords = a.ncoords
 
     def _compute(self, at, order, kids):
-        return jet_space(self.ncoords, order).mul(*kids)
+        return self._space(order).mul(*kids)
 
     def _conj_t(self):
         a, b = self.children
@@ -520,7 +769,7 @@ class ScalarMulField(_Unary):
         self.children = (scalar, child)
 
     def _compute(self, at, order, kids):
-        return jet_space(self.ncoords, order).scal_mul(*kids)
+        return self._space(order).scal_mul(*kids)
 
     def _conj_t(self):
         return ScalarMulField(self.scalar.conj_t(), self.child.conj_t())
@@ -569,6 +818,7 @@ class TransposeField(_Unary):
 
 
 class DerivativeField(_Unary):
+    __slots__ = ("_along",)
     params = ("gamma",)
 
     def __init__(self, child, gamma):
@@ -577,20 +827,29 @@ class DerivativeField(_Unary):
         if len(self.gamma) != child.ncoords:
             raise ValueError("derivative multi-index length mismatch")
 
+    def _settle(self):
+        """Also ``_along``: ``gamma`` over the support, or None when it
+        leaves the support, where the derivative is zero."""
+        super()._settle()
+        self._reach -= sum(self.gamma)
+        along = tuple(self.gamma[i] for i in self.support)
+        self._along = along if sum(along) == sum(self.gamma) else None
+
     def _compute(self, at, order, kids):
         total = order + sum(self.gamma)
         if not kids:
             raise OrderOverflow(
                 f"derivative request of order {total} exceeds cap {MAX_ORDER}")
-        parent = jet_space(self.ncoords, total)
-        target = jet_space(self.ncoords, order)
-        return parent.extract(kids[0], self.gamma, target)
+        target = self._space(order)
+        if self._along is None:
+            return target.zeros(*self.shape)
+        return self._space(total).extract(kids[0], self._along, target)
 
-    def deps(self, order):
+    def kid_orders(self, order):
         """The child at ``order + |gamma|``; none past MAX_ORDER, where
         the step raises OrderOverflow."""
         total = order + sum(self.gamma)
-        return ((self.child, total),) if total <= MAX_ORDER else ()
+        return (total,) if total <= MAX_ORDER else ()
 
     def _deriv(self, gamma):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
@@ -612,8 +871,7 @@ class _Kernel(_Unary):
     args = ()
 
     def _compute(self, at, order, kids):
-        return getattr(jet_space(self.ncoords, order), self.kernel)(
-            kids[0], *self.args)
+        return getattr(self._space(order), self.kernel)(kids[0], *self.args)
 
     def describe(self):
         return f"{self.text}({self.child.describe()})"
@@ -640,6 +898,12 @@ class InverseField(_Kernel):
         if child.shape[0] != child.shape[1]:
             raise ValueError("inverse of a non-square field")
         super().__init__(child)
+
+    def _settle(self):
+        """The Newton-Schulz iteration count grows with the order, so a
+        lower-order inverse is not a prefix of a higher one: no lifting."""
+        super()._settle()
+        self._lift = False
 
 
 class DetField(_Kernel):
@@ -741,7 +1005,7 @@ class DiagField(_Unary):
         self.shape = (n, n)
 
     def _compute(self, at, order, kids):
-        out = jet_space(self.ncoords, order).zeros(self.n, self.n)
+        out = self._space(order).zeros(self.n, self.n)
         out[range(self.n), range(self.n)] = kids[0][0, 0]
         return out
 
@@ -762,7 +1026,8 @@ class RestrictField(Field):
     other parent coordinates are frozen at ``fixed`` values.  Only valid
     when the parent does not actually depend on the frozen coordinates
     (the reduction machinery verifies this before constructing one).
-    A tape runs the parent at the full point (see :class:`Tape`).
+    A tape runs the parent at the full point (see :class:`Tape`), and
+    reads its jet over the parent's own support.
     """
 
     params = ("keep", "fixed")
@@ -778,16 +1043,21 @@ class RestrictField(Field):
         self.ncoords = len(self.keep)
         self._tables = {}
 
+    def _support(self):
+        """The kept positions of the child's support."""
+        return _support([k for k, pos in enumerate(self.keep)
+                         if pos in self.child.support])
+
     def _compute(self, at, order, kids):
         table = self._tables.get(order)
         if table is None:
-            parent_space = jet_space(self.child.ncoords, order)
-            target_space = jet_space(self.ncoords, order)
+            sub = self.child.support
+            parent_space = jet_space(len(sub), order)
             rows = []
-            for alpha in target_space.midx:
-                full = [0] * self.child.ncoords
-                for k, pos in enumerate(self.keep):
-                    full[pos] = alpha[k]
+            for alpha in self._space(order).midx:
+                full = [0] * len(sub)
+                for a, k in zip(alpha, self.support):
+                    full[sub.index(self.keep[k])] = a
                 rows.append(parent_space.index[tuple(full)])
             table = np.asarray(rows, dtype=np.intp)
             self._tables[order] = table

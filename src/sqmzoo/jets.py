@@ -89,6 +89,7 @@ class JetSpace:
         self._kk = np.asarray(kk, dtype=np.intp)
         self._ww = np.asarray(ww, dtype=np.complex128)
         self._extract_cache = {}
+        self._embed_cache = {}
 
     # -- construction -------------------------------------------------
 
@@ -157,6 +158,21 @@ class JetSpace:
     def extract(self, A, gamma, target):
         """Jet of d^gamma f in ``target`` from a jet of f in this space."""
         return A[:, :, self.extract_table(gamma, target)]
+
+    def embedding(self, positions, target):
+        """Positions in ``target``, of the same order, of this space's
+        terms, whose variable d is the target's variable ``positions[d]``."""
+        key = (positions, id(target))
+        tab = self._embed_cache.get(key)
+        if tab is None:
+            rows = []
+            for alpha in self.midx:
+                full = [0] * target.nvars
+                for a, pos in zip(alpha, positions):
+                    full[pos] = a
+                rows.append(target.index[tuple(full)])
+            tab = self._embed_cache[key] = np.asarray(rows, dtype=np.intp)
+        return tab
 
     # -- univariate function composition --------------------------------
 

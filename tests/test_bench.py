@@ -1,7 +1,9 @@
-"""Microbenchmarks: one check end to end and the jet kernels at the
-shapes the shipped models use (16x16 Fock matrices over 4 coordinates,
-64x64 over 6, 4x4 matrix exponentials over 4), plus order 4 and the
-term-sparse 64x64 products of ``wz_modes``.
+"""Microbenchmarks: one check end to end, the compilation of the largest
+tape (``hyperkahler_gh``'s ``theorem2``, whose cost every check pays
+once before its first point) and the jet kernels at the shapes the
+shipped models use (16x16 Fock matrices over 4 coordinates, 64x64 over
+6, 4x4 matrix exponentials over 4), plus order 4 and a term-sparse
+64x64 product.
 
 The pyproject's ``--benchmark-disable`` makes a plain test run execute
 each body once, as a smoke test; to time them run
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from sqmzoo import verify, zoo
+from sqmzoo.fields import Tape
 from sqmzoo.jets import jet_space
 
 SHAPES = pytest.mark.parametrize(
@@ -30,6 +33,13 @@ def test_bench_run_check_theorem1(benchmark):
     spec = m.sample_spec(n_points=2, seed=7)
     reports = benchmark(verify.run_check, "theorem1", m, spec)
     assert reports and all(r.ok for r in reports)
+
+
+def test_bench_tape_compile(benchmark):
+    m = zoo.hyperkahler_gibbons_hawking()
+    groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
+    tape = benchmark(Tape, groups)
+    assert len(tape._reads) == len(groups) == 62
 
 
 @SHAPES
@@ -51,8 +61,9 @@ def test_bench_jet_scal_mul(benchmark, nvars, order, dim):
 
 
 def test_bench_jet_mul_term_sparse(benchmark):
-    # the wz_modes pattern: a 64x64 jet with its value and two first
-    # derivatives live times a constant, 3 of 28 terms
+    # a 64x64 jet with its value and two first derivatives live times a
+    # constant, 3 of 28 terms.  wz_modes had this pattern until its jets
+    # were stored over their support, two of the six coordinates: 6 terms
     space = jet_space(6, 2)
     rng = np.random.default_rng(2)
     a, b = _jet(rng, space, 64, 64), _jet(rng, space, 64, 64)

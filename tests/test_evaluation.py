@@ -1,4 +1,5 @@
-"""The evaluation tape: one step per needed jet, freeing and exact scales."""
+"""The evaluation tape: one step per node at its highest order, jets over
+their support, freeing and exact scales."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            PositiveGuardField, PowField, RestrictField,
                            ScalarFnField, ScalarMulField, ScaleField,
                            SumField, Tape, TransposeField, ZeroField)
+from sqmzoo.jets import jet_space
 
 SPEC2 = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=3, seed=4)
 
@@ -44,7 +46,8 @@ def _brute_residual(group, points):
                 for k, pos in enumerate(node.keep):
                     full[pos] = at[k]
                 at = tuple(full)
-            todo.extend((c, o, at) for c, o in node.deps(order))
+            todo.extend((c, o, at) for c, o in
+                        zip(node.children, node.kid_orders(order)))
         for (order, at), nodes in need.items():
             tape = Tape([[node] for node in nodes.values()], order)
             for (jet,), _ in tape.run(at):
@@ -100,7 +103,7 @@ def _nodes(groups):
         if (id(node), order) in out:
             continue
         out[(id(node), order)] = node
-        todo.extend(node.deps(order))
+        todo.extend(zip(node.children, node.kid_orders(order)))
     return list(out.values())
 
 
@@ -183,21 +186,46 @@ def test_describe_of_every_node_type_is_pinned():
     assert got == NODE_DESCRIPTIONS
 
 
+def _reads_inverse(nodes):
+    """The ids of the nodes whose subtree holds an InverseField."""
+    memo = {}
+
+    def holds(node):
+        if id(node) not in memo:
+            memo[id(node)] = isinstance(node, InverseField) or \
+                any(holds(c) for c in node.children)
+        return memo[id(node)]
+
+    return {id(n) for n in nodes if holds(n)}
+
+
 def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
-    """One tape over every node type: each (node, order, point) is
-    computed once, the jets equal one-node evaluation, and each step is
-    dropped by its last reader, the last step or read-out that reads it."""
+    """One tape over every node type, with the sum that reads the inverse
+    also read at order 1: each (node, point) is computed once, at the
+    highest order its readers need, except a node computed from an
+    inverse, which is computed once per order it is read at; the jets
+    equal one-node evaluation, and each step is dropped by its last
+    reader, the last step or read-out that reads it."""
     groups = _every_node_type()
+    groups.append([DerivativeField(groups[0][0], (1, 0))])
+    per_order = _reads_inverse(_nodes(groups))
     points = SPEC2.points()
     expected = [[fields.evaluate(f, p) for g in groups for f in g]
                 for p in points]
-    computed = {}
+    computed, read = {}, {}     # (node id, point) -> orders
     for cls in {type(node) for node in _nodes(groups)}:
         orig = cls._compute
 
         def counting(self, at, order, kids, _orig=orig):
-            key = (id(self), order, at.point)
-            computed[key] = computed.get(key, 0) + 1
+            computed.setdefault((id(self), at.point), []).append(order)
+            kid_at = at.point
+            if isinstance(self, RestrictField):
+                full = list(self.fixed)
+                for k, pos in enumerate(self.keep):
+                    full[pos] = at.point[k]
+                kid_at = tuple(full)
+            for c, o in zip(self.children, self.kid_orders(order)):
+                read.setdefault((id(c), kid_at), set()).add(o)
             return _orig(self, at, order, kids)
 
         monkeypatch.setattr(cls, "_compute", counting)
@@ -206,13 +234,24 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         got = [jet for jets, _ in tape.run(p) for jet in jets]
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert len(computed) == len(points) * len(tape._steps)
-    assert max(computed.values()) == 1
+        for f in {id(f): f for g in groups for f in g}.values():
+            read.setdefault((id(f), p), set()).add(0)
+    assert set(computed) == set(read)
+    assert sum(map(len, computed.values())) == len(points) * len(tape._steps)
+    lifted = 0
+    for (node, at), orders in computed.items():
+        if node in per_order:
+            assert sorted(orders) == sorted(read[node, at])
+        else:
+            assert orders == [max(read[node, at])]
+            lifted += len(read[node, at]) > 1
+    assert lifted and any(len(read[key]) > 1 for key in computed
+                          if key[0] in per_order)
     # readers in run order: step i, and read-out g between its last step
     # and the next group's first
     readers = {}
     start = 0
-    for g, (roots, stop) in enumerate(tape._reads):
+    for g, (roots, _, stop) in enumerate(tape._reads):
         for i in range(start, stop):
             for k in tape._steps[i][3]:
                 readers.setdefault(k, []).append(i)
@@ -221,6 +260,87 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         start = stop
     assert sorted(readers) == list(range(len(tape._steps)))
     assert [readers[k][-1] for k in sorted(readers)] == tape._last
+
+
+def test_lower_order_jet_is_a_prefix_of_a_higher_one():
+    """What lifting rests on: for every node not computed from an inverse
+    (and computable at order 2), its order-k jet is the first T_k terms
+    of its order-2 jet, bit for bit."""
+    nodes = _nodes(_every_node_type())
+    per_order = _reads_inverse(nodes)
+    at = {2: (0.3, -0.2), 3: (0.3, -0.2, 0.4)}
+    types = set()
+    for f in nodes:
+        if id(f) in per_order:
+            continue
+        p = at[f.ncoords]
+        try:
+            top = fields.evaluate(f, p, 2)
+        except fields.OrderOverflow:
+            continue
+        types.add(type(f))
+        for k in (0, 1):
+            nterms = jet_space(f.ncoords, k).nterms
+            assert np.array_equal(fields.evaluate(f, p, k),
+                                  top[..., :nterms]), (f, k)
+    assert types == _subclasses(fields.Field) - {InverseField}
+
+
+def test_jets_over_their_support_match_full_space_arithmetic():
+    """Nodes of supports {x}, {y} and {} mixed by a sum, products, grids,
+    a restriction and derivatives (one along a coordinate outside its
+    child's support) at order 2 equal the same arithmetic done over both
+    coordinates with JetSpace, bit for bit."""
+    xy, xyz = ("x", "y"), ("x", "y", "z")
+    fx = ExprField(parse("1 + x^2", xy), 2)
+    fy = ExprField(parse("2 + sin(y)", xy), 2)
+    c = ExprField(parse("3", xy), 2)
+    rz = RestrictField(ExprField(parse("x*z + 1", xyz), 3), (0, 1),
+                       (0.0, 0.0, 0.5))
+    gx = GridField([[fx, c], [c, fx]])
+    gy = GridField([[fy, c], [c, fy]])
+    eye = ConstField(np.eye(2), 2)
+    dx_of_y = DerivativeField(fy, (1, 0))
+    dy_of_y = DerivativeField(fy, (0, 1))
+    root = SumField([MatMulField(gx, gy),
+                     ScalarMulField(rz, SumField([gx, eye])),
+                     GridField([[dx_of_y, dy_of_y], [dy_of_y, c]])])
+    assert (fx.support, fy.support, c.support, rz.support, eye.support) == \
+        ((0,), (1,), (), (0,), ())
+    assert (gx.support, dx_of_y.support, root.support) == ((0,), (1,), (0, 1))
+
+    p = (0.3, -0.7)
+    space, space3 = jet_space(2, 2), jet_space(2, 3)
+
+    def expr_jet(f, sp, point):
+        coords = [sp.coordinate(i, x) for i, x in enumerate(point)]
+        return f.expr.eval_jet(sp, coords)
+
+    def grid(entries):
+        return np.array([[e[0, 0] for e in row] for row in entries])
+
+    x, y, k = (expr_jet(f, space, p) for f in (fx, fy, c))
+    full = jet_space(3, 2)
+    z_jet = expr_jet(rz.child, full, p + (0.5,))
+    r = z_jet[:, :, [full.index[a + (0,)] for a in space.midx]]
+    dy3 = expr_jet(fy, space3, p)
+    dxy, dyy = (space3.extract(dy3, g, space) for g in ((1, 0), (0, 1)))
+    assert not dxy.any()
+    want = space.mul(grid([[x, k], [k, x]]), grid([[y, k], [k, y]]))
+    want += space.scal_mul(r, grid([[x, k], [k, x]]) + space.const(np.eye(2)))
+    want += grid([[dxy, dyy], [dyy, k]])
+    assert np.array_equal(fields.evaluate(root, p, 2), want)
+
+
+def test_order_overflow_is_not_lifted_into_an_earlier_group():
+    """A derivative asked for at two orders, the higher past MAX_ORDER,
+    is lifted only as far as it can be computed: the overflow is raised
+    in the group that asks for it."""
+    d = DerivativeField(ExprField(parse("x^3*y", ("x", "y")), 2), (3, 0))
+    with pytest.raises(EvaluationError) as err:
+        sampled_residual([[d], [DerivativeField(d, (2, 0))]], SPEC2)
+    assert err.value.group == 1
+    assert type(err.value.cause) is fields.OrderOverflow
 
 
 def test_planned_residual_matches_unplanned_brute_force():
