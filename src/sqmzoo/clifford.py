@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .fields import Field, fconst
-from .jets import _perm_sign
+from .jets import _perm_sign, join_points, split_points
 
 FOCK_DIM_CAP = 4096
 
@@ -298,7 +298,8 @@ class FermionBilinearField(Field):
         self._pairs = _pair_tensor(rep, ordering)
 
     def _compute(self, at, order, kids):
-        return np.einsum("abt,abrc->rct", kids[0], self._pairs)
+        return join_points(np.einsum("pabt,abrc->prct",
+                                     split_points(kids[0], at.n), self._pairs))
 
     def describe(self):
         names = {"pb": "psi.psibar", "bp": "psibar.psi",
@@ -328,7 +329,7 @@ class FermionLinearField(Field):
         self._ops = np.asarray(ops)
 
     def _compute(self, at, order, kids):
-        return np.einsum("at,arc->rct", kids[0][0], self._ops)
+        return join_points(np.einsum("pat,arc->prct", kids[0], self._ops))
 
     def describe(self):
         return f"[{self.vfield.describe()}]*{self.kind}"

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import (Tape, ZeroField, fdiag, fexp, fidentity, fmatmul, fpow,
                      frestrict, fscale, fsum)
-from .jets import MAX_ORDER, _binom_multi
+from .jets import MAX_ORDER, _binom_multi, split_points
 
 
 # largest relative residual (see Residual.relative) at which a sampled
@@ -443,32 +443,55 @@ def sampled_residual(groups, spec):
     from.  A NaN ranks above every number, so the first NaN met is kept
     with its point.  The point is None when every sampled entry is
     exactly 0, and the first sample point when the group is empty.  The
-    groups are compiled into one tape, run once per point, so a node the
-    groups share is computed once per point and its jet dropped after
-    its last use.  A ValueError or ArithmeticError raised while a group
-    is evaluated (a failed positivity guard, an order overflow, a series
-    that does not converge, a division by zero) becomes an
-    EvaluationError that carries the group's index and the point."""
+    groups are compiled into one tape, run once per block of points
+    (:meth:`Tape.blocks`), so a node the groups share is computed once
+    per block and its jet dropped after its last use; the blocks are
+    read in point order.  A ValueError or ArithmeticError raised while a
+    group is evaluated (a failed positivity guard, an order overflow, a
+    series that does not converge, a division by zero) becomes an
+    EvaluationError that carries the group's index and the point: a
+    block that raises is run again one point at a time, so the error
+    names the first failing point, and its first failing group, as
+    evaluating point by point would."""
     groups = [list(fields) for fields in groups]
     points = spec.points()
     tape = Tape(groups)
     found = [[0.0, None, 0.0] for _ in groups]
-    for p in points:
-        run = tape.run(p)
-        for g, acc in enumerate(found):
-            try:
-                jets, scale = next(run)
-            except (ValueError, ArithmeticError) as exc:
-                raise EvaluationError(g, p, exc) from exc
-            for jet in jets:
-                m = float(np.abs(jet).max())
+    for block in tape.blocks(points):
+        try:
+            found = _folded(found, tape, block)
+        except EvaluationError:
+            if len(block) == 1:
+                raise
+            for p in block:
+                found = _folded(found, tape, [p])
+    return [Residual(*acc) if fields else Residual(0.0, points[0], 0.0)
+            for fields, acc in zip(groups, found)]
+
+
+def _folded(found, tape, block):
+    """A copy of each group's ``[max_abs, argmax, scale]`` with its
+    outputs over ``block`` folded in, point by point in order.  An error
+    raised in group g becomes an EvaluationError of g at the block's
+    first point."""
+    found = [acc[:] for acc in found]
+    run = tape.run(block)
+    for g, acc in enumerate(found):
+        try:
+            jets, scales = next(run)
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(g, block[0], exc) from exc
+        if jets:
+            peaks = np.max([np.abs(split_points(jet, len(block))).max(
+                axis=(1, 2, 3)) for jet in jets], axis=0)
+            for p, m in zip(block, peaks.tolist()):
                 if m > acc[0] or (m != m and acc[0] == acc[0]):
                     acc[0] = m
                     acc[1] = p
-            if scale > acc[2] or scale != scale:
-                acc[2] = scale
-    return [Residual(*acc) if fields else Residual(0.0, points[0], 0.0)
-            for fields, acc in zip(groups, found)]
+        for s in scales.tolist():
+            if s > acc[2] or s != s:
+                acc[2] = s
+    return found
 
 
 def is_zero(A, spec, tol=TOL_PASS):

@@ -44,7 +44,9 @@ class ExprError(ValueError):
 class Expr:
     """Base scalar expression node."""
 
-    def eval_jet(self, space, coord_jets):
+    def eval_jet(self, space, coord_jets, n=1):
+        """Jets at a block of ``n`` points, given the coordinates' jets
+        there (see :mod:`.jets`)."""
         raise NotImplementedError
 
     def __call__(self, point):
@@ -96,8 +98,8 @@ class Const(Expr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def eval_jet(self, space, coord_jets):
-        return space.const([[self.value]])
+    def eval_jet(self, space, coord_jets, n=1):
+        return space.const([[self.value]], n)
 
 
 class Coord(Expr):
@@ -105,7 +107,7 @@ class Coord(Expr):
         self.index = index
         self.name = name or f"x{index}"
 
-    def eval_jet(self, space, coord_jets):
+    def eval_jet(self, space, coord_jets, n=1):
         return coord_jets[self.index]
 
 
@@ -118,8 +120,8 @@ class Unary(Expr):
         self.op = op
         self.child = child
 
-    def eval_jet(self, space, coord_jets):
-        u = self.child.eval_jet(space, coord_jets)
+    def eval_jet(self, space, coord_jets, n=1):
+        u = self.child.eval_jet(space, coord_jets, n)
         if self.op == "neg":
             return -u
         return getattr(space, self.op)(u)
@@ -135,9 +137,9 @@ class Binary(Expr):
         self.left = left
         self.right = right
 
-    def eval_jet(self, space, coord_jets):
-        a = self.left.eval_jet(space, coord_jets)
-        b = self.right.eval_jet(space, coord_jets)
+    def eval_jet(self, space, coord_jets, n=1):
+        a = self.left.eval_jet(space, coord_jets, n)
+        b = self.right.eval_jet(space, coord_jets, n)
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -157,8 +159,8 @@ class Pow(Expr):
         self.p = int(p)
         self.q = int(q)
 
-    def eval_jet(self, space, coord_jets):
-        u = self.base.eval_jet(space, coord_jets)
+    def eval_jet(self, space, coord_jets, n=1):
+        u = self.base.eval_jet(space, coord_jets, n)
         return space.powr(u, self.p, self.q)
 
 

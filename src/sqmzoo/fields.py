@@ -37,11 +37,23 @@ prefix (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Nodes
 computed from an inverse keep one step per order, since the inverse's
 iteration count depends on the order.  Since equal nodes are one
 object, a subexpression repeated in many parents, in many operators of
-one model or in many relations of one check is computed once per point,
-and its jet is dropped after its last use.  Each step also records its
-subtree maximum, the largest ``|value|`` of its own jet and of every jet
-it was computed from, which is the scale a residual is measured
-against.  Fields themselves hold no evaluation state.
+one model or in many relations of one check is computed once per block
+of points, and its jet is dropped after its last use.  Each step also
+records its subtree maximum, the largest ``|value|`` of its own jet and
+of every jet it was computed from, which is the scale a residual is
+measured against.  Fields themselves hold no evaluation state.
+
+A tape run evaluates a block of sample points at once, each step once
+per block.  A jet of a block of P points is the C-order ``(P, rows,
+cols, T)`` array of their jets, held and passed as its ``(P*rows, cols,
+T)`` view, so every jet is 3-D and a one-point block holds exactly the
+one-point jet; kernels and nodes split the first axis back into ``(P,
+rows)``, which is always a view (see :mod:`.jets`).  Constants and zeros
+are built per block, over their empty support, so they hold one term.
+Each point's jets are bit for bit those of a block of its own.  The
+blocks are sized at compile time: :attr:`Tape.point_bytes` is the most
+bytes of jets one point holds at once, and :meth:`Tape.blocks` splits the
+points into the fewest near-equal blocks that stay within BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from operator import attrgetter
 import numpy as np
 
 from .expr import Binary, Coord, Expr, Pow, Unary, to_text
-from .jets import MAX_ORDER, jet_space
+from .jets import MAX_ORDER, jet_space, join_points, split_points
 
 
 class OrderOverflow(ValueError):
@@ -61,33 +73,41 @@ class OrderOverflow(ValueError):
 
 
 class _Mag:
-    """Subtree maxima of one tape run, by step: the largest ``|value|`` of
-    a step's jet and of every jet it was computed from.  A NaN, once met,
-    stays."""
+    """Subtree maxima of one tape run over a block of ``n`` points, by
+    step: for each point, the largest ``|value|`` of a step's jet and of
+    every jet it was computed from, one row of ``value`` per step.  A
+    NaN, once met, stays."""
 
-    def __init__(self, nsteps):
-        self.value = [0.0] * nsteps
+    def __init__(self, nsteps, n):
+        self.value = np.zeros((nsteps, n))
 
-    def fold(self, steps, m=0.0):
-        """``m`` folded with the subtree maxima of ``steps``."""
-        value = self.value
+    def fold(self, steps):
+        """The subtree maxima of ``steps`` folded, point by point."""
+        m = np.zeros(self.value.shape[1])
         for k in steps:
-            v = value[k]
-            if v > m or v != v:
-                m = v
+            _max2(m, self.value[k], out=m)
         return m
 
     def update(self, step, jet, kids):
-        m = float(np.abs(jet[..., 0]).max()) if jet.size else 0.0
-        self.value[step] = self.fold(kids, m)
+        value = self.value
+        m = value[step]
+        if jet.size:
+            _max(np.abs(split_points(jet[..., 0], len(m))), axis=(1, 2), out=m)
+        for k in kids:
+            _max2(m, value[k], out=m)
+
+
+# NaN-propagating maxima: along an axis, and of two arrays
+_max, _max2 = np.maximum.reduce, np.maximum
 
 
 class _At:
-    """The point of one tape frame, with its coordinate jets built once
-    per support and order."""
+    """The ``(n, ncoords)`` array of the points of one tape frame, with
+    their coordinate jets built once per support and order."""
 
-    def __init__(self, point):
-        self.point = point
+    def __init__(self, points):
+        self.points = points
+        self.n = len(points)
         self._jets = {}
 
     def coord_jets(self, support, order):
@@ -97,9 +117,9 @@ class _At:
         jets = self._jets.get(key)
         if jets is None:
             space = jet_space(len(support), order)
-            jets = self._jets[key] = [None] * len(self.point)
+            jets = self._jets[key] = [None] * self.points.shape[1]
             for j, i in enumerate(support):
-                jets[i] = space.coordinate(j, self.point[i])
+                jets[i] = space.coordinate(j, self.points[:, i])
         return jets
 
 
@@ -129,6 +149,9 @@ def _serve(jet, view):
 # the orders of each mask of orders up to MAX_ORDER, ascending
 _ORDERS = [tuple(k for k in range(MAX_ORDER + 1) if m >> k & 1)
            for m in range(1 << (MAX_ORDER + 1))]
+
+# the most bytes of jets a tape run may hold at once (see Tape.blocks)
+BLOCK_BYTES = 4 << 20
 
 
 class Tape:
@@ -170,7 +193,16 @@ class Tape:
     over their support after the last step it needs, and each jet is
     dropped after its last use, by a step or a read-out.  The compile
     tables are dropped when the constructor returns; a step record is
-    ``(node, order, frame, kid steps, kid views)``."""
+    ``(node, order, frame, kid steps, kid views)``.
+
+    A run evaluates a block of points at once, each step once per block:
+    a jet of the block is the ``(P, rows, cols, T)`` array of its points'
+    jets, held as its ``(P*rows, cols, T)`` view (see :mod:`.jets`), so
+    a one-point block holds exactly the one-point jets.  ``point_bytes``
+    is the peak, over the run, of the bytes of the jets one point holds
+    at once: each step's jet, of its node's shape and of its order's
+    term count over the node's support, from its step to its last
+    reader.  :meth:`blocks` sizes the blocks by it."""
 
     def __init__(self, groups, order=0):
         frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
@@ -260,6 +292,7 @@ class Tape:
         # is the one its mask bits below o count past ``base``.
         base, beyond = [0] * n, {}      # beyond: (pair, order) -> step
         order_of = []               # each step's order
+        size = []                   # the bytes of each step's jet, per point
         steps = self._steps = []    # (node, order, frame, kid steps, views)
         last = self._last = []      # each step's last reader: step or ~group
         reads = self._reads = []    # (root steps, root views, end of group)
@@ -300,26 +333,63 @@ class Tape:
                                   views and tuple(views)))
                     order_of.append(k)
                     last.append(None)
+                    rows, cols = node.shape
+                    size.append(16 * rows * cols * jet_space(
+                        len(node.support), k).nterms)
             read = tuple([step_of(ids[f], order) for f in roots])
             for j in read:
                 last[j] = ~g
             reads.append((read, tuple([
                 _view(order_of[j], f.support, order, f.support)
                 for j, f in zip(read, roots)]), len(steps)))
+        # the run's live bytes per point: a jet counts from its step to
+        # its last reader, a step or a read-out
+        freed, read_out = [0] * len(steps), [0] * len(groups)
+        for j, r in enumerate(last):
+            if r >= 0:
+                freed[r] += size[j]
+            else:
+                read_out[~r] += size[j]
+        live = peak = start = 0
+        for g, (_, _, stop) in enumerate(reads):
+            for i in range(start, stop):
+                live += size[i]
+                if live > peak:
+                    peak = live
+                live -= freed[i]
+            live -= read_out[g]
+            start = stop
+        self.point_bytes = peak
 
-    def run(self, point):
-        """Evaluate at ``point``: yield ``(root jets, scale)`` for each
-        group in order, its scale folding its roots' subtree maxima.  A
-        root jet holds the root's support."""
-        ats = [_At(tuple(float(x) for x in point))]
+    def blocks(self, points):
+        """``points`` split, in order, into the fewest blocks of near-equal
+        size whose runs hold at most BLOCK_BYTES of jets at once; a block
+        has at least one point however large its jets."""
+        fit = max(1, BLOCK_BYTES // max(1, self.point_bytes))
+        count = -(-len(points) // fit)
+        size, extra = divmod(len(points), count)
+        out, start = [], 0
+        for b in range(count):
+            stop = start + size + (b < extra)
+            out.append(points[start:stop])
+            start = stop
+        return out
+
+    def run(self, points):
+        """Evaluate at the block ``points``: yield ``(root jets, scales)``
+        for each group in order, its scales folding its roots' subtree
+        maxima, one per point.  A root jet holds the root's support, the
+        points' jets stacked as in :meth:`JetSpace.mul`."""
+        ats = [_At(np.array(points, dtype=float))]
+        n = len(points)
         for parent, keep, fixed in self._frames:
-            full = list(fixed)
+            full = np.tile(np.array(fixed, dtype=float), (n, 1))
             for k, pos in enumerate(keep):
-                full[pos] = ats[parent].point[k]
-            ats.append(_At(tuple(full)))
+                full[:, pos] = ats[parent].points[:, k]
+            ats.append(_At(full))
         steps, last = self._steps, self._last
         jets = [None] * len(steps)
-        mag = _Mag(len(steps))
+        mag = _Mag(len(steps), n)
         start = 0
         for g, (roots, views, stop) in enumerate(self._reads):
             for i in range(start, stop):
@@ -403,7 +473,11 @@ class Field(metaclass=_Interned):
     nodes it is computed from in ``children``, states the names of its
     other structural attributes in ``params`` and implements
     :meth:`_compute`.  It is given ``kids``, the jets of its children at
-    :meth:`kid_orders`, and ``at``, the point with its coordinate jets.
+    :meth:`kid_orders`, and ``at``, the block of points with their
+    coordinate jets.
+
+    A jet of a block of ``at.n`` points stacks their jets as in
+    :meth:`JetSpace.mul`: ``(at.n * rows, cols, T)``.
 
     :meth:`_settle` sets three facts of a node, once, from its
     children's: ``support``, the ascending coordinates it can depend on
@@ -420,8 +494,8 @@ class Field(metaclass=_Interned):
 
     def eval_jet(self, point, order=0):
         """Jet of this field at ``point`` up to ``order`` over all its
-        coordinates: a one-root tape."""
-        ((jet,), _), = Tape([[self]], order).run(point)
+        coordinates: a one-root tape run over a one-point block."""
+        ((jet,), _), = Tape([[self]], order).run([point])
         full = tuple(range(self.ncoords))
         return _serve(jet, _view(order, self.support, order, full))
 
@@ -513,6 +587,11 @@ def evaluate(field, point, order=0):
     return field.eval_jet(point, order)
 
 
+def _transposed(jets, n):
+    """The transposes of the stacked jets of ``n`` points, stacked alike."""
+    return join_points(split_points(jets, n).swapaxes(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # leaves
 
@@ -525,7 +604,7 @@ class ZeroField(Field):
         self.ncoords = ncoords
 
     def _compute(self, at, order, kids):
-        return self._space(order).zeros(*self.shape)
+        return self._space(order).zeros(*self.shape, at.n)
 
     def _deriv(self, gamma):
         return self
@@ -581,7 +660,7 @@ class ConstField(Field):
         self._bits = _Bits(self.matrix)
 
     def _compute(self, at, order, kids):
-        return self._space(order).const(self.matrix)
+        return self._space(order).const(self.matrix, at.n)
 
     def _deriv(self, gamma):
         return ZeroField(self.shape, self.ncoords)
@@ -631,7 +710,7 @@ class ExprField(Field):
 
     def _compute(self, at, order, kids):
         return self.expr.eval_jet(self._space(order),
-                                  at.coord_jets(self.support, order))
+                                  at.coord_jets(self.support, order), at.n)
 
     def describe(self):
         return self.name or to_text(self.expr)
@@ -657,8 +736,8 @@ class GridField(Field):
         self.ncoords = entries[0][0].ncoords
 
     def _compute(self, at, order, kids):
-        return np.array([jet[0, 0] for jet in kids],
-                        dtype=np.complex128).reshape(*self.shape, -1)
+        entries = np.stack([jet[:, 0] for jet in kids], axis=1)
+        return join_points(entries.reshape(at.n, *self.shape, -1))
 
     def _deriv(self, gamma):
         return GridField([[e.deriv(gamma) for e in row] for row in self.entries])
@@ -786,7 +865,7 @@ class ConjTransposeField(_Unary):
         self.shape = (child.shape[1], child.shape[0])
 
     def _compute(self, at, order, kids):
-        return np.conj(np.swapaxes(kids[0], 0, 1))
+        return np.conj(_transposed(kids[0], at.n))
 
     def _deriv(self, gamma):
         return ConjTransposeField(self.child.deriv(gamma))
@@ -808,7 +887,7 @@ class TransposeField(_Unary):
         self.shape = (child.shape[1], child.shape[0])
 
     def _compute(self, at, order, kids):
-        return np.swapaxes(kids[0], 0, 1)
+        return _transposed(kids[0], at.n)
 
     def _deriv(self, gamma):
         return TransposeField(self.child.deriv(gamma))
@@ -842,7 +921,7 @@ class DerivativeField(_Unary):
                 f"derivative request of order {total} exceeds cap {MAX_ORDER}")
         target = self._space(order)
         if self._along is None:
-            return target.zeros(*self.shape)
+            return target.zeros(*self.shape, at.n)
         return self._space(total).extract(kids[0], self._along, target)
 
     def kid_orders(self, order):
@@ -962,9 +1041,11 @@ class PositiveGuardField(_Unary):
 
     def _compute(self, at, order, kids):
         jet = kids[0]
-        v = jet[0, 0, 0]
-        if not (v.real > 0 and abs(v.imag) <= 1e-12 * (1 + abs(v.real))):
-            raise ValueError(f"{self.what} must be positive, got {v:g}")
+        v = jet[:, 0, 0]
+        good = (v.real > 0) & (np.abs(v.imag) <= 1e-12 * (1 + np.abs(v.real)))
+        if not good.all():
+            raise ValueError(
+                f"{self.what} must be positive, got {v[~good][0]:g}")
         return jet
 
     def describe(self):
@@ -983,7 +1064,7 @@ class EntryField(_Unary):
         self.c = c
 
     def _compute(self, at, order, kids):
-        return kids[0][self.r:self.r + 1, self.c:self.c + 1, :]
+        return split_points(kids[0], at.n)[:, self.r, self.c:self.c + 1, :]
 
     def _deriv(self, gamma):
         return EntryField(self.child.deriv(gamma), self.r, self.c)
@@ -1005,8 +1086,9 @@ class DiagField(_Unary):
         self.shape = (n, n)
 
     def _compute(self, at, order, kids):
-        out = self._space(order).zeros(self.n, self.n)
-        out[range(self.n), range(self.n)] = kids[0][0, 0]
+        out = self._space(order).zeros(self.n, self.n, at.n)
+        diag = range(self.n)
+        split_points(out, at.n)[:, diag, diag] = kids[0]
         return out
 
     def _deriv(self, gamma):

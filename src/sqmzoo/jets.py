@@ -10,14 +10,32 @@ whose last axis runs over the multi-index basis of a :class:`JetSpace`
 in graded lexicographic order (so index 0 is always the plain value).
 Scalar jets are 1x1 matrix jets.
 
+A jet may also hold a block of P points: the ``(P, rows, cols,
+nterms)`` array of their jets, passed as its ``(P*rows, cols, nterms)``
+view, so every operand stays 3-D and a one-point block is the plain jet.
+Each kernel reads P off its operands' shapes (a product's second factor
+has ``P*m`` rows for ``m`` columns of the first, a scalar jet has P
+rows, a square matrix ``P*n`` rows for ``n`` columns) and splits the
+first axis back into ``(P, rows)``, which is always a view.  Every
+point's result is bit for bit its result in a block of its own, and
+what depends on a point's values stays per point: a matrix exponential
+scales, sums and squares each point by that point's own norm and
+stopping test, and the derivative values of a power are taken point by
+point with the scalar power, which rounds differently from numpy's array
+power.
+
 Products (:meth:`JetSpace.mul`, :meth:`JetSpace.scal_mul`) run over
 the term pairs ``(alpha, beta)`` with ``|alpha + beta| <= order`` and
 multiply only the pairs whose two terms are both live, i.e. not
-entirely zero in their factor.  A skipped pair would only add exact
-zeros, and the kept pairs are summed in the same order as the full
-table, so the result is bit for bit the dense one for finite factors.
-(A dense product also turns ``0 * inf`` into NaN; a skipped pair does
-not.)
+entirely zero in their factor at every point of the block.  A skipped
+pair would only add exact zeros, and the kept pairs are summed in the
+same order as the full table, so the result is bit for bit the dense
+one for finite factors.  A pair live at only some points of a block
+adds exact zeros at the others, so it can change only the sign of a
+zero there; and where the other factor is infinite, that pair's
+``0 * inf`` gives NaN, as a dense product does, where a point alone
+would have skipped it.  (A residual with a NaN or infinite part fails
+either way.)
 """
 
 from __future__ import annotations
@@ -93,52 +111,65 @@ class JetSpace:
 
     # -- construction -------------------------------------------------
 
-    def zeros(self, rows, cols):
-        return np.zeros((rows, cols, self.nterms), dtype=np.complex128)
+    def zeros(self, rows, cols, n=1):
+        """Zero jets of ``n`` points."""
+        return np.zeros((n * rows, cols, self.nterms), dtype=np.complex128)
 
-    def const(self, matrix):
+    def const(self, matrix, n=1):
+        """Constant jets of ``n`` points with the value ``matrix``, or of
+        one point per matrix of an ``(n, rows, cols)`` stack."""
         matrix = np.asarray(matrix, dtype=np.complex128)
-        out = self.zeros(*matrix.shape)
-        out[:, :, 0] = matrix
+        if matrix.ndim == 3:
+            n = len(matrix)
+        rows, cols = matrix.shape[-2:]
+        out = self.zeros(rows, cols, n)
+        out.reshape(n, rows, cols, self.nterms)[..., 0] = matrix
         return out
 
-    def coordinate(self, i, value):
-        """Jet of the coordinate function x_i at the point."""
-        out = self.zeros(1, 1)
-        out[0, 0, 0] = value
+    def coordinate(self, i, values):
+        """Jets of the coordinate function x_i at points whose x_i are
+        ``values`` (one number for one point)."""
+        values = np.ravel(values)
+        out = self.zeros(1, 1, len(values))
+        out[:, 0, 0] = values
         if self.order >= 1:
             unit = tuple(1 if d == i else 0 for d in range(self.nvars))
-            out[0, 0, self.index[unit]] = 1.0
+            out[:, 0, self.index[unit]] = 1.0
         return out
 
     # -- ring operations ----------------------------------------------
 
     def mul(self, A, B):
-        """Matrix product of jets: (r,m,T) x (m,c,T) -> (r,c,T)."""
+        """Matrix product of jets: (P*r,m,T) x (P*m,c,T) -> (P*r,c,T)."""
+        m, c = A.shape[1], B.shape[1]
+        n = B.shape[0] // m
         if self.nterms == 1:
-            return A[:, :, 0].dot(B[:, :, 0])[:, :, None]
+            a = np.ascontiguousarray(A[:, :, 0]).reshape(n, -1, m)
+            b = np.ascontiguousarray(B[:, :, 0]).reshape(n, m, c)
+            return np.matmul(a, b).reshape(-1, c, 1)
         live = A.any(axis=(0, 1))[self._ii] & B.any(axis=(0, 1))[self._jj]
-        Ap = A[:, :, self._ii[live]].transpose(2, 0, 1)  # (P, r, m)
-        Bp = B[:, :, self._jj[live]].transpose(2, 0, 1)  # (P, m, c)
-        prod = np.matmul(Ap, Bp)
-        prod *= self._ww[live, None, None]
+        prod = np.matmul(_terms(A, n, self._ii[live]),
+                         _terms(B, n, self._jj[live]))  # (L, P, r, c)
+        prod *= self._ww[live, None, None, None]
         return self._scatter(self._kk[live], prod)
 
     def scal_mul(self, s, A):
-        """Multiply matrix jet A by scalar jet s (shape (1,1,T))."""
+        """Multiply matrix jets A by scalar jets s (shape (P,1,T))."""
+        n = s.shape[0]
         if self.nterms == 1:
-            return s[0, 0, 0] * A
-        live = (s[0, 0] != 0)[self._ii] & A.any(axis=(0, 1))[self._jj]
-        sp = s[0, 0, self._ii[live]] * self._ww[live]  # (P,)
-        Ap = A[:, :, self._jj[live]].transpose(2, 0, 1)
-        return self._scatter(self._kk[live], sp[:, None, None] * Ap)
+            return join_points(s.reshape(n, 1, 1, 1) * split_points(A, n))
+        s = s[:, 0]
+        live = (s != 0).any(axis=0)[self._ii] & A.any(axis=(0, 1))[self._jj]
+        sp = (s[:, self._ii[live]] * self._ww[live]).T   # (L, P)
+        prod = sp[:, :, None, None] * _terms(A, n, self._jj[live])
+        return self._scatter(self._kk[live], prod)
 
     def _scatter(self, kk, prod):
-        """Sum the pair products ``prod`` (P, r, c) into their terms
-        ``kk``, in pair order, as an (r, c, T) jet."""
+        """Sum the pair products ``prod`` (L, P, r, c) into their terms
+        ``kk``, in pair order, as a (P*r, c, T) jet."""
         out = np.zeros((self.nterms,) + prod.shape[1:], dtype=np.complex128)
         np.add.at(out, kk, prod)
-        return out.transpose(1, 2, 0)
+        return join_points(out.transpose(1, 2, 3, 0))
 
     # -- derivative extraction -----------------------------------------
 
@@ -177,43 +208,46 @@ class JetSpace:
     # -- univariate function composition --------------------------------
 
     def compose_univariate(self, derivs, u):
-        """Jet of f(u) for scalar jet u, given f^(m)(u0) for m = 0..order.
+        """Jets of f(u) for scalar jets u, given f^(m)(u0) for m = 0..order,
+        each one value per point.
 
         Uses the truncated Taylor series of f about u0 evaluated on the
         nilpotent part of u; exact for jets because (u - u0)^(order+1)
         vanishes in the truncation.
         """
         if self.nterms == 1:
-            out = self.zeros(1, 1)
-            out[0, 0, 0] = derivs[0]
+            out = self.zeros(1, 1, len(u))
+            out[:, 0, 0] = derivs[0]
             return out
         du = u.copy()
-        du[0, 0, 0] = 0.0
-        out = self.const([[derivs[self.order] / math.factorial(self.order)]])
+        du[:, 0, 0] = 0.0
+        out = self.const(
+            (derivs[self.order] / math.factorial(self.order))[:, None, None])
         for m in range(self.order - 1, -1, -1):
             out = self.scal_mul(du, out)
-            out[0, 0, 0] += derivs[m] / math.factorial(m)
+            out[:, 0, 0] += derivs[m] / math.factorial(m)
         return out
 
     # -- scalar functions ------------------------------------------------
 
     def exp(self, u):
-        e = np.exp(u[0, 0, 0])
+        e = np.exp(u[:, 0, 0])
         return self.compose_univariate([e] * (self.order + 1), u)
 
     def log(self, u):
-        u0 = u[0, 0, 0]
-        if u0 == 0:
+        u0 = u[:, 0, 0]
+        if not u0.all():
             raise ZeroDivisionError("log of zero in jet evaluation")
         derivs = [np.log(u0)]
         for m in range(1, self.order + 1):
-            derivs.append((-1.0) ** (m - 1) * math.factorial(m - 1) / u0 ** m)
+            derivs.append((-1.0) ** (m - 1) * math.factorial(m - 1)
+                          / _power(u0, m))
         return self.compose_univariate(derivs, u)
 
     def powr(self, u, p, q=1):
         """u ** (p/q) for integer p, q.  Integer powers are exact products."""
         if q == 1 and p >= 0:
-            out = self.const([[1.0]])
+            out = self.const([[1.0]], len(u))
             base = u
             n = p
             while n:
@@ -223,14 +257,14 @@ class JetSpace:
                 if n:
                     base = self.scal_mul(base, base)
             return out
-        u0 = u[0, 0, 0]
-        if u0 == 0:
+        u0 = u[:, 0, 0]
+        if not u0.all():
             raise ZeroDivisionError("fractional or negative power of zero")
         r = p / q
         derivs = []
         c = 1.0
         for m in range(self.order + 1):
-            derivs.append(c * u0 ** (r - m))
+            derivs.append(c * _power(u0, r - m))
             c *= r - m
         return self.compose_univariate(derivs, u)
 
@@ -241,13 +275,13 @@ class JetSpace:
         return self.powr(u, -1, 1)
 
     def sin(self, u):
-        u0 = u[0, 0, 0]
+        u0 = u[:, 0, 0]
         cycle = [np.sin(u0), np.cos(u0), -np.sin(u0), -np.cos(u0)]
         return self.compose_univariate(
             [cycle[m % 4] for m in range(self.order + 1)], u)
 
     def cos(self, u):
-        u0 = u[0, 0, 0]
+        u0 = u[:, 0, 0]
         cycle = [np.cos(u0), -np.sin(u0), -np.cos(u0), np.sin(u0)]
         return self.compose_univariate(
             [cycle[m % 4] for m in range(self.order + 1)], u)
@@ -255,51 +289,97 @@ class JetSpace:
     # -- matrix functions -------------------------------------------------
 
     def matrix_exp(self, A):
-        """exp of a square matrix jet by scaling-and-squaring Taylor series."""
-        n = A.shape[0]
-        norm = float(np.max(np.sum(np.abs(A[:, :, 0]), axis=1))) if n else 0.0
-        s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1.0 else 0
-        M = A / (2.0 ** s)
-        out = self.const(np.eye(n))
-        term = self.const(np.eye(n))
+        """exp of square matrix jets by scaling-and-squaring Taylor series.
+
+        Each point is scaled by its own norm, sums terms until its own
+        stopping test and is squared its own number of times, so its
+        result does not depend on the other points of the block."""
+        n = A.shape[1]
+        P = A.shape[0] // n if n else 1
+        A4 = split_points(A, P)
+        scales = []
+        for a in A4:
+            norm = float(np.abs(a[..., 0]).sum(axis=1).max(initial=0.0))
+            scales.append(max(0, int(math.ceil(math.log2(norm))) + 1)
+                          if norm > 1.0 else 0)
+        M = A4 / (2.0 ** np.array(scales, dtype=float))[:, None, None, None]
+        out = split_points(self.const(np.eye(n), P), P)
+        term = self.const(np.eye(n), P)
+        running = np.arange(P)          # the points still adding terms
         for k in range(1, _EXP_TERMS):
-            term = self.mul(term, M) / k
-            out = out + term
-            size = float(np.max(np.abs(term)))
+            term = self.mul(term, join_points(M)) / k
+            term4 = split_points(term, len(running))
+            out[running] += term4
+            size = np.abs(term4).reshape(len(running), -1).max(axis=1)
             # a non-finite term goes on into the result, whose residual
             # then fails its relation
-            if size < 1e-18 or not math.isfinite(size):
+            going = (size >= 1e-18) & np.isfinite(size)
+            if not going.any():
                 break
+            if not going.all():
+                running, M = running[going], M[going]
+                term = join_points(term4[going])
         else:
             raise SeriesError(f"matrix_exp: Taylor series not converged after "
-                              f"{_EXP_TERMS} terms (last term {size:.3e})")
-        for _ in range(s):
-            out = self.mul(out, out)
-        return out
+                              f"{_EXP_TERMS} terms (last term "
+                              f"{size[going][0]:.3e})")
+        scales = np.array(scales)
+        for j in range(max(scales, default=0)):
+            square = np.flatnonzero(scales > j)
+            jets = join_points(out[square])
+            out[square] = split_points(self.mul(jets, jets), len(square))
+        return join_points(out)
 
     def matrix_inv(self, A):
-        """Inverse of a square matrix jet by Newton-Schulz iteration."""
-        n = A.shape[0]
-        X = self.const(np.linalg.inv(A[:, :, 0]))
-        two_i = self.const(2.0 * np.eye(n))
+        """Inverse of square matrix jets by Newton-Schulz iteration."""
+        n = A.shape[1]
+        P = A.shape[0] // n
+        X = self.const(np.linalg.inv(split_points(A, P)[..., 0]), P)
+        two_i = self.const(2.0 * np.eye(n), P)
         iters = max(2, int(math.ceil(math.log2(self.order + 1))) + 2)
         for _ in range(iters):
             X = self.mul(X, two_i - self.mul(A, X))
         return X
 
     def det(self, A):
-        """Determinant of a square matrix jet (Leibniz expansion, n <= 5)."""
-        n = A.shape[0]
+        """Determinant of square matrix jets (Leibniz expansion, n <= 5)."""
+        n = A.shape[1]
         if n > 5:
             raise ValueError("jet determinant implemented for n <= 5")
-        out = self.zeros(1, 1)
+        P = A.shape[0] // n
+        A4 = split_points(A, P)
+        out = self.zeros(1, 1, P)
         for perm in itertools.permutations(range(n)):
             sign = _perm_sign(perm)
-            term = self.const([[sign]])
+            term = self.const([[sign]], P)
             for r, c in enumerate(perm):
-                term = self.scal_mul(A[r:r + 1, c:c + 1, :], term)
+                term = self.scal_mul(A4[:, r, c:c + 1, :], term)
             out = out + term
         return out
+
+
+def split_points(jet, n):
+    """The ``(n, rows, cols, T)`` view of the stacked jets of ``n`` points."""
+    return jet.reshape(n, -1, *jet.shape[1:])
+
+
+def join_points(jets):
+    """The stacked ``(n*rows, cols, T)`` form of ``(n, rows, cols, T)``
+    jets."""
+    return jets.reshape(-1, *jets.shape[2:])
+
+
+def _terms(jet, n, idx):
+    """Terms ``idx`` of the stacked jets of ``n`` points, as ``(len(idx),
+    n, rows, cols)``."""
+    return split_points(jet, n)[..., idx].transpose(3, 0, 1, 2)
+
+
+def _power(u0, e):
+    """``u0 ** e`` point by point, with the scalar power: numpy's array
+    power takes other paths for some exponents (0.5, -1, 2) and rounds
+    differently."""
+    return np.array([z ** e for z in u0])
 
 
 def _perm_sign(perm):

@@ -352,9 +352,9 @@ def run_check(name, model, spec, tols=(TOL_PASS, TOL_VIOLATION), expect=None,
     """Evaluate the relations of check ``name`` at the points of ``spec``.
 
     All relations go through one ``sampled_residual`` pass: they are
-    compiled into one tape, run once per sample point, so an operator
-    that several relations contain is evaluated once per point, and each
-    relation's scale is still taken over its own DAG only.
+    compiled into one tape, run once per block of sample points, so an
+    operator that several relations contain is evaluated once per block,
+    and each relation's scale is still taken over its own DAG only.
 
     ``tols`` is the (pass, violation) tolerance pair; a relation's own
     ``tol`` can only tighten the pass tolerance.  ``expect``, when given,

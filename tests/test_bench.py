@@ -1,9 +1,10 @@
 """Microbenchmarks: one check end to end, the compilation of the largest
 tape (``hyperkahler_gh``'s ``theorem2``, whose cost every check pays
-once before its first point) and the jet kernels at the shapes the
-shipped models use (16x16 Fock matrices over 4 coordinates, 64x64 over
-6, 4x4 matrix exponentials over 4), plus order 4 and a term-sparse
-64x64 product.
+once before its first point), the sampled evaluation of that tape over
+its 6 points (run as 3 blocks of 2 points), and the jet kernels at the
+shapes the shipped models use (16x16 Fock matrices over 4 coordinates,
+64x64 over 6, 4x4 matrix exponentials over 4), plus order 4 and a
+term-sparse 64x64 product.
 
 The pyproject's ``--benchmark-disable`` makes a plain test run execute
 each body once, as a smoke test; to time them run
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from sqmzoo import verify, zoo
+from sqmzoo.diffop import TOL_PASS, sampled_residual
 from sqmzoo.fields import Tape
 from sqmzoo.jets import jet_space
 
@@ -40,6 +42,15 @@ def test_bench_tape_compile(benchmark):
     groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
     tape = benchmark(Tape, groups)
     assert len(tape._reads) == len(groups) == 62
+
+
+def test_bench_sampled_residual_theorem2(benchmark):
+    m = zoo.hyperkahler_gibbons_hawking()
+    spec = m.sample_spec(n_points=6, seed=7)
+    groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
+    residuals = benchmark(sampled_residual, groups, spec)
+    assert len(residuals) == 62
+    assert all(r.relative <= TOL_PASS for r in residuals)
 
 
 @SHAPES

@@ -1,5 +1,9 @@
 """The evaluation tape: one step per node at its highest order, jets over
-their support, freeing and exact scales."""
+their support, freeing and exact scales, and blocks of points."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +13,14 @@ from sqmzoo.clifford import (FermionBilinearField, FermionLinearField,
                              complex_fermions)
 from sqmzoo.diffop import (EvaluationError, Residual, SampleSpec,
                            sampled_residual)
-from sqmzoo.expr import parse
+from sqmzoo.expr import Coord, parse
 from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            DetField, DiagField, EntryField, ExprField,
                            GridField, InverseField, MatExpField, MatMulField,
                            PositiveGuardField, PowField, RestrictField,
                            ScalarFnField, ScalarMulField, ScaleField,
                            SumField, Tape, TransposeField, ZeroField)
-from sqmzoo.jets import jet_space
+from sqmzoo.jets import jet_space, split_points
 
 SPEC2 = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=3, seed=4)
 
@@ -50,7 +54,7 @@ def _brute_residual(group, points):
                         zip(node.children, node.kid_orders(order)))
         for (order, at), nodes in need.items():
             tape = Tape([[node] for node in nodes.values()], order)
-            for (jet,), _ in tape.run(at):
+            for (jet,), _ in tape.run([at]):
                 scale = max(scale, float(np.max(np.abs(jet[..., 0]))))
     return max_abs, argmax, scale
 
@@ -217,12 +221,13 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         orig = cls._compute
 
         def counting(self, at, order, kids, _orig=orig):
-            computed.setdefault((id(self), at.point), []).append(order)
-            kid_at = at.point
+            point = tuple(at.points[0])
+            computed.setdefault((id(self), point), []).append(order)
+            kid_at = point
             if isinstance(self, RestrictField):
                 full = list(self.fixed)
                 for k, pos in enumerate(self.keep):
-                    full[pos] = at.point[k]
+                    full[pos] = point[k]
                 kid_at = tuple(full)
             for c, o in zip(self.children, self.kid_orders(order)):
                 read.setdefault((id(c), kid_at), set()).add(o)
@@ -231,7 +236,7 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         monkeypatch.setattr(cls, "_compute", counting)
     tape = Tape(groups)
     for p, want in zip(points, expected):
-        got = [jet for jets, _ in tape.run(p) for jet in jets]
+        got = [jet for jets, _ in tape.run([p]) for jet in jets]
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         for f in {id(f): f for g in groups for f in g}.values():
@@ -403,3 +408,156 @@ def test_non_finite_values_reach_residual_and_scale():
     inf, = sampled_residual([[fields.fscale(0.5, a)]], spec)
     assert inf.max_abs == inf.scale == np.inf
     assert inf.argmax_point == over[0]
+
+
+def _exp_scalings(generator, points):
+    """The scaling exponent JetSpace.matrix_exp picks at each point."""
+    out = []
+    for p in points:
+        norm = np.abs(fields.evaluate(generator, p)[:, :, 0]).sum(axis=1).max()
+        out.append(max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0)
+    return out
+
+
+def test_a_block_equals_its_points(monkeypatch):
+    """One run over SPEC2's three points equals three one-point runs, bit
+    for bit, in every root jet, every group scale and the subtree maximum
+    of every step: with every node type, an exponential whose scaling
+    exponent differs between the points, and the powers where numpy's
+    array power rounds unlike its scalar power."""
+    xy = ("x", "y")
+
+    def e(text):
+        return ExprField(parse(text, xy), 2)
+
+    generator = GridField([[e("4*x + 1"), e("y")], [e("0.5"), e("-2*x*y")]])
+    base = e("2 + x*y + 0.5*i*x")
+    groups = _every_node_type() + [
+        [MatExpField(generator)], [PowField(base, 1, 2), PowField(base, -1)]]
+    points = SPEC2.points()
+    assert len(set(_exp_scalings(generator, points))) > 1
+    maxima = []                     # the subtree maxima of each run, by step
+    update = fields._Mag.update
+
+    def recording(self, step, jet, kids):
+        update(self, step, jet, kids)
+        maxima[-1][step] = self.value[step].copy()
+
+    monkeypatch.setattr(fields._Mag, "update", recording)
+    tape = Tape(groups)
+    runs = []
+    for block in [points] + [[p] for p in points]:
+        maxima.append({})
+        runs.append(list(tape.run(block)))
+    whole, single = runs[0], runs[1:]
+    n = len(points)
+    for g, (jets, scales) in enumerate(whole):
+        for i in range(n):
+            one_jets, one_scale = single[i][g]
+            assert len(jets) == len(one_jets)
+            for jet, one in zip(jets, one_jets):
+                assert np.array_equal(split_points(jet, n)[i], one)
+            assert scales[i] == one_scale[0]
+    assert set(maxima[0]) == set(range(len(tape._steps)))
+    for i in range(n):
+        assert set(maxima[1 + i]) == set(maxima[0])
+        for step, value in maxima[0].items():
+            assert value[i] == maxima[1 + i][step][0]
+    # and the square root is numpy's scalar power at each point, which
+    # for most complex values differs from its array power in the last bit
+    roots = whole[-1][0][0]
+    for i, p in enumerate(points):
+        assert roots[i, 0, 0] == fields.evaluate(base, p)[0, 0, 0] ** 0.5
+
+
+def _fails_near(point):
+    """A positivity guard that fails at ``point`` only: its argument is
+    the squared distance from ``point`` less 1e-6."""
+    x, y = Coord(0), Coord(1)
+    near = (x - float(point[0])) ** 2 + (y - float(point[1])) ** 2 - 1e-6
+    return PositiveGuardField(ExprField(near, 2), "distance")
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_evaluation_error_names_the_first_failing_point(monkeypatch,
+                                                        per_block):
+    """Group 0 fails only at the third point, group 1 only at the second:
+    the error names group 1 at the second point, as evaluating point by
+    point does, however the points fall into blocks."""
+    points = SPEC2.points()
+    groups = [[_fails_near(points[2])], [_fails_near(points[1])]]
+    monkeypatch.setattr(fields, "BLOCK_BYTES",
+                        per_block * Tape(groups).point_bytes)
+    sizes = [len(b) for b in Tape(groups).blocks(points)]
+    assert sizes == {1: [1, 1, 1], 2: [2, 1], 3: [3]}[per_block]
+    with pytest.raises(EvaluationError) as err:
+        sampled_residual(groups, SPEC2)
+    assert (err.value.group, err.value.point) == (1, points[1])
+    assert type(err.value.cause) is ValueError
+
+
+def _live_peak(tape, point, monkeypatch):
+    """The most bytes of jets a run of ``tape`` at ``point`` holds at once,
+    read from the run's own table of live jets whenever a node computes."""
+    peak = [0]
+    for cls in {type(step[0]) for step in tape._steps}:
+        orig = cls._compute
+
+        def measuring(self, at, order, kids, _orig=orig):
+            jet = _orig(self, at, order, kids)
+            held = sys._getframe(1).f_locals["jets"]
+            live = sum(j.nbytes for j in held if j is not None)
+            peak[0] = max(peak[0], live + jet.nbytes)
+            return jet
+
+        monkeypatch.setattr(cls, "_compute", measuring)
+    for _ in tape.run([point]):
+        pass
+    monkeypatch.undo()
+    return peak[0]
+
+
+def test_blocks_are_sized_by_the_live_jet_bytes_of_one_point(monkeypatch):
+    """The compile-time bytes per point equal the peak of the live jets of
+    a one-point run, and hyperkahler_gh's theorem2 runs its 6 points as 3
+    blocks of 2 under the 4 MiB budget."""
+    small = Tape(_every_node_type())
+    assert small.point_bytes == _live_peak(small, SPEC2.points()[0],
+                                           monkeypatch)
+    m = zoo.hyperkahler_gibbons_hawking()
+    spec = m.sample_spec(n_points=6, seed=7)
+    groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
+    tape = Tape(groups)
+    points = spec.points()
+    assert tape.point_bytes == _live_peak(tape, points[0], monkeypatch)
+    assert 2 * tape.point_bytes <= fields.BLOCK_BYTES < 3 * tape.point_bytes
+    assert [len(b) for b in tape.blocks(points)] == [2, 2, 2]
+    run = Tape.run
+    sizes = []
+
+    def counting(self, block):
+        sizes.append(len(block))
+        return run(self, block)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    reports = verify.run_check("theorem2", m, spec)
+    assert sizes == [2, 2, 2] and all(r.ok for r in reports)
+
+
+def test_traced_check_is_correct():
+    """The benchmark's tracer wraps the jet kernels and unpacks 3-D
+    operands; a check run under it keeps every verdict."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    loader = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracer)
+    m = zoo.kahler_warped()
+    spec = m.sample_spec(n_points=2, seed=7)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        reports = verify.run_check("theorem1", m, spec)
+    finally:
+        tr.uninstall()
+    assert reports and all(r.ok for r in reports)
+    assert tr.stats["jets.mul"].calls and tr.stats["fields.mag_update"].calls
