@@ -33,12 +33,13 @@ Evaluation runs a :class:`Tape`: groups of roots compiled once into one
 step per ``(node, frame)`` they need, where a frame is the sample point
 or the full point a restriction's child runs at.  A step runs at the
 highest order any reader needs, and a reader at a lower order reads its
-prefix (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Nodes
-computed from an inverse keep one step per order, since the inverse's
-iteration count depends on the order.  Since equal nodes are one
-object, a subexpression repeated in many parents, in many operators of
-one model or in many relations of one check is computed once per block
-of points, and its jet is dropped after its last use.  Each step also
+prefix, which is bit for bit the lower-order jet, since every kernel
+computes each grade from lower grades only, in the same order at any
+order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Since
+equal nodes are one object, a subexpression repeated in many parents,
+in many operators of one model or in many relations of one check is
+computed once per block of points, and its jet is dropped after its
+last use.  Each step also
 records its subtree maximum, the largest ``|value|`` of its own jet and
 of every jet it was computed from, which is the scale a residual is
 measured against.  Fields themselves hold no evaluation state.
@@ -146,10 +147,6 @@ def _serve(jet, view):
     return out
 
 
-# the orders of each mask of orders up to MAX_ORDER, ascending
-_ORDERS = [tuple(k for k in range(MAX_ORDER + 1) if m >> k & 1)
-           for m in range(1 << (MAX_ORDER + 1))]
-
 # the most bytes of jets a tape run may hold at once (see Tape.blocks)
 BLOCK_BYTES = 4 << 20
 
@@ -166,34 +163,31 @@ class Tape:
     Each ``(node, frame)`` pair the roots reach is one step, run at the
     highest order any of its readers needs; a reader at a lower order k
     reads the prefix ``jet[..., :T_k]``, since in the graded multi-index
-    order an order-k jet is a prefix of a higher-order one.  Products,
-    sums, Horner series and extraction sum the same term pairs in the
-    same order at either order, so the prefix is bit for bit the
-    lower-order jet.  A matrix exponential is lifted too: its series
-    stops once the largest entry of a term, over every grade, is below
-    1e-18, so a higher order can add a few terms below that to the lower
-    grades.  Two kinds of step keep their own order instead:
+    order an order-k jet is a prefix of a higher-order one.  Every kernel
+    computes each grade from the same lower grades in the same order at
+    any order (products, sums, Horner series and extraction by
+    construction, the matrix exponential by its per-grade stopping test
+    and the inverse by its fixed iteration count), so the prefix is bit
+    for bit the lower-order jet.
 
-    - a node whose subtree holds an :class:`InverseField` (its
-      ``_lift`` is False) has one step per order it is read at: the
-      Newton-Schulz iteration count grows with the order, so a lower
-      order inverse is not a prefix of a higher one;
-    - an order past the node's ``_reach``, where a derivative in its
-      subtree would exceed MAX_ORDER, is a step of its own that raises
-      OrderOverflow, and the node is lifted only up to its reach.
+    A node's ``_reach`` is the highest order it can be computed at
+    before a derivative in its subtree exceeds MAX_ORDER, and a node
+    asked for within its reach asks its children within theirs.  So only
+    a root can be asked for above its reach, and the first group with
+    such a root is the overflow group: only the groups before it are
+    compiled, and a run raises OrderOverflow where that group would be
+    yielded, so the error names the group whose roots ask for the order.
 
-    Planning takes one pass over the pairs, parents first.  A pair's
-    steps up to its reach are placed in the first group that needs the
-    pair, a step past its reach in the first group that asks for that
-    order, so an evaluation error names the same group as an unlifted
-    evaluation; each is placed after the steps it reads, in the
-    post-order of the roots' dependencies.  A reader over more
-    coordinates than a step's support reads its jet embedded by a
-    compile-time table (:func:`_view`).  A group's roots are read out
-    over their support after the last step it needs, and each jet is
-    dropped after its last use, by a step or a read-out.  The compile
-    tables are dropped when the constructor returns; a step record is
-    ``(node, order, frame, kid steps, kid views)``.
+    Planning takes one pass over the pairs, parents first, and gives each
+    pair its order and the first group that needs it.  Its step is placed
+    in that group, after the steps it reads, in the post-order of the
+    roots' dependencies.  A reader over more coordinates than a step's
+    support reads its jet embedded by a compile-time table
+    (:func:`_view`).  A group's roots are read out over their support
+    after the last step it needs, and each jet is dropped after its last
+    use, by a step or a read-out.  The compile tables are dropped when the
+    constructor returns; a step record is ``(node, order, frame, kid
+    steps, kid views)``.
 
     A run evaluates a block of points at once, each step once per block:
     a jet of the block is the ``(P, rows, cols, T)`` array of its points'
@@ -206,11 +200,12 @@ class Tape:
 
     def __init__(self, groups, order=0):
         frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
+        self._overflow = None       # the overflow's message, if any
         # The (node, frame) pairs the roots reach, in post-order: each
         # pair's children come before it.  A pair's key is its node in
         # frame 0, else the pair itself.
-        ids, nodes, frame_of, kids_of, reach = {}, [], [], [], []
-        for roots in groups:
+        ids, nodes, frame_of, kids_of = {}, [], [], []
+        for g, roots in enumerate(groups):
             todo = [(f, 0, None) for f in reversed(roots)]
             while todo:
                 node, frame, kids = todo.pop()
@@ -241,107 +236,69 @@ class Tape:
                 kids_of.append(tuple([ids[k] for k in kids]))
                 if node._reach is None:
                     node._settle()
-                reach.append(node._reach)
-        # The orders each pair is asked for, parents first, so a pair's
-        # requests are complete when it is planned: up to the pair's
-        # reach a bit per order in ``mask`` and the first group asking in
-        # ``first``; past it, each order with the first group asking for
-        # it in ``past``.
-        n, ng = len(nodes), len(groups)
-        mask, first, past = [0] * n, [ng] * n, {}
-
-        def ask(i, o, g):
-            if o <= reach[i]:
-                mask[i] |= 1 << o
-                if g < first[i]:
-                    first[i] = g
-                return
-            asked = past.get(i)
-            if asked is None:
-                past[i] = {o: g}
-            elif asked.get(o, ng) > g:
-                asked[o] = g
-
+            reach = min([f._reach for f in roots], default=order)
+            if reach < order:
+                self._overflow = (f"derivative request of order "
+                                  f"{order + MAX_ORDER - reach} exceeds cap "
+                                  f"{MAX_ORDER}")
+                groups = groups[:g]
+                break
+        # Each pair's order, the highest any reader asks for, and the
+        # first group that needs it, planned parents first, so a pair's
+        # requests are complete when it is planned; then each group's
+        # pairs, in reverse post-order.
+        n = len(nodes)
+        want, first = [-1] * n, [len(groups)] * n
         for g, roots in enumerate(groups):
             for f in roots:
-                ask(ids[f], order, g)
-        # Each group's pairs, with their steps past the reach, in reverse
-        # post-order.  A lifted pair keeps only its top order.
+                i = ids[f]
+                if want[i] < 0:
+                    want[i], first[i] = order, g
         placed = [[] for _ in groups]
         for i in range(n - 1, -1, -1):
-            node, m = nodes[i], mask[i]
-            if m:
-                if node._lift:
-                    m = mask[i] = 1 << (m.bit_length() - 1)
-                g = first[i]
-                placed[g].append(i)
-                for k in _ORDERS[m]:
-                    for kid, o in zip(kids_of[i], node.kid_orders(k)):
-                        if o <= reach[kid]:
-                            mask[kid] |= 1 << o
-                            if g < first[kid]:
-                                first[kid] = g
-                        else:
-                            ask(kid, o, g)
-            for k, g in past.pop(i, {}).items():
-                placed[g].append((i, k))
-                for kid, o in zip(kids_of[i], node.kid_orders(k)):
-                    ask(kid, o, g)
-        # The steps, in run order.  A pair's steps up to its reach follow
-        # one another from ``base``, in ascending order, so its step at o
-        # is the one its mask bits below o count past ``base``.
-        base, beyond = [0] * n, {}      # beyond: (pair, order) -> step
-        order_of = []               # each step's order
+            if want[i] < 0:
+                continue
+            g = first[i]
+            placed[g].append(i)
+            for kid, o in zip(kids_of[i], nodes[i].kid_orders(want[i])):
+                if o > want[kid]:
+                    want[kid] = o
+                if g < first[kid]:
+                    first[kid] = g
+        # The steps, in run order.
+        step_of = [None] * n        # each pair's step
         size = []                   # the bytes of each step's jet, per point
         steps = self._steps = []    # (node, order, frame, kid steps, views)
         last = self._last = []      # each step's last reader: step or ~group
         reads = self._reads = []    # (root steps, root views, end of group)
-
-        def step_of(i, o):
-            """The step that serves pair i at order o."""
-            if o > reach[i]:
-                return beyond[i, o]
-            below = mask[i] & ((1 << o) - 1)
-            return base[i] + below.bit_count() if below else base[i]
-
         for g, roots in enumerate(groups):
-            for item in reversed(placed[g]):
-                if item.__class__ is int:
-                    i = item
-                    base[i] = len(steps)
-                    todo = _ORDERS[mask[i]]
-                else:
-                    i, k = item
-                    beyond[item] = len(steps)
-                    todo = (k,)
-                node, kids = nodes[i], kids_of[i]
+            for i in reversed(placed[g]):
+                node, kids, k = nodes[i], kids_of[i], want[i]
                 sup = (node.child.support if isinstance(node, RestrictField)
                        else node.support)
-                for k in todo:
-                    s = len(steps)
-                    read, views = [], None
-                    for kid, o in zip(kids, node.kid_orders(k)):
-                        j = step_of(kid, o)
-                        last[j] = s
-                        sub = nodes[kid].support
-                        if sub is not sup or order_of[j] != o:
-                            if views is None:
-                                views = [None] * len(kids)
-                            views[len(read)] = _view(order_of[j], sub, o, sup)
-                        read.append(j)
-                    steps.append((node, k, frame_of[i], tuple(read),
-                                  views and tuple(views)))
-                    order_of.append(k)
-                    last.append(None)
-                    rows, cols = node.shape
-                    size.append(16 * rows * cols * jet_space(
-                        len(node.support), k).nterms)
-            read = tuple([step_of(ids[f], order) for f in roots])
-            for j in read:
-                last[j] = ~g
-            reads.append((read, tuple([
-                _view(order_of[j], f.support, order, f.support)
-                for j, f in zip(read, roots)]), len(steps)))
+                s = step_of[i] = len(steps)
+                read, views = [], None
+                for kid, o in zip(kids, node.kid_orders(k)):
+                    j = step_of[kid]
+                    last[j] = s
+                    sub = nodes[kid].support
+                    if sub is not sup or want[kid] != o:
+                        if views is None:
+                            views = [None] * len(kids)
+                        views[len(read)] = _view(want[kid], sub, o, sup)
+                    read.append(j)
+                steps.append((node, k, frame_of[i], tuple(read),
+                              views and tuple(views)))
+                last.append(None)
+                rows, cols = node.shape
+                size.append(16 * rows * cols * jet_space(
+                    len(node.support), k).nterms)
+            pairs = [ids[f] for f in roots]
+            for i in pairs:
+                last[step_of[i]] = ~g
+            reads.append((tuple([step_of[i] for i in pairs]), tuple([
+                _view(want[i], f.support, order, f.support)
+                for i, f in zip(pairs, roots)]), len(steps)))
         # the run's live bytes per point: a jet counts from its step to
         # its last reader, a step or a read-out
         freed, read_out = [0] * len(steps), [0] * len(groups)
@@ -378,8 +335,9 @@ class Tape:
     def run(self, points):
         """Evaluate at the block ``points``: yield ``(root jets, scales)``
         for each group in order, its scales folding its roots' subtree
-        maxima, one per point.  A root jet holds the root's support, the
-        points' jets stacked as in :meth:`JetSpace.mul`."""
+        maxima, one per point, and raise OrderOverflow in place of the
+        overflow group.  A root jet holds the root's support, the points'
+        jets stacked as in :meth:`JetSpace.mul`."""
         ats = [_At(np.array(points, dtype=float))]
         n = len(points)
         for parent, keep, fixed in self._frames:
@@ -411,6 +369,8 @@ class Tape:
             for k in roots:
                 if last[k] == ~g:
                     jets[k] = None
+        if self._overflow is not None:
+            raise OrderOverflow(self._overflow)
 
 
 class _Interned(type):
@@ -479,15 +439,16 @@ class Field(metaclass=_Interned):
     A jet of a block of ``at.n`` points stacks their jets as in
     :meth:`JetSpace.mul`: ``(at.n * rows, cols, T)``.
 
-    :meth:`_settle` sets three facts of a node, once, from its
-    children's: ``support``, the ascending coordinates it can depend on
+    :meth:`_settle` sets two facts of a node, once, from its children's:
+    ``support``, the ascending coordinates it can depend on
     (:meth:`_support`), over which its jets are built (:meth:`_space`)
-    and its kids arrive; ``_reach``, the highest order it can be
-    computed at before a derivative in its subtree exceeds MAX_ORDER;
-    and ``_lift``, False when its subtree holds an inverse (see
-    :class:`Tape`)."""
+    and its kids arrive; and ``_reach``, the highest order it can be
+    computed at before a derivative in its subtree exceeds MAX_ORDER
+    (see :class:`Tape`).  Every node's order-k jet is bit for bit the
+    first terms of its higher-order jet, so one step per node serves
+    every order its readers need."""
 
-    __slots__ = ("support", "_reach", "_lift")
+    __slots__ = ("support", "_reach")
     shape = (1, 1)
     ncoords = 0
     children = ()
@@ -501,23 +462,22 @@ class Field(metaclass=_Interned):
 
     def __getattr__(self, name):
         """The facts :meth:`_settle` sets, set on first use."""
-        if name not in ("support", "_lift", "_along"):
+        if name not in ("support", "_along"):
             raise AttributeError(name)
         self._settle()
         return object.__getattribute__(self, name)
 
     def _settle(self):
-        """Set ``support``, ``_reach`` and ``_lift`` from the children's,
-        once: a tape settles its nodes in post-order, children first."""
-        reach, lift = MAX_ORDER, True
+        """Set ``support`` and ``_reach`` from the children's, once: a
+        tape settles its nodes in post-order, children first."""
+        reach = MAX_ORDER
         for c in self.children:
             if c._reach is None:
                 c._settle()
             if c._reach < reach:
                 reach = c._reach
-            lift = lift and c._lift
         self.support = self._support()
-        self._reach, self._lift = reach, lift
+        self._reach = reach
 
     def _support(self):
         """The union of the children's supports."""
@@ -915,20 +875,15 @@ class DerivativeField(_Unary):
         self._along = along if sum(along) == sum(self.gamma) else None
 
     def _compute(self, at, order, kids):
-        total = order + sum(self.gamma)
-        if not kids:
-            raise OrderOverflow(
-                f"derivative request of order {total} exceeds cap {MAX_ORDER}")
         target = self._space(order)
         if self._along is None:
             return target.zeros(*self.shape, at.n)
-        return self._space(total).extract(kids[0], self._along, target)
+        return self._space(order + sum(self.gamma)).extract(
+            kids[0], self._along, target)
 
     def kid_orders(self, order):
-        """The child at ``order + |gamma|``; none past MAX_ORDER, where
-        the step raises OrderOverflow."""
-        total = order + sum(self.gamma)
-        return (total,) if total <= MAX_ORDER else ()
+        """The child at ``order + |gamma|``."""
+        return (order + sum(self.gamma),)
 
     def _deriv(self, gamma):
         merged = tuple(a + b for a, b in zip(self.gamma, gamma))
@@ -977,12 +932,6 @@ class InverseField(_Kernel):
         if child.shape[0] != child.shape[1]:
             raise ValueError("inverse of a non-square field")
         super().__init__(child)
-
-    def _settle(self):
-        """The Newton-Schulz iteration count grows with the order, so a
-        lower-order inverse is not a prefix of a higher one: no lifting."""
-        super()._settle()
-        self._lift = False
 
 
 class DetField(_Kernel):

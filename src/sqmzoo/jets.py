@@ -106,6 +106,9 @@ class JetSpace:
         self._jj = np.asarray(jj, dtype=np.intp)
         self._kk = np.asarray(kk, dtype=np.intp)
         self._ww = np.asarray(ww, dtype=np.complex128)
+        # each term's grade |alpha|, and the first term of each grade
+        self._grade = np.asarray([sum(a) for a in self.midx], dtype=np.intp)
+        self._grade_starts = np.flatnonzero(np.diff(self._grade, prepend=-1))
         self._extract_cache = {}
         self._embed_cache = {}
 
@@ -293,7 +296,13 @@ class JetSpace:
 
         Each point is scaled by its own norm, sums terms until its own
         stopping test and is squared its own number of times, so its
-        result does not depend on the other points of the block."""
+        result does not depend on the other points of the block.  The
+        stopping test is per grade: grade g adds terms up to the first one
+        whose largest entry over the grades up to g is below 1e-18, or not
+        finite, and then stays stopped; a point stops once all its grades
+        have.  A grade's sum thus reads only the grades up to its own, as
+        every product does, so the order-k exponential is bit for bit the
+        first terms of a higher-order one."""
         n = A.shape[1]
         P = A.shape[0] // n if n else 1
         A4 = split_points(A, P)
@@ -306,23 +315,30 @@ class JetSpace:
         out = split_points(self.const(np.eye(n), P), P)
         term = self.const(np.eye(n), P)
         running = np.arange(P)          # the points still adding terms
+        stopped = np.zeros((P, len(self._grade_starts)), dtype=bool)
         for k in range(1, _EXP_TERMS):
             term = self.mul(term, join_points(M)) / k
             term4 = split_points(term, len(running))
-            out[running] += term4
-            size = np.abs(term4).reshape(len(running), -1).max(axis=1)
+            adding = ~stopped[:, self._grade][:, None, None, :]
+            acc = out[running]
+            np.add(acc, term4, out=acc, where=adding)
+            out[running] = acc
+            size = np.maximum.accumulate(np.maximum.reduceat(
+                np.abs(term4).max(axis=(1, 2)), self._grade_starts, axis=1),
+                axis=1)
             # a non-finite term goes on into the result, whose residual
             # then fails its relation
-            going = (size >= 1e-18) & np.isfinite(size)
+            stopped |= ~((size >= 1e-18) & np.isfinite(size))
+            going = ~stopped.all(axis=1)
             if not going.any():
                 break
             if not going.all():
-                running, M = running[going], M[going]
+                running, M, stopped = running[going], M[going], stopped[going]
                 term = join_points(term4[going])
         else:
             raise SeriesError(f"matrix_exp: Taylor series not converged after "
                               f"{_EXP_TERMS} terms (last term "
-                              f"{size[going][0]:.3e})")
+                              f"{size[going][0, -1]:.3e})")
         scales = np.array(scales)
         for j in range(max(scales, default=0)):
             square = np.flatnonzero(scales > j)
@@ -331,13 +347,20 @@ class JetSpace:
         return join_points(out)
 
     def matrix_inv(self, A):
-        """Inverse of square matrix jets by Newton-Schulz iteration."""
+        """Inverse of square matrix jets by Newton-Schulz iteration from
+        the inverse of the value.
+
+        Each iteration doubles the number of exact grades.  The count is
+        fixed at the one MAX_ORDER needs, at every order, so that the
+        order-k inverse is bit for bit the first terms of a higher-order
+        one: every iteration is products and a difference, which read only
+        lower grades, whereas a count that grew with the order would add
+        iterations that move the last bits of the lower grades."""
         n = A.shape[1]
         P = A.shape[0] // n
         X = self.const(np.linalg.inv(split_points(A, P)[..., 0]), P)
         two_i = self.const(2.0 * np.eye(n), P)
-        iters = max(2, int(math.ceil(math.log2(self.order + 1))) + 2)
-        for _ in range(iters):
+        for _ in range(int(math.ceil(math.log2(MAX_ORDER + 1))) + 2):
             X = self.mul(X, two_i - self.mul(A, X))
         return X
 

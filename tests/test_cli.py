@@ -1,5 +1,7 @@
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,6 +284,15 @@ def test_docs_check_table_lists_every_check():
     listed = [line.split("`")[1] for line in text.splitlines()
               if line.startswith("| `")]
     assert listed == list(verify.CHECKS)
+
+
+def test_module_runs_as_a_process():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "sqmzoo.cli", "list-models"],
+                         capture_output=True, text=True, env=env, cwd=ROOT,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "witten" in out.stdout
 
 
 def test_console_script_entry_point():

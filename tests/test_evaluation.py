@@ -190,29 +190,15 @@ def test_describe_of_every_node_type_is_pinned():
     assert got == NODE_DESCRIPTIONS
 
 
-def _reads_inverse(nodes):
-    """The ids of the nodes whose subtree holds an InverseField."""
-    memo = {}
-
-    def holds(node):
-        if id(node) not in memo:
-            memo[id(node)] = isinstance(node, InverseField) or \
-                any(holds(c) for c in node.children)
-        return memo[id(node)]
-
-    return {id(n) for n in nodes if holds(n)}
-
-
 def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
     """One tape over every node type, with the sum that reads the inverse
     also read at order 1: each (node, point) is computed once, at the
-    highest order its readers need, except a node computed from an
-    inverse, which is computed once per order it is read at; the jets
-    equal one-node evaluation, and each step is dropped by its last
-    reader, the last step or read-out that reads it."""
+    highest order its readers need, the inverse and the nodes computed
+    from it included; the jets equal one-node evaluation, and each step
+    is dropped by its last reader, the last step or read-out that reads
+    it."""
     groups = _every_node_type()
     groups.append([DerivativeField(groups[0][0], (1, 0))])
-    per_order = _reads_inverse(_nodes(groups))
     points = SPEC2.points()
     expected = [[fields.evaluate(f, p) for g in groups for f in g]
                 for p in points]
@@ -243,15 +229,10 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
             read.setdefault((id(f), p), set()).add(0)
     assert set(computed) == set(read)
     assert sum(map(len, computed.values())) == len(points) * len(tape._steps)
-    lifted = 0
-    for (node, at), orders in computed.items():
-        if node in per_order:
-            assert sorted(orders) == sorted(read[node, at])
-        else:
-            assert orders == [max(read[node, at])]
-            lifted += len(read[node, at]) > 1
-    assert lifted and any(len(read[key]) > 1 for key in computed
-                          if key[0] in per_order)
+    for key, orders in computed.items():
+        assert orders == [max(read[key])]
+    # the sum that reads the inverse is read at orders 0 and 1, and runs once
+    assert all(read[id(groups[0][0]), p] == {0, 1} for p in points)
     # readers in run order: step i, and read-out g between its last step
     # and the next group's first
     readers = {}
@@ -268,16 +249,12 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
 
 
 def test_lower_order_jet_is_a_prefix_of_a_higher_one():
-    """What lifting rests on: for every node not computed from an inverse
-    (and computable at order 2), its order-k jet is the first T_k terms
-    of its order-2 jet, bit for bit."""
+    """What lifting rests on: for every node computable at order 2, its
+    order-k jet is the first T_k terms of its order-2 jet, bit for bit."""
     nodes = _nodes(_every_node_type())
-    per_order = _reads_inverse(nodes)
     at = {2: (0.3, -0.2), 3: (0.3, -0.2, 0.4)}
     types = set()
     for f in nodes:
-        if id(f) in per_order:
-            continue
         p = at[f.ncoords]
         try:
             top = fields.evaluate(f, p, 2)
@@ -288,7 +265,7 @@ def test_lower_order_jet_is_a_prefix_of_a_higher_one():
             nterms = jet_space(f.ncoords, k).nterms
             assert np.array_equal(fields.evaluate(f, p, k),
                                   top[..., :nterms]), (f, k)
-    assert types == _subclasses(fields.Field) - {InverseField}
+    assert types == _subclasses(fields.Field)
 
 
 def test_jets_over_their_support_match_full_space_arithmetic():

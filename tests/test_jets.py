@@ -217,6 +217,22 @@ def test_matexp_nonconvergence_raises():
     assert out[0, 0, 1] == pytest.approx(np.exp(0.9), rel=1e-14)
 
 
+
+def test_matexp_lower_order_is_a_prefix_of_a_higher_one():
+    # a generator whose grade 2 is large next to its value and grade 1:
+    # with one stopping test over every grade, the series at order 2 adds
+    # terms below 1e-18 to grades 0 and 1 that the order-1 series does not
+    value = [[1.0750168051101204e-04, -3.7911673557041966e-04],
+             [-4.0322764814122031e-04, -4.3612674860619857e-04]]
+    grade1 = [[2.8556520828843374e-07, -6.2880041112997395e-07],
+              [-3.4852919419664743e-07, 1.7539155081943755e-09]]
+    grade2 = [[7.2960362385709153e-04, 7.2150994826525577e-03],
+              [5.0050870671719859e-03, -1.1367513792835975e-02]]
+    a = np.stack([value, grade1, grade2], axis=-1).astype(np.complex128)
+    top = jet_space(1, 2).matrix_exp(a)
+    assert np.array_equal(jet_space(1, 1).matrix_exp(a[..., :2].copy()),
+                          top[..., :2])
+
 # -- term-sparse products against the per-pair formula ---------------------
 
 
