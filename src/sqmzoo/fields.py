@@ -22,6 +22,11 @@ of two fields of one coordinate each runs over two coordinates' terms,
 whatever the model's coordinate count; a reader over more coordinates
 reads a jet embedded by a compile-time table, and
 :meth:`Field.eval_jet` returns the jet over all the node's coordinates.
+A sum, a product or a scalar product reads a child of empty support, a
+constant, as its one term in place: a sum adds it to term 0, and
+:meth:`JetSpace.mul` and :meth:`JetSpace.scal_mul` multiply through it
+over the other factor's live terms, the very pairs its embedding would
+leave live.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -39,10 +44,15 @@ order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Since
 equal nodes are one object, a subexpression repeated in many parents,
 in many operators of one model or in many relations of one check is
 computed once per block of points, and its jet is dropped after its
-last use.  Each step also
-records its subtree maximum, the largest ``|value|`` of its own jet and
-of every jet it was computed from, which is the scale a residual is
-measured against.  Fields themselves hold no evaluation state.
+last use.  A sum's step also computes the children it alone reads that
+are scales or one-term products, and the one-term products such a scale
+alone reads, as one linear combination, so those nodes get no step of
+their own (superinstructions, after Proebsting 1995, "Optimizing an
+ANSI C interpreter with superoperators").  Each step also records its
+subtree maximum, the largest ``|value|`` of its own jet and of every jet
+it was computed from, absorbed nodes' included, which is the scale a
+residual is measured against.  Fields themselves hold no evaluation
+state.
 
 A tape run evaluates a block of sample points at once, each step once
 per block.  A jet of a block of P points is the C-order ``(P, rows,
@@ -66,7 +76,8 @@ from operator import attrgetter
 import numpy as np
 
 from .expr import Binary, Coord, Expr, Pow, Unary, to_text
-from .jets import MAX_ORDER, jet_space, join_points, split_points
+from .jets import (MAX_ORDER, jet_space, join_points, split_points,
+                   value_product)
 
 
 class OrderOverflow(ValueError):
@@ -76,8 +87,9 @@ class OrderOverflow(ValueError):
 class _Mag:
     """Subtree maxima of one tape run over a block of ``n`` points, by
     step: for each point, the largest ``|value|`` of a step's jet and of
-    every jet it was computed from, one row of ``value`` per step.  A
-    NaN, once met, stays."""
+    every jet it was computed from, the jets of the nodes a sum's step
+    absorbs included, one row of ``value`` per step.  A NaN, once met,
+    stays."""
 
     def __init__(self, nsteps, n):
         self.value = np.zeros((nsteps, n))
@@ -89,11 +101,18 @@ class _Mag:
             _max2(m, self.value[k], out=m)
         return m
 
-    def update(self, step, jet, kids):
+    def update(self, step, jet, kids, stack=None):
+        """Set the row of ``step`` from its jet, the rows ``kids`` of the
+        steps it read and, for a combination's step, the ``stack`` of the
+        jets of the nodes it absorbed (see :class:`_Combination`)."""
         value = self.value
+        n = value.shape[1]
         m = value[step]
         if jet.size:
-            _max(np.abs(split_points(jet[..., 0], len(m))), axis=(1, 2), out=m)
+            _max(np.abs(split_points(jet[..., 0], n)), axis=(1, 2), out=m)
+        if stack is not None:
+            _max2(m, _max(np.abs(stack[..., 0]).reshape(len(stack), n, -1),
+                          axis=(0, 2), initial=0.0), out=m)
         for k in kids:
             _max2(m, value[k], out=m)
 
@@ -124,12 +143,16 @@ class _At:
         return jets
 
 
-def _view(have, sub, order, sup):
-    """How a reader over the coordinates ``sup`` reads, at ``order``, a
+def _view(have, sub, order, sup, reader=None):
+    """How ``reader``, over the coordinates ``sup``, reads at ``order`` a
     jet held over ``sub`` at order ``have``: None for the jet itself, a
-    term count for a prefix, or ``(table, nterms)`` for an embedding."""
+    term count for a prefix, or ``(table, nterms)`` for an embedding.  A
+    constant's one term, held over no coordinates, is read in place by a
+    reader whose ``_compute`` takes it so (``one_term_kids``)."""
     if sub == sup:
         return None if have == order else jet_space(len(sub), order).nterms
+    if not sub and reader is not None and reader.one_term_kids:
+        return None
     target = jet_space(len(sup), order)
     return jet_space(len(sub), order).embedding(
         tuple([sup.index(i) for i in sub]), target), target.nterms
@@ -145,6 +168,138 @@ def _serve(jet, view):
     out = np.zeros(jet.shape[:2] + (nterms,), dtype=np.complex128)
     out[..., table] = jet[..., :len(table)]
     return out
+
+
+def _add_up(terms, nterms):
+    """The sum of the jets ``terms`` of ``nterms`` terms, added in order
+    as the first one's copy plus each of the others.  A one-term jet in
+    a sum of more terms is a constant read in place: it adds to term 0
+    only, where its embedding would also add zeros to the other terms."""
+    first = terms[0]
+    if first.shape[2] == nterms:
+        out = first.copy()
+    else:
+        out = np.zeros(first.shape[:2] + (nterms,), dtype=np.complex128)
+        out[..., :1] = first
+    for jet in terms[1:]:
+        if jet.shape[2] == nterms:
+            out += jet
+        else:
+            out[..., :1] += jet
+    return out
+
+
+class _Combination:
+    """The step of a sum with the children it absorbs, which get no step
+    of their own (see :class:`Tape`): one-term products, scales of those
+    products, and scales of other steps' jets.  Its jet is
+    ``sum_k c_k A_k B_k + sum_j c_j X_j + sum_i Y_i`` in child order.
+
+    :meth:`combine` is given the jets of the steps it reads, a step read
+    with no view once: the two factors of each product, each scaled jet
+    ``X_j`` as its scale reads it, and each child ``Y_i`` it did not
+    absorb as the sum reads it.  It computes the absorbed nodes' jets
+    into the slots of one stack: the products first, the scaled ones
+    before the others, each by :func:`value_product`, as
+    :meth:`JetSpace.mul` computes it at one term; then the scaled
+    products, by one broadcast ``coeffs * stack``, which rounds as each
+    ``c * x`` does; then each ``c_j X_j``.  The sum adds its terms in
+    child order, as :class:`SumField` does, so every float is what the
+    nodes' own steps would compute.
+
+    The step's row of subtree maxima (see :class:`_Mag`) folds those of
+    the steps it reads and the largest ``|value|`` of its own jet and of
+    each absorbed node's: an absorbed node has no row of its own, since
+    the sum's is the only one that would read it."""
+
+    __slots__ = ("node", "absorbed", "shape", "nterms", "products",
+                 "coeffs", "scales", "terms")
+
+    def combine(self, at, kids):
+        """The sum's jet over the block ``at``, and the stack of the
+        absorbed nodes' jets."""
+        n = at.n
+        rows, cols = self.shape
+        products, coeffs = self.products, self.coeffs
+        k, ks = len(products), len(coeffs)
+        stack = np.empty((k + ks + len(self.scales), n * rows, cols,
+                          self.nterms), dtype=np.complex128)
+        for slot, (a, b) in zip(stack[:k].reshape(k, n, rows, cols),
+                                products):
+            value_product(kids[a], kids[b], n, out=slot)
+        if ks:
+            np.multiply(coeffs, stack[:ks], out=stack[k:k + ks])
+        for slot, (x, c) in zip(stack[k + ks:], self.scales):
+            np.multiply(c, kids[x], out=slot)
+        sources = (stack, kids)
+        return _add_up([sources[s][i] for s, i in self.terms],
+                       self.nterms), stack
+
+
+def _combination(node, order, kids, tables, step_of, absorbed):
+    """The step of the sum ``node`` at ``order`` over the pairs ``kids``,
+    some ``absorbed``: ``(combination, steps read, their views or
+    None)``.  ``tables`` are the compile's ``(nodes, kids_of, want)``."""
+    nodes, kids_of, want = tables
+    sup = node.support
+    # each child: a product ("p"), a scale of a product ("s") or of a
+    # step ("x"), all absorbed, or a step ("y")
+    kinds = ["y" if not absorbed[kid] else
+             "p" if nodes[kid].__class__ is MatMulField else
+             "s" if absorbed[kids_of[kid][0]] else "x" for kid in kids]
+    ks = kinds.count("s")
+    k = ks + kinds.count("p")
+    slot_of = {"s": 0, "p": ks, "x": k + ks}    # the next slot of each kind
+    products, scales, coeffs = [None] * k, [], [0j] * ks
+    read, views, terms, taken = [], [], [], []
+    seen = {}                   # step -> its read with no view
+
+    def take(pair, view=None):
+        j = step_of[pair]
+        if view is None and j in seen:
+            return seen[j]
+        read.append(j)
+        views.append(view)
+        if view is None:
+            seen[j] = len(read) - 1
+        return len(read) - 1
+
+    for kid, kind in zip(kids, kinds):
+        c = nodes[kid]
+        if kind == "y":
+            view = None
+            if c.support is not sup or want[kid] != order:
+                view = _view(want[kid], c.support, order, sup, node)
+            terms.append((1, take(kid, view)))
+            continue
+        slot = slot_of[kind]
+        slot_of[kind] += 1
+        taken.append(c)
+        if kind == "x":
+            x = kids_of[kid][0]
+            view = None
+            if want[x] != order:
+                view = _view(want[x], nodes[x].support, order, sup, c)
+            scales.append((take(x, view), c.coeff))
+            terms.append((0, slot))
+            continue
+        product = kid
+        if kind == "s":
+            product = kids_of[kid][0]
+            taken.append(nodes[product])
+            coeffs[slot] = c.coeff
+        a, b = kids_of[product]
+        products[slot] = (take(a), take(b))
+        terms.append((0, slot if kind == "p" else k + slot))
+    lc = _Combination()
+    lc.node, lc.absorbed, lc.shape = node, tuple(taken), node.shape
+    lc.nterms = jet_space(len(sup), order).nterms
+    lc.products, lc.scales = tuple(products), tuple(scales)
+    lc.coeffs = np.array(coeffs, dtype=np.complex128)[:, None, None, None]
+    lc.terms = tuple(terms)
+    if not any(views):
+        views = None
+    return lc, read, views
 
 
 # the most bytes of jets a tape run may hold at once (see Tape.blocks)
@@ -189,6 +344,25 @@ class Tape:
     constructor returns; a step record is ``(node, order, frame, kid
     steps, kid views)``.
 
+    A sum's step absorbs each child that the sum alone reads, read once
+    in all, which no group reads out, and which the sum reads with no
+    view (of its support and order), if it is a scale, or a product of
+    one term (at order 0 or of empty support); and the one-term product
+    that such a scale alone reads.  Reads count steps and read-outs
+    alike, so a root that a later group's sum reads, or a child a sum
+    reads twice, keeps its step.  The sum's step record then holds a
+    :class:`_Combination` in place of the node, and it reads the
+    absorbed nodes' own operands, so each jet's last reader counts those
+    reads at the sum's step.  The absorbed nodes' floats are unchanged:
+    each product is the :func:`value_product` of its factors, as in
+    :meth:`JetSpace.mul` at one term; each scale multiplies ``c * x``
+    with the coefficient first, broadcast over a stack of products
+    (which rounds as each ``c * x`` does); and the sum adds its terms
+    one at a time in child order (``np.add.reduce`` would not: over one
+    entry per slot it sums pairwise).  The scale hook
+    :meth:`_Mag.update` runs once per executed step; the sum's step
+    folds the absorbed nodes' maxima into its own row.
+
     A run evaluates a block of points at once, each step once per block:
     a jet of the block is the ``(P, rows, cols, T)`` array of its points'
     jets, held as its ``(P*rows, cols, T)`` view (see :mod:`.jets`), so
@@ -196,7 +370,9 @@ class Tape:
     is the peak, over the run, of the bytes of the jets one point holds
     at once: each step's jet, of its node's shape and of its order's
     term count over the node's support, from its step to its last
-    reader.  :meth:`blocks` sizes the blocks by it."""
+    reader.  A step's scratch is not counted: neither a kernel's
+    temporaries nor the stack of the nodes a sum's step absorbs.
+    :meth:`blocks` sizes the blocks by it."""
 
     def __init__(self, groups, order=0):
         frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
@@ -254,45 +430,83 @@ class Tape:
                 i = ids[f]
                 if want[i] < 0:
                     want[i], first[i] = order, g
+        # Also each pair's reads, by steps and read-outs.
         placed = [[] for _ in groups]
+        nreads, sums = [0] * n, []
+        for roots in groups:
+            for f in roots:
+                nreads[ids[f]] += 1
         for i in range(n - 1, -1, -1):
             if want[i] < 0:
                 continue
             g = first[i]
             placed[g].append(i)
+            if nodes[i].__class__ is SumField:
+                sums.append(i)
             for kid, o in zip(kids_of[i], nodes[i].kid_orders(want[i])):
+                nreads[kid] += 1
                 if o > want[kid]:
                     want[kid] = o
                 if g < first[kid]:
                     first[kid] = g
+        # The pairs a sum absorbs: a child read once in all, by the sum,
+        # with no view, that is a scale or a one-term product, and the
+        # one-term product read once, by a scale the sum absorbs.
+        absorbed = [False] * n
+        for i in sums:
+            sup = nodes[i].support
+            one = jet_space(len(sup), want[i]).nterms == 1
+            for kid in kids_of[i]:
+                c = nodes[kid]
+                if nreads[kid] != 1 or c.support is not sup:
+                    continue
+                if c.__class__ is ScaleField:
+                    absorbed[kid] = True
+                    inner = kids_of[kid][0]
+                    absorbed[inner] = one and nreads[inner] == 1 and \
+                        nodes[inner].__class__ is MatMulField
+                elif c.__class__ is MatMulField and one:
+                    absorbed[kid] = True
         # The steps, in run order.
         step_of = [None] * n        # each pair's step
         size = []                   # the bytes of each step's jet, per point
         steps = self._steps = []    # (node, order, frame, kid steps, views)
         last = self._last = []      # each step's last reader: step or ~group
         reads = self._reads = []    # (root steps, root views, end of group)
+        tables = (nodes, kids_of, want)
         for g, roots in enumerate(groups):
             for i in reversed(placed[g]):
+                if absorbed[i]:
+                    continue
                 node, kids, k = nodes[i], kids_of[i], want[i]
                 sup = (node.child.support if isinstance(node, RestrictField)
                        else node.support)
                 s = step_of[i] = len(steps)
-                read, views = [], None
-                for kid, o in zip(kids, node.kid_orders(k)):
-                    j = step_of[kid]
-                    last[j] = s
-                    sub = nodes[kid].support
-                    if sub is not sup or want[kid] != o:
-                        if views is None:
-                            views = [None] * len(kids)
-                        views[len(read)] = _view(want[kid], sub, o, sup)
-                    read.append(j)
+                if node.__class__ is SumField and \
+                        any([absorbed[kid] for kid in kids]):
+                    node, read, views = _combination(
+                        node, k, kids, tables, step_of, absorbed)
+                    for j in read:
+                        last[j] = s
+                else:
+                    read, views = [], None
+                    for kid, o in zip(kids, node.kid_orders(k)):
+                        j = step_of[kid]
+                        last[j] = s
+                        sub = nodes[kid].support
+                        if sub is not sup or want[kid] != o:
+                            view = _view(want[kid], sub, o, sup, node)
+                            if view is not None:
+                                if views is None:
+                                    views = [None] * len(kids)
+                                views[len(read)] = view
+                        read.append(j)
                 steps.append((node, k, frame_of[i], tuple(read),
                               views and tuple(views)))
                 last.append(None)
                 rows, cols = node.shape
                 size.append(16 * rows * cols * jet_space(
-                    len(node.support), k).nterms)
+                    len(nodes[i].support), k).nterms)
             pairs = [ids[f] for f in roots]
             for i in pairs:
                 last[step_of[i]] = ~g
@@ -357,8 +571,13 @@ class Tape:
                 else:
                     args = [_serve(jets[k], v)
                             for k, v in zip(kids, kid_views)]
-                jet = node._compute(ats[frame], order, args)
-                mag.update(i, jet, kids)
+                if node.__class__ is _Combination:
+                    jet, stack = node.combine(ats[frame], args)
+                    mag.update(i, jet, kids, stack)
+                    del stack           # scratch, not to be held past its step
+                else:
+                    jet = node._compute(ats[frame], order, args)
+                    mag.update(i, jet, kids)
                 jets[i] = jet
                 for k in kids:
                     if last[k] == i:
@@ -437,7 +656,9 @@ class Field(metaclass=_Interned):
     coordinate jets.
 
     A jet of a block of ``at.n`` points stacks their jets as in
-    :meth:`JetSpace.mul`: ``(at.n * rows, cols, T)``.
+    :meth:`JetSpace.mul`: ``(at.n * rows, cols, T)``.  A class that sets
+    ``one_term_kids`` is given a child of empty support as its one term,
+    ``(at.n * rows, cols, 1)``, not embedded over the node's support.
 
     :meth:`_settle` sets two facts of a node, once, from its children's:
     ``support``, the ascending coordinates it can depend on
@@ -452,6 +673,7 @@ class Field(metaclass=_Interned):
     shape = (1, 1)
     ncoords = 0
     children = ()
+    one_term_kids = False
 
     def eval_jet(self, point, order=0):
         """Jet of this field at ``point`` up to ``order`` over all its
@@ -712,6 +934,7 @@ class GridField(Field):
 
 class SumField(Field):
     params = ()
+    one_term_kids = True
 
     def __init__(self, children):
         first = children[0]
@@ -723,10 +946,7 @@ class SumField(Field):
         self.ncoords = first.ncoords
 
     def _compute(self, at, order, kids):
-        out = kids[0].copy()
-        for jet in kids[1:]:
-            out += jet
-        return out
+        return _add_up(kids, self._space(order).nterms)
 
     def _deriv(self, gamma):
         return fsum([ch.deriv(gamma) for ch in self.children],
@@ -742,6 +962,7 @@ class SumField(Field):
 
 class MatMulField(Field):
     params = ()
+    one_term_kids = True
 
     def __init__(self, a, b):
         if a.shape[1] != b.shape[0]:
@@ -799,6 +1020,7 @@ class ScalarMulField(_Unary):
     """Pointwise product of a scalar field with a matrix field."""
 
     params = ()
+    one_term_kids = True
 
     def __init__(self, scalar, child):
         if not scalar.is_scalar:

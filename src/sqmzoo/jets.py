@@ -143,29 +143,40 @@ class JetSpace:
     # -- ring operations ----------------------------------------------
 
     def mul(self, A, B):
-        """Matrix product of jets: (P*r,m,T) x (P*m,c,T) -> (P*r,c,T)."""
+        """Matrix product of jets: (P*r,m,T) x (P*m,c,T) -> (P*r,c,T).
+        Either factor may be a constant's one term, (P*r,m,1) or (P*m,c,1),
+        which stands for its jet with every other term zero."""
         m, c = A.shape[1], B.shape[1]
         n = B.shape[0] // m
         if self.nterms == 1:
-            a = np.ascontiguousarray(A[:, :, 0]).reshape(n, -1, m)
-            b = np.ascontiguousarray(B[:, :, 0]).reshape(n, m, c)
-            return np.matmul(a, b).reshape(-1, c, 1)
-        live = A.any(axis=(0, 1))[self._ii] & B.any(axis=(0, 1))[self._jj]
+            return value_product(A, B, n).reshape(-1, c, 1)
+        live = self._live(A)[self._ii] & self._live(B)[self._jj]
         prod = np.matmul(_terms(A, n, self._ii[live]),
                          _terms(B, n, self._jj[live]))  # (L, P, r, c)
         prod *= self._ww[live, None, None, None]
         return self._scatter(self._kk[live], prod)
 
     def scal_mul(self, s, A):
-        """Multiply matrix jets A by scalar jets s (shape (P,1,T))."""
+        """Multiply matrix jets A by scalar jets s (shape (P,1,T)); either
+        may be a constant's one term, as in :meth:`mul`."""
         n = s.shape[0]
         if self.nterms == 1:
             return join_points(s.reshape(n, 1, 1, 1) * split_points(A, n))
+        live = self._live(s)[self._ii] & self._live(A)[self._jj]
         s = s[:, 0]
-        live = (s != 0).any(axis=0)[self._ii] & A.any(axis=(0, 1))[self._jj]
         sp = (s[:, self._ii[live]] * self._ww[live]).T   # (L, P)
         prod = sp[:, :, None, None] * _terms(A, n, self._jj[live])
         return self._scatter(self._kk[live], prod)
+
+    def _live(self, jet):
+        """Which of this space's terms are live in ``jet``, not zero at
+        every entry and point; a one-term jet's other terms are zero."""
+        live = jet.any(axis=(0, 1))
+        if len(live) == self.nterms:
+            return live
+        out = np.zeros(self.nterms, dtype=bool)
+        out[:len(live)] = live
+        return out
 
     def _scatter(self, kk, prod):
         """Sum the pair products ``prod`` (L, P, r, c) into their terms
@@ -379,6 +390,16 @@ class JetSpace:
                 term = self.scal_mul(A4[:, r, c:c + 1, :], term)
             out = out + term
         return out
+
+
+def value_product(A, B, n, out=None):
+    """The matrix products of the values (first terms) of the stacked
+    jets ``A`` (n*r, m, T) and ``B`` (n*m, c, T') of ``n`` points, as
+    ``(n, r, c)``, into ``out`` if given."""
+    m, c = A.shape[1], B.shape[1]
+    return np.matmul(np.ascontiguousarray(A[:, :, 0]).reshape(n, -1, m),
+                     np.ascontiguousarray(B[:, :, 0]).reshape(n, m, c),
+                     out=out)
 
 
 def split_points(jet, n):

@@ -1,7 +1,8 @@
 """Microbenchmarks: one check end to end, the compilation of the largest
 tape (``hyperkahler_gh``'s ``theorem2``, whose cost every check pays
 once before its first point), the sampled evaluation of that tape over
-its 6 points (run as 3 blocks of 2 points), and the jet kernels at the
+its 6 points (run as 3 blocks of 2 points), its compiled runs alone over
+those blocks, and the jet kernels at the
 shapes the shipped models use (16x16 Fock matrices over 4 coordinates,
 64x64 over 6, 4x4 matrix exponentials over 4), plus order 4 and a
 term-sparse 64x64 product.
@@ -51,6 +52,19 @@ def test_bench_sampled_residual_theorem2(benchmark):
     residuals = benchmark(sampled_residual, groups, spec)
     assert len(residuals) == 62
     assert all(r.relative <= TOL_PASS for r in residuals)
+
+
+def test_bench_tape_run_theorem2(benchmark):
+    m = zoo.hyperkahler_gibbons_hawking()
+    spec = m.sample_spec(n_points=6, seed=7)
+    tape = Tape([list(rel.fields) for rel in verify.CHECKS["theorem2"](m)])
+    blocks = tape.blocks(spec.points())
+
+    def run():
+        return [out for block in blocks for out in tape.run(block)]
+
+    outs = benchmark(run)
+    assert [len(b) for b in blocks] == [2, 2, 2] and len(outs) == 3 * 62
 
 
 @SHAPES

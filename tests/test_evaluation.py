@@ -98,6 +98,49 @@ def _every_node_type():
             [restricted], []]
 
 
+def _combinations():
+    """Groups over two coordinates whose sums absorb children, and
+    children they must not absorb.  A sum at order 0 has scaled and plain
+    one-term products, two scales of a product both read, a scale of a
+    jet held at a higher order, a constant and a product of a constant.
+    A sum a derivative asks for at order 1 has products of three terms, a
+    constant read in place and products of a constant.  A root of group 0
+    is read by group 1's sum, and a sum reads one product twice."""
+    xy = ("x", "y")
+
+    def e(text):
+        return ExprField(parse(text, xy), 2)
+
+    g = GridField([[e("1 + x"), e("0.5*y + 0.3*i*x")],
+                   [e("x*y"), e("2 - y^2 + i")]])
+    h = GridField([[e("sin(x) - 0.7*i*y"), e("1.5")],
+                   [e("y"), e("cos(x*y)")]])
+    m = ConstField(np.array([[1.0, 2.0], [-3.0, 0.5j]]), 2)
+    shared = MatMulField(g, h)
+    low = SumField([ScaleField(2.0, shared),
+                    ScaleField(0.3 - 0.7j, MatMulField(h, g)),
+                    MatMulField(g, g), ScaleField(1.5 + 0.5j, shared),
+                    ScaleField(0.25, g), ConstField((1 + 1j) * np.eye(2), 2),
+                    MatMulField(m, h)])
+    high = SumField([ScaleField(3.0, MatMulField(h, TransposeField(g))),
+                     ConstField(np.eye(2), 2), ScaleField(0.4j - 2.0, h),
+                     MatMulField(m, g), MatMulField(g, m),
+                     ScalarMulField(ConstField([[0.5]], 2), g),
+                     ScalarMulField(e("x - y"), m)])
+    root = MatMulField(h, h)
+    twice = MatMulField(g, TransposeField(h))
+    return [[root, low],
+            [SumField([root, ScaleField(3.0, MatMulField(h, h.conj_t()))]),
+             fields.fsum([twice, twice])],
+            [DerivativeField(high, (1, 0))], [DerivativeField(g, (2, 0))]]
+
+
+def _absorbed(tape):
+    """The nodes the sums of ``tape`` absorb."""
+    return [f for step in tape._steps if type(step[0]) is fields._Combination
+            for f in step[0].absorbed]
+
+
 def _nodes(groups):
     """Every node the groups reach."""
     out = {}
@@ -191,36 +234,52 @@ def test_describe_of_every_node_type_is_pinned():
 
 
 def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
-    """One tape over every node type, with the sum that reads the inverse
-    also read at order 1: each (node, point) is computed once, at the
-    highest order its readers need, the inverse and the nodes computed
-    from it included; the jets equal one-node evaluation, and each step
-    is dropped by its last reader, the last step or read-out that reads
-    it."""
+    """One tape over every node type and the combinations, with the sum
+    that reads the inverse also read at order 1: each (node, point) is
+    computed once, at the highest order its readers need, by its own step
+    or inside exactly one sum's step that absorbs it, the inverse and the
+    nodes computed from it included; the jets equal one-node evaluation,
+    and each step is dropped by its last reader, the last step or read-out
+    that reads it, in run order, reads of absorbed nodes counted as the
+    absorbing step's."""
     groups = _every_node_type()
     groups.append([DerivativeField(groups[0][0], (1, 0))])
+    groups += _combinations()
     points = SPEC2.points()
     expected = [[fields.evaluate(f, p) for g in groups for f in g]
                 for p in points]
     computed, read = {}, {}     # (node id, point) -> orders
+
+    def record(node, at, order):
+        point = tuple(at.points[0])
+        computed.setdefault((id(node), point), []).append(order)
+        kid_at = point
+        if isinstance(node, RestrictField):
+            full = list(node.fixed)
+            for k, pos in enumerate(node.keep):
+                full[pos] = point[k]
+            kid_at = tuple(full)
+        for c, o in zip(node.children, node.kid_orders(order)):
+            read.setdefault((id(c), kid_at), set()).add(o)
+
     for cls in {type(node) for node in _nodes(groups)}:
         orig = cls._compute
 
         def counting(self, at, order, kids, _orig=orig):
-            point = tuple(at.points[0])
-            computed.setdefault((id(self), point), []).append(order)
-            kid_at = point
-            if isinstance(self, RestrictField):
-                full = list(self.fixed)
-                for k, pos in enumerate(self.keep):
-                    full[pos] = point[k]
-                kid_at = tuple(full)
-            for c, o in zip(self.children, self.kid_orders(order)):
-                read.setdefault((id(c), kid_at), set()).add(o)
+            record(self, at, order)
             return _orig(self, at, order, kids)
 
         monkeypatch.setattr(cls, "_compute", counting)
     tape = Tape(groups)
+    order_of = {id(step[0]): step[1] for step in tape._steps}
+    combine = fields._Combination.combine
+
+    def combining(self, at, kids):
+        for node in (self.node,) + self.absorbed:
+            record(node, at, order_of[id(self)])
+        return combine(self, at, kids)
+
+    monkeypatch.setattr(fields._Combination, "combine", combining)
     for p, want in zip(points, expected):
         got = [jet for jets, _ in tape.run([p]) for jet in jets]
         assert len(got) == len(want)
@@ -228,7 +287,9 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         for f in {id(f): f for g in groups for f in g}.values():
             read.setdefault((id(f), p), set()).add(0)
     assert set(computed) == set(read)
-    assert sum(map(len, computed.values())) == len(points) * len(tape._steps)
+    nodes = len(tape._steps) + len(_absorbed(tape))
+    assert len(_absorbed(tape)) > 0
+    assert sum(map(len, computed.values())) == len(points) * nodes
     for key, orders in computed.items():
         assert orders == [max(read[key])]
     # the sum that reads the inverse is read at orders 0 and 1, and runs once
@@ -246,6 +307,75 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
         start = stop
     assert sorted(readers) == list(range(len(tape._steps)))
     assert [readers[k][-1] for k in sorted(readers)] == tape._last
+
+
+def _one_by_one(node, at, order):
+    """The jet of ``node`` over the block ``at`` at ``order``, every node
+    computed by its own ``_compute`` from its children's jets: nothing is
+    shared or absorbed."""
+    kids = []
+    for c, o in zip(node.children, node.kid_orders(order)):
+        view = fields._view(o, c.support, o, node.support, node)
+        kids.append(fields._serve(_one_by_one(c, at, o), view))
+    return node._compute(at, order, kids)
+
+
+def test_sums_absorb_only_children_they_alone_read(monkeypatch):
+    """A root of group 0 that group 1's sum reads keeps its step, as does
+    the product that fsum([P, P]) reads twice; every root jet, and the
+    jet of every node a sum's step absorbs, equals the node computed by
+    itself, its subtree one node at a time, bit for bit."""
+    groups = _combinations()
+    tape = Tape(groups)
+    stacks = []                     # (order, absorbed nodes, their stack)
+    order_of = {id(step[0]): step[1] for step in tape._steps}
+    combine = fields._Combination.combine
+
+    def keeping(self, at, kids):
+        jet, stack = combine(self, at, kids)
+        stacks.append((order_of[id(self)], self.absorbed, stack))
+        return jet, stack
+
+    monkeypatch.setattr(fields._Combination, "combine", keeping)
+    taken = _absorbed(tape)
+    root, pair = groups[0][0], groups[1][1]
+    product = pair.children[0]
+    assert pair.children == (product, product)
+    assert root in groups[1][0].children
+    assert root not in taken and product not in taken
+    steps = [step[0] for step in tape._steps]
+    i = steps.index(pair)
+    assert tape._steps[i][3] == (steps.index(product),) * 2
+    points = SPEC2.points()
+    at = fields._At(np.array(points))
+    for (jets, _), group in zip(tape.run(points), groups):
+        for jet, f in zip(jets, group):
+            assert jet.tobytes() == _one_by_one(f, at, 0).tobytes()
+    assert len(stacks) == 3
+    for order, absorbed, stack in stacks:
+        assert sorted(slot.tobytes() for slot in stack) == sorted(
+            _one_by_one(f, at, order).tobytes() for f in absorbed)
+
+
+def test_fusion_does_not_change_theorem2():
+    """hyperkahler_gh's theorem2, its 62 groups compiled into one tape and
+    each group into a tape of its own: the groups of the one tape share
+    nodes, so its sums absorb fewer, yet at the 6 points of seed 7 every
+    root jet and every scale is equal, bit for bit."""
+    m = zoo.hyperkahler_gibbons_hawking()
+    spec = m.sample_spec(n_points=6, seed=7)
+    groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
+    assert len(groups) == 62
+    whole = Tape(groups)
+    alone = [Tape([group]) for group in groups]
+    shared = set(map(id, _absorbed(whole)))
+    assert shared < {id(f) for tape in alone for f in _absorbed(tape)}
+    for block in whole.blocks(spec.points()):
+        for (jets, scales), tape in zip(whole.run(block), alone):
+            (one_jets, one_scales), = tape.run(block)
+            assert [j.tobytes() for j in jets] == \
+                [j.tobytes() for j in one_jets]
+            assert scales.tobytes() == one_scales.tobytes()
 
 
 def test_lower_order_jet_is_a_prefix_of_a_higher_one():
@@ -399,7 +529,8 @@ def _exp_scalings(generator, points):
 def test_a_block_equals_its_points(monkeypatch):
     """One run over SPEC2's three points equals three one-point runs, bit
     for bit, in every root jet, every group scale and the subtree maximum
-    of every step: with every node type, an exponential whose scaling
+    of every executed step, a sum's that absorbs nodes included: with
+    every node type, the combinations, an exponential whose scaling
     exponent differs between the points, and the powers where numpy's
     array power rounds unlike its scalar power."""
     xy = ("x", "y")
@@ -409,15 +540,16 @@ def test_a_block_equals_its_points(monkeypatch):
 
     generator = GridField([[e("4*x + 1"), e("y")], [e("0.5"), e("-2*x*y")]])
     base = e("2 + x*y + 0.5*i*x")
-    groups = _every_node_type() + [
+    groups = _every_node_type() + _combinations() + [
         [MatExpField(generator)], [PowField(base, 1, 2), PowField(base, -1)]]
     points = SPEC2.points()
     assert len(set(_exp_scalings(generator, points))) > 1
     maxima = []                     # the subtree maxima of each run, by step
     update = fields._Mag.update
 
-    def recording(self, step, jet, kids):
-        update(self, step, jet, kids)
+    def recording(self, step, jet, kids, stack=None):
+        update(self, step, jet, kids, stack)
+        assert step not in maxima[-1]
         maxima[-1][step] = self.value[step].copy()
 
     monkeypatch.setattr(fields._Mag, "update", recording)
@@ -426,6 +558,7 @@ def test_a_block_equals_its_points(monkeypatch):
     for block in [points] + [[p] for p in points]:
         maxima.append({})
         runs.append(list(tape.run(block)))
+    monkeypatch.undo()
     whole, single = runs[0], runs[1:]
     n = len(points)
     for g, (jets, scales) in enumerate(whole):
@@ -435,6 +568,7 @@ def test_a_block_equals_its_points(monkeypatch):
             for jet, one in zip(jets, one_jets):
                 assert np.array_equal(split_points(jet, n)[i], one)
             assert scales[i] == one_scale[0]
+    assert _absorbed(tape)
     assert set(maxima[0]) == set(range(len(tape._steps)))
     for i in range(n):
         assert set(maxima[1 + i]) == set(maxima[0])
@@ -475,19 +609,21 @@ def test_evaluation_error_names_the_first_failing_point(monkeypatch,
 
 def _live_peak(tape, point, monkeypatch):
     """The most bytes of jets a run of ``tape`` at ``point`` holds at once,
-    read from the run's own table of live jets whenever a node computes."""
+    read from the run's own table of live jets whenever a step computes,
+    a node's or a sum's that absorbs nodes."""
     peak = [0]
     for cls in {type(step[0]) for step in tape._steps}:
-        orig = cls._compute
+        name = "combine" if cls is fields._Combination else "_compute"
 
-        def measuring(self, at, order, kids, _orig=orig):
-            jet = _orig(self, at, order, kids)
+        def measuring(self, *args, _orig=getattr(cls, name)):
+            out = _orig(self, *args)
+            jet = out[0] if type(out) is tuple else out
             held = sys._getframe(1).f_locals["jets"]
             live = sum(j.nbytes for j in held if j is not None)
             peak[0] = max(peak[0], live + jet.nbytes)
-            return jet
+            return out
 
-        monkeypatch.setattr(cls, "_compute", measuring)
+        monkeypatch.setattr(cls, name, measuring)
     for _ in tape.run([point]):
         pass
     monkeypatch.undo()
@@ -496,16 +632,19 @@ def _live_peak(tape, point, monkeypatch):
 
 def test_blocks_are_sized_by_the_live_jet_bytes_of_one_point(monkeypatch):
     """The compile-time bytes per point equal the peak of the live jets of
-    a one-point run, and hyperkahler_gh's theorem2 runs its 6 points as 3
-    blocks of 2 under the 4 MiB budget."""
-    small = Tape(_every_node_type())
-    assert small.point_bytes == _live_peak(small, SPEC2.points()[0],
-                                           monkeypatch)
+    a one-point run, with sums that absorb nodes, and hyperkahler_gh's
+    theorem2, whose sums do, runs its 6 points as 3 blocks of 2 under the
+    4 MiB budget."""
+    for groups in (_every_node_type(), _combinations()):
+        small = Tape(groups)
+        assert small.point_bytes == _live_peak(small, SPEC2.points()[0],
+                                               monkeypatch)
     m = zoo.hyperkahler_gibbons_hawking()
     spec = m.sample_spec(n_points=6, seed=7)
     groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
     tape = Tape(groups)
     points = spec.points()
+    assert _absorbed(tape)
     assert tape.point_bytes == _live_peak(tape, points[0], monkeypatch)
     assert 2 * tape.point_bytes <= fields.BLOCK_BYTES < 3 * tape.point_bytes
     assert [len(b) for b in tape.blocks(points)] == [2, 2, 2]

@@ -286,3 +286,30 @@ def test_scal_mul_bit_identical_to_pair_formula(order, dim):
         for a in _sparse_jets(space, dim, dim, seed=10 + n):
             assert np.array_equal(space.scal_mul(s, a),
                                   _ref_scal_mul(space, s, a))
+
+
+@pytest.mark.parametrize("nvars, dim", [(4, 16), (6, 64)],
+                         ids=["n4-K2-16x16", "n6-K2-64x64"])
+def test_one_term_operand_equals_its_embedding(nvars, dim):
+    """A constant's one term, as either factor of mul or scal_mul, gives
+    the product with the constant embedded, all its other terms zero:
+    against jets with dead terms, and a zero constant.  Compared with ==,
+    as the sign of a zero may differ."""
+    space = jet_space(nvars, 2)
+    rng = np.random.default_rng(dim)
+    shape = (dim, dim, 1)
+    for k, const in enumerate([rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape),
+                               np.zeros(shape, dtype=np.complex128)]):
+        embedded = space.zeros(dim, dim)
+        embedded[..., :1] = const
+        for jet in _sparse_jets(space, dim, dim, seed=nvars + k):
+            assert np.array_equal(space.mul(const, jet),
+                                  space.mul(embedded, jet))
+            assert np.array_equal(space.mul(jet, const),
+                                  space.mul(jet, embedded))
+            scalar = jet[:1, :1]
+            assert np.array_equal(space.scal_mul(scalar, const),
+                                  space.scal_mul(scalar, embedded))
+            assert np.array_equal(space.scal_mul(const[:1, :1], jet),
+                                  space.scal_mul(embedded[:1, :1], jet))
