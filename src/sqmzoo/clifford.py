@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import Field, fconst
+from .fields import ConstField, Field, ZeroField, fconst
 from .jets import _perm_sign, join_points, split_points
 
 FOCK_DIM_CAP = 4096
@@ -363,7 +363,6 @@ def _pair_tensor(rep, ordering):
 
 def bilinear(rep, mfield, ordering="pb"):
     """Fermion bilinear with a matrix coefficient field."""
-    from .fields import ConstField, ZeroField
     if isinstance(mfield, ZeroField):
         return ZeroField((rep.dim, rep.dim), mfield.ncoords)
     if isinstance(mfield, ConstField):
@@ -375,7 +374,6 @@ def bilinear(rep, mfield, ordering="pb"):
 
 
 def linear(rep, vfield, kind="psi"):
-    from .fields import ConstField, ZeroField
     if isinstance(vfield, ZeroField):
         return ZeroField((rep.dim, rep.dim), vfield.ncoords)
     if isinstance(vfield, ConstField):

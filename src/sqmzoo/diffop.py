@@ -27,8 +27,8 @@ from operator import add, sub
 
 import numpy as np
 
-from .fields import (Tape, ZeroField, fdiag, fexp, fidentity, fmatmul, fpow,
-                     frestrict, fscale, fsum)
+from .fields import (ConstField, PositiveGuardField, Tape, ZeroField, fdiag,
+                     fexp, fidentity, fmatmul, fpow, frestrict, fscale, fsum)
 from .jets import MAX_ORDER, _binom_multi, split_points
 
 
@@ -326,7 +326,6 @@ def adjoint_with_measure(A, mu):
     point (vanishing or complex measures have no adjoint reading)."""
     if not mu.is_scalar:
         raise OpError("measure density must be a scalar field")
-    from .fields import PositiveGuardField
     if not isinstance(mu, PositiveGuardField):
         mu = PositiveGuardField(mu, "measure density")
     left = mult_op(fpow(mu, -1), A.coords, A.rep)
@@ -393,8 +392,12 @@ def reduce_cyclic(A, dropped, spec):
     Every coefficient field must be independent of the dropped
     coordinates (the constraint p_dropped = 0 must commute with the
     operator); this is verified by sampling first derivatives in the
-    dropped directions.  Terms containing dropped-direction derivatives
-    act as zero on the constrained subspace and are removed; surviving
+    dropped directions.  A derivative along a coordinate outside a
+    field's support is the zero field when it is built, so only the
+    fields that read a dropped coordinate are sampled, and an operator
+    none of whose coefficients reads one samples nothing.  Terms
+    containing dropped-direction derivatives act as zero on the
+    constrained subspace and are removed; surviving
     coefficients are restricted onto the section where the dropped
     coordinates sit at 0.  A derivative whose relative residual exceeds
     TOL_PASS, or is NaN or infinite, raises ReductionError.
@@ -576,8 +579,6 @@ def _fmt_c(z):
 
 def pretty(A):
     """Human-readable normal-ordered text of the operator."""
-    from .fields import ConstField
-
     if not A.terms:
         return "0"
     lines = []

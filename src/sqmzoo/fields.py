@@ -15,18 +15,22 @@ no cache, so a node is determined by its type, its own parameters and
 its children.
 
 A node's jet holds only its ``support``: the ascending coordinates it
-can depend on.  An expression's support is the coordinates it reads, a
-constant's is empty, a restriction maps its child's through ``keep``,
-and every other node takes the union of its children's.  So a product
-of two fields of one coordinate each runs over two coordinates' terms,
-whatever the model's coordinate count; a reader over more coordinates
-reads a jet embedded by a compile-time table, and
-:meth:`Field.eval_jet` returns the jet over all the node's coordinates.
+can depend on, settled once, when the node is built.  An expression's
+support is the coordinates it reads, a constant's is empty, a
+restriction maps its child's through ``keep``, and every other node
+takes the union of its children's.  So a product of two fields of one
+coordinate each runs over two coordinates' terms, whatever the model's
+coordinate count; a reader over more coordinates reads a jet embedded
+by a compile-time table, and :meth:`Field.eval_jet` returns the jet
+over all the node's coordinates.
 A sum, a product or a scalar product reads a child of empty support, a
 constant, as its one term in place: a sum adds it to term 0, and
 :meth:`JetSpace.mul` and :meth:`JetSpace.scal_mul` multiply through it
 over the other factor's live terms, the very pairs its embedding would
-leave live.
+leave live.  A derivative along a coordinate outside its field's
+support is folded to the zero field when it is built
+(:meth:`Field.deriv`), so it never becomes a node, and the products,
+scales and sums the folding constructors build from it vanish with it.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -394,24 +398,17 @@ class Tape:
                         kf = frames.setdefault((frame, node.keep, node.fixed),
                                                len(frames) + 1)
                     kids = node.children
-                    if kids and kf == 0:
-                        todo.append((node, frame, kids))
-                        todo += [(c, 0, None) for c in kids[::-1]
-                                 if c not in ids]
-                        continue
                     if kids:
-                        kids = tuple([(c, kf) for c in kids])
-                        todo.append((node, frame, kids))
+                        keys = (kids if kf == 0 else
+                                tuple([(c, kf) for c in kids]))
+                        todo.append((node, frame, keys))
                         todo += [(c, kf, None) for c, k in
-                                 zip(node.children[::-1], kids[::-1])
-                                 if k not in ids]
+                                 zip(kids[::-1], keys[::-1]) if k not in ids]
                         continue
                 ids[key] = len(nodes)
                 nodes.append(node)
                 frame_of.append(frame)
                 kids_of.append(tuple([ids[k] for k in kids]))
-                if node._reach is None:
-                    node._settle()
             reach = min([f._reach for f in roots], default=order)
             if reach < order:
                 self._overflow = (f"derivative request of order "
@@ -606,7 +603,11 @@ class _Interned(type):
     ``params``, such as a private base or a subclass that adds state of
     its own, is not interned.  A node's caches are private attributes
     outside its key.  The table holds its nodes weakly, so it never
-    keeps a model alive."""
+    keeps a model alive.
+
+    A new node, once past the table, has its ``support`` and ``_reach``
+    set from its children's, which were set when they were built (see
+    :class:`Field`); a node the table returns has them already."""
 
     def __init__(cls, name, bases, ns):
         super().__init__(name, bases, ns)
@@ -616,18 +617,20 @@ class _Interned(type):
 
     def __call__(cls, *args, **kwargs):
         node = type.__call__(cls, *args, **kwargs)
-        node._reach = None      # not settled yet (see Field._settle)
         structure = cls._structure
-        if structure is None:
-            return node
-        key = structure(node)
-        ref = _NODES.get(key)
-        if ref is not None:
-            live = ref()
-            if live is not None:
-                return live
-        ref = _NODES[key] = _Entry(node, _forget)
-        ref.key = key
+        if structure is not None:
+            key = structure(node)
+            ref = _NODES.get(key)
+            if ref is not None:
+                live = ref()
+                if live is not None:
+                    return live
+            ref = _NODES[key] = _Entry(node, _forget)
+            ref.key = key
+        node.support = node._support()
+        node._reach = min([c._reach - o for c, o in
+                           zip(node.children, node.kid_orders(0))],
+                          default=MAX_ORDER)
         return node
 
 
@@ -660,14 +663,18 @@ class Field(metaclass=_Interned):
     ``one_term_kids`` is given a child of empty support as its one term,
     ``(at.n * rows, cols, 1)``, not embedded over the node's support.
 
-    :meth:`_settle` sets two facts of a node, once, from its children's:
-    ``support``, the ascending coordinates it can depend on
-    (:meth:`_support`), over which its jets are built (:meth:`_space`)
-    and its kids arrive; and ``_reach``, the highest order it can be
-    computed at before a derivative in its subtree exceeds MAX_ORDER
-    (see :class:`Tape`).  Every node's order-k jet is bit for bit the
-    first terms of its higher-order jet, so one step per node serves
-    every order its readers need."""
+    Two facts of a node are settled when it is built, from its
+    children's (see :class:`_Interned`): ``support``, the ascending
+    coordinates it can depend on (:meth:`_support`), over which its jets
+    are built (:meth:`_space`) and its kids arrive; and ``_reach``, the
+    highest order it can be computed at before a derivative in its
+    subtree exceeds MAX_ORDER (see :class:`Tape`): the highest at which
+    :meth:`kid_orders` asks for each child within the child's own reach.
+    So :meth:`deriv` folds a derivative along a coordinate outside the
+    support to the zero field when it is built, and no zero derivative
+    enters a DAG.  Every node's order-k jet is bit for bit the first
+    terms of its higher-order jet, so one step per node serves every
+    order its readers need."""
 
     __slots__ = ("support", "_reach")
     shape = (1, 1)
@@ -681,25 +688,6 @@ class Field(metaclass=_Interned):
         ((jet,), _), = Tape([[self]], order).run([point])
         full = tuple(range(self.ncoords))
         return _serve(jet, _view(order, self.support, order, full))
-
-    def __getattr__(self, name):
-        """The facts :meth:`_settle` sets, set on first use."""
-        if name not in ("support", "_along"):
-            raise AttributeError(name)
-        self._settle()
-        return object.__getattribute__(self, name)
-
-    def _settle(self):
-        """Set ``support`` and ``_reach`` from the children's, once: a
-        tape settles its nodes in post-order, children first."""
-        reach = MAX_ORDER
-        for c in self.children:
-            if c._reach is None:
-                c._settle()
-            if c._reach < reach:
-                reach = c._reach
-        self.support = self._support()
-        self._reach = reach
 
     def _support(self):
         """The union of the children's supports."""
@@ -726,10 +714,15 @@ class Field(metaclass=_Interned):
         return self.shape == (1, 1)
 
     def deriv(self, gamma):
-        """The partial derivative d^gamma of this field; the field itself
-        for a zero multi-index."""
+        """The partial derivative d^gamma of this field: the field itself
+        for a zero multi-index, and the zero field for one along a
+        coordinate outside the support."""
+        if len(gamma) != self.ncoords:
+            raise ValueError("derivative multi-index length mismatch")
         if not any(gamma):
             return self
+        if sum([gamma[i] for i in self.support]) != sum(gamma):
+            return ZeroField(self.shape, self.ncoords)
         return self._deriv(gamma)
 
     def _deriv(self, gamma):
@@ -788,9 +781,6 @@ class ZeroField(Field):
     def _compute(self, at, order, kids):
         return self._space(order).zeros(*self.shape, at.n)
 
-    def _deriv(self, gamma):
-        return self
-
     def _conj_t(self):
         return ZeroField((self.shape[1], self.shape[0]), self.ncoords)
 
@@ -843,9 +833,6 @@ class ConstField(Field):
 
     def _compute(self, at, order, kids):
         return self._space(order).const(self.matrix, at.n)
-
-    def _deriv(self, gamma):
-        return ZeroField(self.shape, self.ncoords)
 
     def _conj_t(self):
         return ConstField(self.matrix.conj().T, self.ncoords)
@@ -1079,7 +1066,10 @@ class TransposeField(_Unary):
 
 
 class DerivativeField(_Unary):
-    __slots__ = ("_along",)
+    """The partial derivative d^gamma of the child, along coordinates of
+    the child's support only: :meth:`Field.deriv` folds one that leaves
+    the support to the zero field, and building one directly raises."""
+
     params = ("gamma",)
 
     def __init__(self, child, gamma):
@@ -1087,21 +1077,15 @@ class DerivativeField(_Unary):
         self.gamma = tuple(int(g) for g in gamma)
         if len(self.gamma) != child.ncoords:
             raise ValueError("derivative multi-index length mismatch")
-
-    def _settle(self):
-        """Also ``_along``: ``gamma`` over the support, or None when it
-        leaves the support, where the derivative is zero."""
-        super()._settle()
-        self._reach -= sum(self.gamma)
-        along = tuple(self.gamma[i] for i in self.support)
-        self._along = along if sum(along) == sum(self.gamma) else None
+        # gamma over the child's support, which its jet is held over
+        self._along = tuple([self.gamma[i] for i in child.support])
+        if sum(self._along) != sum(self.gamma):
+            raise ValueError("derivative along a coordinate outside the "
+                             "child's support; Field.deriv folds it to zero")
 
     def _compute(self, at, order, kids):
-        target = self._space(order)
-        if self._along is None:
-            return target.zeros(*self.shape, at.n)
         return self._space(order + sum(self.gamma)).extract(
-            kids[0], self._along, target)
+            kids[0], self._along, self._space(order))
 
     def kid_orders(self, order):
         """The child at ``order + |gamma|``."""
@@ -1112,7 +1096,10 @@ class DerivativeField(_Unary):
         return DerivativeField(self.child, merged)
 
     def _conj_t(self):
-        return DerivativeField(self.child.conj_t(), self.gamma)
+        conj = self.child.conj_t()
+        if conj.support is self.child.support:
+            return DerivativeField(conj, self.gamma)
+        return conj.deriv(self.gamma)   # the conjugate folded terms away
 
     def describe(self):
         names = [f"d{i}" for i, g in enumerate(self.gamma) for _ in range(g)]
@@ -1294,7 +1281,6 @@ class RestrictField(Field):
             raise ValueError("fixed point must cover all parent coordinates")
         self.shape = child.shape
         self.ncoords = len(self.keep)
-        self._tables = {}
 
     def _support(self):
         """The kept positions of the child's support."""
@@ -1302,18 +1288,10 @@ class RestrictField(Field):
                          if pos in self.child.support])
 
     def _compute(self, at, order, kids):
-        table = self._tables.get(order)
-        if table is None:
-            sub = self.child.support
-            parent_space = jet_space(len(sub), order)
-            rows = []
-            for alpha in self._space(order).midx:
-                full = [0] * len(sub)
-                for a, k in zip(alpha, self.support):
-                    full[sub.index(self.keep[k])] = a
-                rows.append(parent_space.index[tuple(full)])
-            table = np.asarray(rows, dtype=np.intp)
-            self._tables[order] = table
+        sub = self.child.support
+        table = self._space(order).embedding(
+            tuple([sub.index(self.keep[k]) for k in self.support]),
+            jet_space(len(sub), order))
         return kids[0][:, :, table]
 
     def describe(self):

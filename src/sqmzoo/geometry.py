@@ -23,8 +23,9 @@ import numpy as np
 from . import clifford
 from .diffop import TOL_PASS, sampled_residual, unit_index
 from .expr import Coord, Const
-from .fields import (ZeroField, fconst, fdet, fentry, fexp, fexpr, fgrid,
-                     fidentity, finv, fmatmul, fpow, fscale, fsum, ftranspose)
+from .fields import (PositiveGuardField, ZeroField, fconst, fdet, fentry,
+                     fexp, fexpr, fgrid, fidentity, finv, fmatmul, fpow,
+                     fscale, fsum, ftranspose)
 
 # largest covariant derivative of a complex structure, relative to
 # 1 + its scale, at which the structure counts as covariantly constant
@@ -292,8 +293,6 @@ def gibbons_hawking(centers, weights, eps=1.0):
         a_x = a_x + Const(w) * dy * u / rho2
         a_y = a_y - Const(w) * dx * u / rho2
     a = (a_x, a_y, Const(0.0))
-
-    from .fields import PositiveGuardField
 
     vf = PositiveGuardField(fexpr(v, nc, "V"), "Gibbons-Hawking potential V")
     sqrt_v = fpow(vf, 1, 2)

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 import sympy
 
+from sqmzoo import diffop
 from sqmzoo.clifford import bilinear, complex_fermions
 from sqmzoo.diffop import (DiffOp, OpError, ReductionError, Residual,
                            SampleSpec, adjoint_with_measure, anticommutator,
                            commutator, compose, is_zero, momentum_op, mult_op,
                            naive_dagger, partial_op, pretty, reduce_cyclic,
-                           rename_coords, similarity, zero_op)
+                           rename_coords, sampled_residual, similarity,
+                           zero_op)
 from sqmzoo.expr import parse
 from sqmzoo.fields import evaluate, fconst, fexpr, fidentity, fscale
 from sqmzoo.report import TOL_PASS
@@ -309,6 +311,28 @@ def test_reduce_rejects_a_nonfinite_dependence():
     spec = SampleSpec(box=((-1, 1), (-1, 1)), n_points=8, seed=1)
     with pytest.raises(ReductionError):
         reduce_cyclic(f, ["y"], spec)
+
+
+def test_reduce_samples_only_fields_that_read_a_dropped_coordinate(
+        monkeypatch):
+    """A derivative along a coordinate outside a field's support is the
+    zero field when it is built: reducing an operator whose coefficients
+    do not read y samples nothing, and a coefficient that reads y, though
+    it does not depend on it, is the one derivative sampled."""
+    sampled = []
+
+    def recording(groups, spec):
+        sampled.append([list(group) for group in groups])
+        return sampled_residual(groups, spec)
+
+    monkeypatch.setattr(diffop, "sampled_residual", recording)
+    coords = ("x", "y")
+    spec = SampleSpec(box=((-1, 1), (-1, 1)), n_points=3, seed=5)
+    a = compose(scalar_op("sin(x)", coords), momentum_op(coords, REP1, "x"))
+    assert reduce_cyclic(a, ["y"], spec).coords == ("x",)
+    assert sampled == []
+    reduce_cyclic(a + scalar_op("x + y - y", coords), ["y"], spec)
+    assert [len(group) for groups in sampled for group in groups] == [1]
 
 
 def test_reduce_commutes_with_brackets():

@@ -59,13 +59,18 @@ def _brute_residual(group, points):
     return max_abs, argmax, scale
 
 
-def _every_node_type():
+def _every_node_type(spare=()):
     """Groups of roots over two coordinates that use every Field subclass,
-    share nodes between groups and repeat a child in one sum."""
-    coords = ("x", "y")
+    share nodes between groups and repeat a child in one sum; over the
+    coordinates ``spare`` too, after those two, which no node reads."""
+    coords = ("x", "y") + spare
+    n = len(coords)
 
     def e(text, names=coords):
         return ExprField(parse(text, names), len(names))
+
+    def d(*gamma):
+        return gamma + (0,) * len(spare)
 
     a = e("1.3 + 0.2*sin(x)*y")
     b = e("0.5*x*y + 0.1*x^2")
@@ -73,9 +78,9 @@ def _every_node_type():
     guard = PositiveGuardField(a, "a")
     root_a = PowField(guard, 1, 2)
     log_a = ScalarFnField("log", guard)
-    chain = DerivativeField(DerivativeField(grid, (1, 0)), (0, 1))
+    chain = DerivativeField(DerivativeField(grid, d(1, 0)), d(0, 1))
     square = MatMulField(grid, TransposeField(grid))
-    inv = InverseField(SumField([grid, ConstField(3.0 * np.eye(2), 2)]))
+    inv = InverseField(SumField([grid, ConstField(3.0 * np.eye(2), n)]))
     expo = MatExpField(ScaleField(0.3, grid))
     diag = DiagField(ConjTransposeField(root_a), 2)
     det = DetField(grid)
@@ -83,18 +88,19 @@ def _every_node_type():
     scaled = ScalarMulField(SumField([det, log_a]), ConjTransposeField(square))
     # the restricted child passes through +-7, larger than any value of
     # the restriction itself, so its scale must come from the child's frame
-    over3 = ("x", "y", "z")
+    over3 = ("x", "y", "z") + spare
     big = SumField([e("x + 7", over3), e("-7", over3)])
     grid3 = GridField([[big, e("x*y + z", over3)],
                        [e("y - x", over3), e("0.5 + y^2", over3)]])
-    restricted = RestrictField(grid3, (0, 1), (0.0, 0.0, 0.4))
+    restricted = RestrictField(grid3, (0, 1) + tuple(range(3, n + 1)),
+                               (0.0, 0.0, 0.4) + (0.0,) * len(spare))
     entry = EntryField(square, 0, 1)
     rep = complex_fermions(2)
     pair = FermionBilinearField(rep, SumField([grid, restricted]), "pb")
     single = FermionLinearField(rep, GridField([[entry, b]]), "psi")
-    fock = SumField([pair, single, ZeroField((4, 4), 2)])
-    m2 = SumField([twice, scaled, inv, expo, diag, chain.deriv((1, 0))])
-    return [[m2, entry], [fock, m2], [DerivativeField(fock, (0, 1))],
+    fock = SumField([pair, single, ZeroField((4, 4), n)])
+    m2 = SumField([twice, scaled, inv, expo, diag, chain.deriv(d(1, 0))])
+    return [[m2, entry], [fock, m2], [DerivativeField(fock, d(0, 1))],
             [restricted], []]
 
 
@@ -401,8 +407,9 @@ def test_lower_order_jet_is_a_prefix_of_a_higher_one():
 def test_jets_over_their_support_match_full_space_arithmetic():
     """Nodes of supports {x}, {y} and {} mixed by a sum, products, grids,
     a restriction and derivatives (one along a coordinate outside its
-    child's support) at order 2 equal the same arithmetic done over both
-    coordinates with JetSpace, bit for bit."""
+    field's support, which folds to the zero field) at order 2 equal the
+    same arithmetic done over both coordinates with JetSpace, bit for
+    bit."""
     xy, xyz = ("x", "y"), ("x", "y", "z")
     fx = ExprField(parse("1 + x^2", xy), 2)
     fy = ExprField(parse("2 + sin(y)", xy), 2)
@@ -412,14 +419,14 @@ def test_jets_over_their_support_match_full_space_arithmetic():
     gx = GridField([[fx, c], [c, fx]])
     gy = GridField([[fy, c], [c, fy]])
     eye = ConstField(np.eye(2), 2)
-    dx_of_y = DerivativeField(fy, (1, 0))
+    dx_of_y = fy.deriv((1, 0))
     dy_of_y = DerivativeField(fy, (0, 1))
     root = SumField([MatMulField(gx, gy),
                      ScalarMulField(rz, SumField([gx, eye])),
                      GridField([[dx_of_y, dy_of_y], [dy_of_y, c]])])
     assert (fx.support, fy.support, c.support, rz.support, eye.support) == \
         ((0,), (1,), (), (0,), ())
-    assert (gx.support, dx_of_y.support, root.support) == ((0,), (1,), (0, 1))
+    assert (gx.support, dx_of_y.support, root.support) == ((0,), (), (0, 1))
 
     p = (0.3, -0.7)
     space, space3 = jet_space(2, 2), jet_space(2, 3)
@@ -442,6 +449,46 @@ def test_jets_over_their_support_match_full_space_arithmetic():
     want += space.scal_mul(r, grid([[x, k], [k, x]]) + space.const(np.eye(2)))
     want += grid([[dxy, dyy], [dyy, k]])
     assert np.array_equal(fields.evaluate(root, p, 2), want)
+
+
+def test_derivative_outside_the_support_is_the_zero_field():
+    """Every node type, over a last coordinate that no node reads, folds
+    a derivative along it, alone or with another coordinate, to the one
+    zero field of its shape, and a derivative node built directly along
+    it is refused: no zero derivative enters a DAG.  A multi-index of the
+    wrong length is refused, not folded."""
+    nodes = _nodes(_every_node_type(spare=("w",)))
+    assert {type(f) for f in nodes} == _subclasses(fields.Field)
+    for f in nodes:
+        n = f.ncoords
+        assert n - 1 not in f.support
+        zero = ZeroField(f.shape, n)
+        for gamma in ((0,) * (n - 1) + (1,), (1,) + (0,) * (n - 2) + (2,)):
+            assert f.deriv(gamma) is zero
+            with pytest.raises(ValueError, match="outside the child's support"):
+                DerivativeField(f, gamma)
+            with pytest.raises(ValueError, match="length mismatch"):
+                f.deriv(gamma + (0,))
+
+
+def test_conjugate_of_a_derivative_folds_with_its_child():
+    """A product built directly with a zero factor reads y, but its
+    conjugate, folded, reads nothing, so the conjugate of its derivative
+    along y is the zero field."""
+    g = GridField([[ExprField(parse("x*y", ("x", "y")), 2)]])
+    d = MatMulField(ZeroField((1, 1), 2), g).deriv((0, 1))
+    assert type(d) is DerivativeField
+    assert d.conj_t() is ZeroField((1, 1), 2)
+
+
+def test_zero_derivative_past_max_order_evaluates():
+    """A derivative above MAX_ORDER along a coordinate the field does not
+    read is the zero field, not an order overflow."""
+    f = ExprField(parse("x", ("x", "y")), 2)
+    zero = f.deriv((0, fields.MAX_ORDER + 1))
+    assert zero is ZeroField((1, 1), 2)
+    jet = fields.evaluate(zero, (0.3, -0.2), 1)
+    assert jet.shape == (1, 1, 3) and not jet.any()
 
 
 def test_order_overflow_is_not_lifted_into_an_earlier_group():

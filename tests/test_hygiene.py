@@ -49,6 +49,32 @@ def test_unused_import_is_found():
     assert _unused_imports(tree) == [(1, "math"), (3, "sep")]
 
 
+def _local_imports(tree):
+    """Lines of the imports made inside a function body."""
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_imports_in_functions(path):
+    """A module imports what it uses at its top level, where its
+    dependencies show; none of the package's modules needs an import
+    deferred into a function to break a cycle."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _local_imports(tree) == []
+
+
+def test_import_in_function_is_found():
+    tree = ast.parse("import os\n\n\ndef f():\n    from os import path\n"
+                     "    return path\n\n\nclass C:\n    import math\n\n"
+                     "    def g(self):\n        def h():\n"
+                     "            import re\n        return h\n")
+    assert _local_imports(tree) == [5, 14]
+
+
 def _top_level_definitions(tree):
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
