@@ -26,15 +26,19 @@ six rules:
   else the check adds a failing ``<check>: no relation violated`` record;
 * the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
   ``0 < pass < violation``, so no gate can pass a violated relation;
-* a model param the constructor does not take, a missing or unparsable
-  one, a param value the constructor rejects with a ValueError or
-  ArithmeticError, an unknown check name, ``expect`` value, entry key or
+* a model section or ``torsion_rotate`` ``base`` that is not a mapping
+  with a catalog ``constructor`` and mapping ``params``, a model param
+  the constructor does not take, a missing or unparsable one, a param
+  value the constructor rejects with a ValueError or ArithmeticError,
+  ``checks`` that are not a list of names or mappings with a string
+  ``name``, an unknown check name, ``expect`` value, entry key or
   operator name, a missing ``equal`` operand, ``points < 1``, a negative
   ``seed``, a ``box`` key that is not a model coordinate, a box value
   that is not a list of two numbers ``lo < hi``, an ``exclusions`` entry
   without a parsable ``expr``, and a ``points``, ``seed``, tolerance,
   exclusion ``min`` or check ``tol`` that is not a number (``points``
-  and ``seed`` whole, a ``tol`` positive) are scenario errors;
+  and ``seed`` whole, a ``tol`` positive; a YAML boolean is no number)
+  are scenario errors;
 * a relation whose evaluation raises a ValueError or ArithmeticError at
   a sample point (a failed positivity guard, an order overflow, a
   non-converging series, a division by zero) is a scenario error that
@@ -96,15 +100,22 @@ def load_scenario(path):
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
     if "model" not in doc:
         raise ScenarioError(f"{path}: missing 'model' section")
-    model = doc["model"]
-    if not isinstance(model, dict) or "constructor" not in model:
-        raise ScenarioError(f"{path}: model needs a 'constructor'")
     return doc
 
 
 def build_model(model_section):
+    """The model of a scenario's ``model`` section or of a
+    ``torsion_rotate`` ``base`` block."""
+    if not isinstance(model_section, dict) or \
+            not isinstance(model_section.get("constructor"), str):
+        raise ScenarioError(f"model needs a mapping with a 'constructor' "
+                            f"name, got {model_section!r}")
     ctor_name = model_section["constructor"]
-    params = dict(model_section.get("params") or {})
+    params = model_section.get("params") or {}
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{ctor_name}: params must be a mapping, got "
+                            f"{params!r}")
+    params = dict(params)
     try:
         ctor = zoo.CATALOG[ctor_name][0]
     except KeyError:
@@ -121,12 +132,14 @@ def build_model(model_section):
 
 
 def _number(value, what, kind=float):
-    """``value`` as a finite ``kind``, else a ScenarioError naming it."""
+    """``value`` as a finite ``kind``, not a YAML boolean, else a
+    ScenarioError naming it."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(x) or (isinstance(value, float) and x != value):
+    if not math.isfinite(x) or isinstance(value, bool) or \
+            (isinstance(value, float) and x != value):
         raise ScenarioError(f"{what} must be a finite "
                             f"{'integer' if kind is int else 'number'}, got "
                             f"{value!r}")
@@ -205,9 +218,12 @@ def _check_entry(chk):
     check's signature."""
     if isinstance(chk, str):
         name, params = chk, {}
-    else:
+    elif isinstance(chk, dict) and isinstance(chk.get("name"), str):
         params = dict(chk)
-        name = params.pop("name", None)
+        name = params.pop("name")
+    else:
+        raise ScenarioError(f"check entry must be a check name or a mapping "
+                            f"with a 'name', got {chk!r}")
     expect = params.pop("expect", None)
     if name not in verify.CHECKS:
         raise ScenarioError(f"unknown check {name!r}")
@@ -227,7 +243,10 @@ def _check_entry(chk):
 
 
 def run_checks(doc, model, spec, tols):
-    entries = [_check_entry(chk) for chk in doc.get("checks") or ["suite"]]
+    checks = doc.get("checks")
+    if checks is not None and not isinstance(checks, list):
+        raise ScenarioError(f"checks must be a list, got {checks!r}")
+    entries = [_check_entry(chk) for chk in checks or ["suite"]]
     reports = []
     for name, expect, params in entries:
         try:

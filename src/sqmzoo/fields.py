@@ -40,7 +40,10 @@ built.
 
 Evaluation runs a :class:`Tape`: groups of roots compiled once into one
 step per ``(node, frame)`` they need, where a frame is the sample point
-or the full point a restriction's child runs at.  A step runs at the
+or the full point a restriction's child runs at.  Compiling takes three
+passes: a walk lists the pairs each group adds, in post-order; a plan,
+parents first, settles each pair's order, its reads and whether a sum's
+step absorbs it; and an emission turns each group's pairs into steps.  A step runs at the
 highest order any reader needs, and a reader at a lower order reads its
 prefix, which is bit for bit the lower-order jet, since every kernel
 computes each grade from lower grades only, in the same order at any
@@ -195,21 +198,28 @@ def _add_up(terms, nterms):
 
 class _Combination:
     """The step of a sum with the children it absorbs, which get no step
-    of their own (see :class:`Tape`): one-term products, scales of those
-    products, and scales of other steps' jets.  Its jet is
-    ``sum_k c_k A_k B_k + sum_j c_j X_j + sum_i Y_i`` in child order.
+    of their own (see :class:`Tape`): one-term products (kind ``p``),
+    scales of those products (``s``), and scales of other steps' jets
+    (``x``).  Its jet is ``sum_k c_k A_k B_k + sum_j c_j X_j + sum_i
+    Y_i`` in child order.
 
-    :meth:`combine` is given the jets of the steps it reads, a step read
-    with no view once: the two factors of each product, each scaled jet
-    ``X_j`` as its scale reads it, and each child ``Y_i`` it did not
-    absorb as the sum reads it.  It computes the absorbed nodes' jets
-    into the slots of one stack: the products first, the scaled ones
-    before the others, each by :func:`value_product`, as
+    It is built from the compile's plan: ``tables`` are ``(nodes,
+    kids_of, want)``, ``step_of`` gives each pair's step and ``kind``
+    each pair's absorption kind, None for a step of its own.
+    ``read`` and ``views`` are the steps it reads, a step read with no
+    view once, and their views (see :func:`_view`), or None: the two
+    factors of each product, each scaled jet ``X_j`` as its scale reads
+    it, and each child ``Y_i`` it did not absorb as the sum reads it.
+
+    :meth:`combine` computes the absorbed nodes' jets into the slots of
+    one stack: first the products, the scaled ones (``s``) before the
+    others (``p``), each by :func:`value_product`, as
     :meth:`JetSpace.mul` computes it at one term; then the scaled
     products, by one broadcast ``coeffs * stack``, which rounds as each
-    ``c * x`` does; then each ``c_j X_j``.  The sum adds its terms in
-    child order, as :class:`SumField` does, so every float is what the
-    nodes' own steps would compute.
+    ``c * x`` does; then each ``c_j X_j`` (``x``).  The sum adds its
+    terms one at a time in child order, as :class:`SumField` does
+    (``np.add.reduce`` would not: over one entry per slot it sums
+    pairwise), so every float is what the nodes' own steps would compute.
 
     The step's row of subtree maxima (see :class:`_Mag`) folds those of
     the steps it reads and the largest ``|value|`` of its own jet and of
@@ -217,7 +227,64 @@ class _Combination:
     the sum's is the only one that would read it."""
 
     __slots__ = ("node", "absorbed", "shape", "nterms", "products",
-                 "coeffs", "scales", "terms")
+                 "coeffs", "scales", "terms", "read", "views")
+
+    def __init__(self, node, order, kids, tables, step_of, kind):
+        nodes, kids_of, want = tables
+        sup = node.support
+        kinds = [kind[kid] for kid in kids]
+        ks = kinds.count("s")
+        k = ks + kinds.count("p")
+        slot_of = {"s": 0, "p": ks, "x": k + ks}    # each kind's next slot
+        products, scales, coeffs = [None] * k, [], [0j] * ks
+        read, views, terms, taken = [], [], [], []
+        seen = {}                   # step -> its read with no view
+
+        def take(pair, view=None):
+            j = step_of[pair]
+            if view is None and j in seen:
+                return seen[j]
+            read.append(j)
+            views.append(view)
+            if view is None:
+                seen[j] = len(read) - 1
+            return len(read) - 1
+
+        for kid, kd in zip(kids, kinds):
+            c = nodes[kid]
+            if kd is None:
+                view = None
+                if c.support is not sup or want[kid] != order:
+                    view = _view(want[kid], c.support, order, sup, node)
+                terms.append((1, take(kid, view)))
+                continue
+            slot = slot_of[kd]
+            slot_of[kd] += 1
+            taken.append(c)
+            if kd == "x":
+                x = kids_of[kid][0]
+                view = None
+                if want[x] != order:
+                    view = _view(want[x], nodes[x].support, order, sup, c)
+                scales.append((take(x, view), c.coeff))
+                terms.append((0, slot))
+                continue
+            product = kid
+            if kd == "s":
+                product = kids_of[kid][0]
+                taken.append(nodes[product])
+                coeffs[slot] = c.coeff
+            a, b = kids_of[product]
+            products[slot] = (take(a), take(b))
+            terms.append((0, slot if kd == "p" else k + slot))
+        self.node, self.absorbed, self.shape = node, tuple(taken), node.shape
+        self.nterms = jet_space(len(sup), order).nterms
+        self.products, self.scales = tuple(products), tuple(scales)
+        self.coeffs = np.reshape(np.array(coeffs, dtype=np.complex128),
+                                 (-1, 1, 1, 1))
+        self.terms = tuple(terms)
+        self.read = tuple(read)
+        self.views = tuple(views) if any(views) else None
 
     def combine(self, at, kids):
         """The sum's jet over the block ``at``, and the stack of the
@@ -238,72 +305,6 @@ class _Combination:
         sources = (stack, kids)
         return _add_up([sources[s][i] for s, i in self.terms],
                        self.nterms), stack
-
-
-def _combination(node, order, kids, tables, step_of, absorbed):
-    """The step of the sum ``node`` at ``order`` over the pairs ``kids``,
-    some ``absorbed``: ``(combination, steps read, their views or
-    None)``.  ``tables`` are the compile's ``(nodes, kids_of, want)``."""
-    nodes, kids_of, want = tables
-    sup = node.support
-    # each child: a product ("p"), a scale of a product ("s") or of a
-    # step ("x"), all absorbed, or a step ("y")
-    kinds = ["y" if not absorbed[kid] else
-             "p" if nodes[kid].__class__ is MatMulField else
-             "s" if absorbed[kids_of[kid][0]] else "x" for kid in kids]
-    ks = kinds.count("s")
-    k = ks + kinds.count("p")
-    slot_of = {"s": 0, "p": ks, "x": k + ks}    # the next slot of each kind
-    products, scales, coeffs = [None] * k, [], [0j] * ks
-    read, views, terms, taken = [], [], [], []
-    seen = {}                   # step -> its read with no view
-
-    def take(pair, view=None):
-        j = step_of[pair]
-        if view is None and j in seen:
-            return seen[j]
-        read.append(j)
-        views.append(view)
-        if view is None:
-            seen[j] = len(read) - 1
-        return len(read) - 1
-
-    for kid, kind in zip(kids, kinds):
-        c = nodes[kid]
-        if kind == "y":
-            view = None
-            if c.support is not sup or want[kid] != order:
-                view = _view(want[kid], c.support, order, sup, node)
-            terms.append((1, take(kid, view)))
-            continue
-        slot = slot_of[kind]
-        slot_of[kind] += 1
-        taken.append(c)
-        if kind == "x":
-            x = kids_of[kid][0]
-            view = None
-            if want[x] != order:
-                view = _view(want[x], nodes[x].support, order, sup, c)
-            scales.append((take(x, view), c.coeff))
-            terms.append((0, slot))
-            continue
-        product = kid
-        if kind == "s":
-            product = kids_of[kid][0]
-            taken.append(nodes[product])
-            coeffs[slot] = c.coeff
-        a, b = kids_of[product]
-        products[slot] = (take(a), take(b))
-        terms.append((0, slot if kind == "p" else k + slot))
-    lc = _Combination()
-    lc.node, lc.absorbed, lc.shape = node, tuple(taken), node.shape
-    lc.nterms = jet_space(len(sup), order).nterms
-    lc.products, lc.scales = tuple(products), tuple(scales)
-    lc.coeffs = np.array(coeffs, dtype=np.complex128)[:, None, None, None]
-    lc.terms = tuple(terms)
-    if not any(views):
-        views = None
-    return lc, read, views
 
 
 # the most bytes of jets a tape run may hold at once (see Tape.blocks)
@@ -337,16 +338,21 @@ class Tape:
     compiled, and a run raises OrderOverflow where that group would be
     yielded, so the error names the group whose roots ask for the order.
 
-    Planning takes one pass over the pairs, parents first, and gives each
-    pair its order and the first group that needs it.  Its step is placed
-    in that group, after the steps it reads, in the post-order of the
-    roots' dependencies.  A reader over more coordinates than a step's
-    support reads its jet embedded by a compile-time table
-    (:func:`_view`).  A group's roots are read out over their support
-    after the last step it needs, and each jet is dropped after its last
-    use, by a step or a read-out.  The compile tables are dropped when the
-    constructor returns; a step record is ``(node, order, frame, kid
-    steps, kid views)``.
+    The constructor makes three passes over one table of pairs.  The
+    walk lists each group's new pairs, which no earlier group reaches,
+    as one range of the table, in the post-order of the roots'
+    dependencies; it checks a group's reach before walking it, so the
+    overflow group is never walked.  The plan visits the table once in
+    reverse, every reader of a pair before the pair, and gives each pair
+    its order, its read count and its absorption kind.  The emission
+    gives each group's pairs their steps in table order, after the steps
+    they read, and skips the absorbed pairs.  A reader over more
+    coordinates than a step's support reads its jet embedded by a
+    compile-time table (:func:`_view`).  A group's roots are read out
+    over their support after the last step it needs, and each jet is
+    dropped after its last use, by a step or a read-out.  The compile
+    tables are dropped when the constructor returns; a step record is
+    ``(node, order, frame, kid steps, kid views)``.
 
     A sum's step absorbs each child that the sum alone reads, read once
     in all, which no group reads out, and which the sum reads with no
@@ -357,13 +363,8 @@ class Tape:
     reads twice, keeps its step.  The sum's step record then holds a
     :class:`_Combination` in place of the node, and it reads the
     absorbed nodes' own operands, so each jet's last reader counts those
-    reads at the sum's step.  The absorbed nodes' floats are unchanged:
-    each product is the :func:`value_product` of its factors, as in
-    :meth:`JetSpace.mul` at one term; each scale multiplies ``c * x``
-    with the coefficient first, broadcast over a stack of products
-    (which rounds as each ``c * x`` does); and the sum adds its terms
-    one at a time in child order (``np.add.reduce`` would not: over one
-    entry per slot it sums pairwise).  The scale hook
+    reads at the sum's step.  The absorbed nodes' floats are unchanged;
+    :class:`_Combination` gives its slot layout and why.  The scale hook
     :meth:`_Mag.update` runs once per executed step; the sum's step
     folds the absorbed nodes' maxima into its own row.
 
@@ -381,11 +382,18 @@ class Tape:
     def __init__(self, groups, order=0):
         frames = self._frames = {}  # (parent frame, keep, fixed) -> frame
         self._overflow = None       # the overflow's message, if any
-        # The (node, frame) pairs the roots reach, in post-order: each
-        # pair's children come before it.  A pair's key is its node in
-        # frame 0, else the pair itself.
-        ids, nodes, frame_of, kids_of = {}, [], [], []
+        # Walk: group g adds the pairs ends[g] to ends[g + 1], each
+        # pair's children before it.  A pair's key is its node in frame
+        # 0, else the pair itself.
+        ids, nodes, frame_of, kids_of, ends = {}, [], [], [], [0]
         for g, roots in enumerate(groups):
+            reach = min([f._reach for f in roots], default=order)
+            if reach < order:
+                self._overflow = (f"derivative request of order "
+                                  f"{order + MAX_ORDER - reach} exceeds cap "
+                                  f"{MAX_ORDER}")
+                groups = groups[:g]
+                break
             todo = [(f, 0, None) for f in reversed(roots)]
             while todo:
                 node, frame, kids = todo.pop()
@@ -409,62 +417,36 @@ class Tape:
                 nodes.append(node)
                 frame_of.append(frame)
                 kids_of.append(tuple([ids[k] for k in kids]))
-            reach = min([f._reach for f in roots], default=order)
-            if reach < order:
-                self._overflow = (f"derivative request of order "
-                                  f"{order + MAX_ORDER - reach} exceeds cap "
-                                  f"{MAX_ORDER}")
-                groups = groups[:g]
-                break
-        # Each pair's order, the highest any reader asks for, and the
-        # first group that needs it, planned parents first, so a pair's
-        # requests are complete when it is planned; then each group's
-        # pairs, in reverse post-order.
+            ends.append(len(nodes))
+        # Plan, parents first: each pair's order, the highest any reader
+        # asks for (never below the roots', since no node asks less of
+        # its children); its reads, by steps and read-outs, and reader[i],
+        # the pair whose read of i was counted last; and its absorption
+        # kind, p, s or x (see _Combination), or None.
         n = len(nodes)
-        want, first = [-1] * n, [len(groups)] * n
-        for g, roots in enumerate(groups):
-            for f in roots:
-                i = ids[f]
-                if want[i] < 0:
-                    want[i], first[i] = order, g
-        # Also each pair's reads, by steps and read-outs.
-        placed = [[] for _ in groups]
-        nreads, sums = [0] * n, []
+        want, nreads = [order] * n, [0] * n
+        reader, kind = [None] * n, [None] * n
         for roots in groups:
             for f in roots:
                 nreads[ids[f]] += 1
         for i in range(n - 1, -1, -1):
-            if want[i] < 0:
-                continue
-            g = first[i]
-            placed[g].append(i)
-            if nodes[i].__class__ is SumField:
-                sums.append(i)
-            for kid, o in zip(kids_of[i], nodes[i].kid_orders(want[i])):
+            node, r = nodes[i], reader[i]
+            if nreads[i] == 1 and r is not None and \
+                    node.support is nodes[r].support:
+                cls, host = node.__class__, nodes[r].__class__
+                if cls is ScaleField and host is SumField:
+                    kind[i] = "x"
+                elif cls is MatMulField and (want[i] == 0 or not node.support):
+                    if host is SumField:
+                        kind[i] = "p"
+                    elif kind[r] == "x":
+                        kind[i], kind[r] = "p", "s"
+            for kid, o in zip(kids_of[i], node.kid_orders(want[i])):
                 nreads[kid] += 1
+                reader[kid] = i
                 if o > want[kid]:
                     want[kid] = o
-                if g < first[kid]:
-                    first[kid] = g
-        # The pairs a sum absorbs: a child read once in all, by the sum,
-        # with no view, that is a scale or a one-term product, and the
-        # one-term product read once, by a scale the sum absorbs.
-        absorbed = [False] * n
-        for i in sums:
-            sup = nodes[i].support
-            one = jet_space(len(sup), want[i]).nterms == 1
-            for kid in kids_of[i]:
-                c = nodes[kid]
-                if nreads[kid] != 1 or c.support is not sup:
-                    continue
-                if c.__class__ is ScaleField:
-                    absorbed[kid] = True
-                    inner = kids_of[kid][0]
-                    absorbed[inner] = one and nreads[inner] == 1 and \
-                        nodes[inner].__class__ is MatMulField
-                elif c.__class__ is MatMulField and one:
-                    absorbed[kid] = True
-        # The steps, in run order.
+        # Emit: each group's pairs in walk order, absorbed ones skipped.
         step_of = [None] * n        # each pair's step
         size = []                   # the bytes of each step's jet, per point
         steps = self._steps = []    # (node, order, frame, kid steps, views)
@@ -472,17 +454,16 @@ class Tape:
         reads = self._reads = []    # (root steps, root views, end of group)
         tables = (nodes, kids_of, want)
         for g, roots in enumerate(groups):
-            for i in reversed(placed[g]):
-                if absorbed[i]:
+            for i in range(ends[g], ends[g + 1]):
+                if kind[i]:
                     continue
                 node, kids, k = nodes[i], kids_of[i], want[i]
                 sup = (node.child.support if isinstance(node, RestrictField)
                        else node.support)
                 s = step_of[i] = len(steps)
-                if node.__class__ is SumField and \
-                        any([absorbed[kid] for kid in kids]):
-                    node, read, views = _combination(
-                        node, k, kids, tables, step_of, absorbed)
+                if any([kind[kid] for kid in kids]):
+                    node = _Combination(node, k, kids, tables, step_of, kind)
+                    read, views = node.read, node.views
                     for j in read:
                         last[j] = s
                 else:
@@ -498,8 +479,8 @@ class Tape:
                                     views = [None] * len(kids)
                                 views[len(read)] = view
                         read.append(j)
-                steps.append((node, k, frame_of[i], tuple(read),
-                              views and tuple(views)))
+                    read, views = tuple(read), views and tuple(views)
+                steps.append((node, k, frame_of[i], read, views))
                 last.append(None)
                 rows, cols = node.shape
                 size.append(16 * rows * cols * jet_space(

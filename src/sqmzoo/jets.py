@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -109,8 +109,6 @@ class JetSpace:
         # each term's grade |alpha|, and the first term of each grade
         self._grade = np.asarray([sum(a) for a in self.midx], dtype=np.intp)
         self._grade_starts = np.flatnonzero(np.diff(self._grade, prepend=-1))
-        self._extract_cache = {}
-        self._embed_cache = {}
 
     # -- construction -------------------------------------------------
 
@@ -187,37 +185,30 @@ class JetSpace:
 
     # -- derivative extraction -----------------------------------------
 
+    @cache
     def extract_table(self, gamma, target):
         """Positions in this space of ``alpha + gamma`` for target's alphas."""
-        key = (gamma, id(target))
-        tab = self._extract_cache.get(key)
-        if tab is None:
-            tab = np.asarray(
-                [self.index[tuple(a + g for a, g in zip(alpha, gamma))]
-                 for alpha in target.midx],
-                dtype=np.intp,
-            )
-            self._extract_cache[key] = tab
-        return tab
+        return np.asarray(
+            [self.index[tuple(a + g for a, g in zip(alpha, gamma))]
+             for alpha in target.midx],
+            dtype=np.intp,
+        )
 
     def extract(self, A, gamma, target):
         """Jet of d^gamma f in ``target`` from a jet of f in this space."""
         return A[:, :, self.extract_table(gamma, target)]
 
+    @cache
     def embedding(self, positions, target):
         """Positions in ``target``, of the same order, of this space's
         terms, whose variable d is the target's variable ``positions[d]``."""
-        key = (positions, id(target))
-        tab = self._embed_cache.get(key)
-        if tab is None:
-            rows = []
-            for alpha in self.midx:
-                full = [0] * target.nvars
-                for a, pos in zip(alpha, positions):
-                    full[pos] = a
-                rows.append(target.index[tuple(full)])
-            tab = self._embed_cache[key] = np.asarray(rows, dtype=np.intp)
-        return tab
+        rows = []
+        for alpha in self.midx:
+            full = [0] * target.nvars
+            for a, pos in zip(alpha, positions):
+                full[pos] = a
+            rows.append(target.index[tuple(full)])
+        return np.asarray(rows, dtype=np.intp)
 
     # -- univariate function composition --------------------------------
 

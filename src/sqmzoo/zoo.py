@@ -32,8 +32,8 @@ from .diffop import (DiffOp, Exclusion, SampleSpec, adjoint_with_measure,
                      naive_dagger, reduce_cyclic, rename_coords,
                      similarity, unit_index, zero_op)
 from .expr import Const, Coord, parse
-from .fields import (ConstField, ScalarFnField, ZeroField, fconst, fdet,
-                     fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
+from .fields import (ConstField, Field, ScalarFnField, ZeroField, fconst,
+                     fdet, fdiag, fentry, fexp, fexpr, fgrid, fidentity, flog,
                      fmatmul, fscale, fscalarmul, fsum, ftranspose)
 
 SQRT2 = math.sqrt(2.0)
@@ -259,7 +259,7 @@ def dolbeault(omega, d, W=None):
     coords = _complex_coords(d)
     rep = complex_fermions(d)
     n = len(coords)
-    om = omega if hasattr(omega, "eval_jet") else _matrix_field(omega, coords)
+    om = omega if isinstance(omega, Field) else _matrix_field(omega, coords)
     if om.shape != (d, d):
         raise ValueError("omega must be d x d")
     Q = similarity(free_complex_charge(coords, rep, d),
@@ -316,7 +316,7 @@ def de_rham(omega, D, W=None, torsion=None):
     coords = tuple(f"x{a + 1}" for a in range(D))
     rep = complex_fermions(D)
     n = D
-    om = omega if hasattr(omega, "eval_jet") else _matrix_field(omega, coords)
+    om = omega if isinstance(omega, Field) else _matrix_field(omega, coords)
     geo = geometry.from_omega(om)
     Q = similarity(free_real_charge(coords, rep), bilinear(rep, om, "pb"))
     q_geo = geometric_charge(geo, rep)
@@ -328,7 +328,7 @@ def de_rham(omega, D, W=None, torsion=None):
         Q = similarity(Q, wf)
         recipe.append("similarity(exp(W))")
     if torsion is not None:
-        b = torsion if hasattr(torsion, "eval_jet") else _matrix_field(torsion, coords)
+        b = torsion if isinstance(torsion, Field) else _matrix_field(torsion, coords)
         bk = fmatmul(geo.e, b, ftranspose(geo.e))
         Q = similarity(Q, bilinear(rep, bk, "pp"))
         recipe.append("similarity(exp(B psi^M psi^N))")
@@ -923,7 +923,7 @@ def torsion_rotate(model, B, kind="holomorphic"):
     plain nilpotency, not extended algebras)."""
     rep = model.rep
     n = len(model.coords)
-    b_field = B if hasattr(B, "eval_jet") else _matrix_field(B, model.coords)
+    b_field = B if isinstance(B, Field) else _matrix_field(B, model.coords)
     ordering = "pp" if kind == "holomorphic" else "bb"
     r_op = bilinear(rep, b_field, ordering)
     name = model.charges[0]

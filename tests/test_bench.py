@@ -18,7 +18,7 @@ import pytest
 
 from sqmzoo import verify, zoo
 from sqmzoo.diffop import TOL_PASS, sampled_residual
-from sqmzoo.fields import Tape
+from sqmzoo.fields import Tape, _Combination
 from sqmzoo.jets import jet_space
 
 SHAPES = pytest.mark.parametrize(
@@ -43,6 +43,17 @@ def test_bench_tape_compile(benchmark):
     groups = [list(rel.fields) for rel in verify.CHECKS["theorem2"](m)]
     tape = benchmark(Tape, groups)
     assert len(tape._reads) == len(groups) == 62
+    # the plan of the largest shipped tape: a change to it is deliberate
+    # and updates these numbers
+    combinations = [step[0] for step in tape._steps
+                    if type(step[0]) is _Combination]
+    assert len(tape._steps) == 1929
+    assert len(combinations) == 547
+    assert sum([len(c.absorbed) for c in combinations]) == 4403
+    assert sum([len(c.products) for c in combinations]) == 2148
+    assert tape.point_bytes == 1770496
+    points = m.sample_spec(n_points=6, seed=7).points()
+    assert [len(b) for b in tape.blocks(points)] == [2, 2, 2]
 
 
 def test_bench_sampled_residual_theorem2(benchmark):

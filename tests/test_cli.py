@@ -160,10 +160,15 @@ FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
     (WITTEN, "[structure]",
      "check 'structure' on model witten: model witten has no complex "
      "structure"),
+    (WITTEN, "5", "checks must be a list"),
+    (WITTEN, "{name: suite}", "checks must be a list"),
+    (WITTEN, "[7]", "check entry must be"),
+    (WITTEN, "[{name: [suite]}]", "check entry must be"),
 ], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
         "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol",
         "unparsable-model-param", "missing-model-param",
-        "no-complex-structure"])
+        "no-complex-structure", "checks-number", "checks-mapping",
+        "check-entry-number", "check-name-not-string"])
 def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
                                            message):
     assert main(["run", _scenario(tmp_path, model, checks)]) == 2
@@ -180,7 +185,16 @@ def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
     ("{constructor: hkt_conformal, params: {g: \"0.1*i*x1\"}}",
      ["check 'suite': relation '", "' at point (",
       "ValueError: measure density must be positive"]),
-], ids=["constructor-value-error", "ragged-grid", "evaluation-error"])
+    ("{constructor: [witten]}", ["model needs a mapping with a 'constructor'"]),
+    ("{constructor: witten, params: 5}", ["witten: params must be a mapping"]),
+    ("{constructor: witten, params: [1]}", ["params must be a mapping"]),
+    ("{constructor: torsion_rotate, params: {base: witten}}",
+     ["model needs a mapping with a 'constructor'"]),
+    ("{constructor: torsion_rotate, params: {base: {params: {}}}}",
+     ["model needs a mapping with a 'constructor'"]),
+], ids=["constructor-value-error", "ragged-grid", "evaluation-error",
+        "constructor-not-string", "params-number", "params-list",
+        "base-not-mapping", "base-without-constructor"])
 def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
                                                          model, messages):
     assert main(["run", _scenario(tmp_path, model, "[suite]")]) == 2
@@ -257,6 +271,9 @@ def test_expect_any_requires_a_violation(tmp_path):
     ("tolerances: {pass: 0}\n", [], "pass < violation"),
     ("", ["--tol", "0.5"], "pass < violation"),
     ("", ["--tol=-1e-9"], "pass < violation"),
+    ("points: yes\n", [], "points"),
+    ("seed: true\n", [], "seed"),
+    ("box: {x: [false, true]}\n", [], "box x"),
 ], ids=["points-0", "points-negative", "unknown-box-key", "empty-box",
         "reversed-box", "box-number", "box-one-number", "box-three-numbers",
         "box-not-numeric", "box-infinite", "box-not-mapping",
@@ -264,7 +281,8 @@ def test_expect_any_requires_a_violation(tmp_path):
         "exclusion-without-expr", "exclusion-unparsable", "exclusions-not-list",
         "seed-not-numeric", "seed-negative",
         "pass-not-numeric", "violation-not-numeric", "pass-above-violation",
-        "pass-zero", "tol-option-above-violation", "tol-option-negative"])
+        "pass-zero", "tol-option-above-violation", "tol-option-negative",
+        "points-boolean", "seed-boolean", "box-booleans"])
 def test_vacuous_sample_is_scenario_error(tmp_path, capsys, extra, argv,
                                           message):
     path = _scenario(tmp_path, WITTEN, "[suite]", extra)
