@@ -65,6 +65,8 @@ from .report import EXPECTATIONS, TOL_PASS, TOL_VIOLATION, render_report
 
 _SCENARIO_KEYS = {"name", "model", "checks", "box", "exclusions", "seed",
                   "points", "tolerances", "report"}
+# the keys of a model section or a torsion_rotate base block
+_MODEL_KEYS = {"constructor", "params"}
 
 
 class ScenarioError(ValueError):
@@ -111,6 +113,10 @@ def build_model(model_section):
         raise ScenarioError(f"model needs a mapping with a 'constructor' "
                             f"name, got {model_section!r}")
     ctor_name = model_section["constructor"]
+    unknown = set(model_section) - _MODEL_KEYS
+    if unknown:
+        raise ScenarioError(f"{ctor_name}: unknown model keys "
+                            f"{sorted(map(str, unknown))}")
     params = model_section.get("params") or {}
     if not isinstance(params, dict):
         raise ScenarioError(f"{ctor_name}: params must be a mapping, got "

@@ -298,7 +298,7 @@ class FermionBilinearField(Field):
         self._pairs = _pair_tensor(rep, ordering)
 
     def _compute(self, at, order, kids):
-        return join_points(np.einsum("pabt,abrc->prct",
+        return join_points(np.einsum("tpab,abrc->tprc",
                                      split_points(kids[0], at.n), self._pairs))
 
     def describe(self):
@@ -329,7 +329,7 @@ class FermionLinearField(Field):
         self._ops = np.asarray(ops)
 
     def _compute(self, at, order, kids):
-        return join_points(np.einsum("pat,arc->prct", kids[0], self._ops))
+        return join_points(np.einsum("tpa,arc->tprc", kids[0], self._ops))
 
     def describe(self):
         return f"[{self.vfield.describe()}]*{self.kind}"

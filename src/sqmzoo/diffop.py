@@ -486,7 +486,7 @@ def _folded(found, tape, block):
             raise EvaluationError(g, block[0], exc) from exc
         if jets:
             peaks = np.max([np.abs(split_points(jet, len(block))).max(
-                axis=(1, 2, 3)) for jet in jets], axis=0)
+                axis=(0, 2, 3)) for jet in jets], axis=0)
             for p, m in zip(block, peaks.tolist()):
                 if m > acc[0] or (m != m and acc[0] == acc[0]):
                     acc[0] = m

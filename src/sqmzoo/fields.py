@@ -62,11 +62,13 @@ residual is measured against.  Fields themselves hold no evaluation
 state.
 
 A tape run evaluates a block of sample points at once, each step once
-per block.  A jet of a block of P points is the C-order ``(P, rows,
-cols, T)`` array of their jets, held and passed as its ``(P*rows, cols,
-T)`` view, so every jet is 3-D and a one-point block holds exactly the
-one-point jet; kernels and nodes split the first axis back into ``(P,
-rows)``, which is always a view (see :mod:`.jets`).  Constants and zeros
+per block.  A jet of a block of P points is the C-order ``(T, P, rows,
+cols)`` array of their jets, term-major, held and passed as its ``(T,
+P*rows, cols)`` view, so every jet is 3-D, each term is one contiguous
+plane and a one-point block holds exactly the one-point jet; kernels and
+nodes split the middle axis back into ``(P, rows)``, which is always a
+view (see :mod:`.jets`).  :meth:`Field.eval_jet` returns the
+``(rows, cols, T)`` view of a one-point jet.  Constants and zeros
 are built per block, over their empty support, so they hold one term.
 Each point's jets are bit for bit those of a block of its own.  The
 blocks are sized at compile time: :attr:`Tape.point_bytes` is the most
@@ -111,14 +113,16 @@ class _Mag:
     def update(self, step, jet, kids, stack=None):
         """Set the row of ``step`` from its jet, the rows ``kids`` of the
         steps it read and, for a combination's step, the ``stack`` of the
-        jets of the nodes it absorbed (see :class:`_Combination`)."""
+        jets of the nodes it absorbed (see :class:`_Combination`).  A
+        ``jet`` of None is one whose values are entries of its one kid's
+        (``Field.bounded_by_kid``), so the kid's row is its row."""
         value = self.value
         n = value.shape[1]
         m = value[step]
-        if jet.size:
-            _max(np.abs(split_points(jet[..., 0], n)), axis=(1, 2), out=m)
+        if jet is not None and jet.size:
+            _max(np.abs(jet[0].reshape(n, -1)), axis=1, out=m)
         if stack is not None:
-            _max2(m, _max(np.abs(stack[..., 0]).reshape(len(stack), n, -1),
+            _max2(m, _max(np.abs(stack[:, 0]).reshape(len(stack), n, -1),
                           axis=(0, 2), initial=0.0), out=m)
         for k in kids:
             _max2(m, value[k], out=m)
@@ -170,29 +174,29 @@ def _serve(jet, view):
     if view is None:
         return jet
     if view.__class__ is int:
-        return jet[..., :view]
+        return jet[:view]
     table, nterms = view
-    out = np.zeros(jet.shape[:2] + (nterms,), dtype=np.complex128)
-    out[..., table] = jet[..., :len(table)]
+    out = np.zeros((nterms,) + jet.shape[1:], dtype=np.complex128)
+    out[table] = jet[:len(table)]
     return out
 
 
 def _add_up(terms, nterms):
     """The sum of the jets ``terms`` of ``nterms`` terms, added in order
     as the first one's copy plus each of the others.  A one-term jet in
-    a sum of more terms is a constant read in place: it adds to term 0
+    a sum of more terms is a constant read in place: it adds to plane 0
     only, where its embedding would also add zeros to the other terms."""
     first = terms[0]
-    if first.shape[2] == nterms:
+    if len(first) == nterms:
         out = first.copy()
     else:
-        out = np.zeros(first.shape[:2] + (nterms,), dtype=np.complex128)
-        out[..., :1] = first
+        out = np.zeros((nterms,) + first.shape[1:], dtype=np.complex128)
+        out[:1] = first
     for jet in terms[1:]:
-        if jet.shape[2] == nterms:
+        if len(jet) == nterms:
             out += jet
         else:
-            out[..., :1] += jet
+            out[:1] += jet
     return out
 
 
@@ -293,8 +297,8 @@ class _Combination:
         rows, cols = self.shape
         products, coeffs = self.products, self.coeffs
         k, ks = len(products), len(coeffs)
-        stack = np.empty((k + ks + len(self.scales), n * rows, cols,
-                          self.nterms), dtype=np.complex128)
+        stack = np.empty((k + ks + len(self.scales), self.nterms, n * rows,
+                          cols), dtype=np.complex128)
         for slot, (a, b) in zip(stack[:k].reshape(k, n, rows, cols),
                                 products):
             value_product(kids[a], kids[b], n, out=slot)
@@ -322,7 +326,7 @@ class Tape:
 
     Each ``(node, frame)`` pair the roots reach is one step, run at the
     highest order any of its readers needs; a reader at a lower order k
-    reads the prefix ``jet[..., :T_k]``, since in the graded multi-index
+    reads the prefix ``jet[:T_k]``, since in the graded multi-index
     order an order-k jet is a prefix of a higher-order one.  Every kernel
     computes each grade from the same lower grades in the same order at
     any order (products, sums, Horner series and extraction by
@@ -366,11 +370,12 @@ class Tape:
     reads at the sum's step.  The absorbed nodes' floats are unchanged;
     :class:`_Combination` gives its slot layout and why.  The scale hook
     :meth:`_Mag.update` runs once per executed step; the sum's step
-    folds the absorbed nodes' maxima into its own row.
+    folds the absorbed nodes' maxima into its own row, and a transpose
+    or entry step takes its child's row without reducing its own jet.
 
     A run evaluates a block of points at once, each step once per block:
-    a jet of the block is the ``(P, rows, cols, T)`` array of its points'
-    jets, held as its ``(P*rows, cols, T)`` view (see :mod:`.jets`), so
+    a jet of the block is the ``(T, P, rows, cols)`` array of its points'
+    jets, held as its ``(T, P*rows, cols)`` view (see :mod:`.jets`), so
     a one-point block holds exactly the one-point jets.  ``point_bytes``
     is the peak, over the run, of the bytes of the jets one point holds
     at once: each step's jet, of its node's shape and of its order's
@@ -555,7 +560,7 @@ class Tape:
                     del stack           # scratch, not to be held past its step
                 else:
                     jet = node._compute(ats[frame], order, args)
-                    mag.update(i, jet, kids)
+                    mag.update(i, None if node.bounded_by_kid else jet, kids)
                 jets[i] = jet
                 for k in kids:
                     if last[k] == i:
@@ -640,9 +645,9 @@ class Field(metaclass=_Interned):
     coordinate jets.
 
     A jet of a block of ``at.n`` points stacks their jets as in
-    :meth:`JetSpace.mul`: ``(at.n * rows, cols, T)``.  A class that sets
+    :meth:`JetSpace.mul`: ``(T, at.n * rows, cols)``.  A class that sets
     ``one_term_kids`` is given a child of empty support as its one term,
-    ``(at.n * rows, cols, 1)``, not embedded over the node's support.
+    ``(1, at.n * rows, cols)``, not embedded over the node's support.
 
     Two facts of a node are settled when it is built, from its
     children's (see :class:`_Interned`): ``support``, the ascending
@@ -662,13 +667,18 @@ class Field(metaclass=_Interned):
     ncoords = 0
     children = ()
     one_term_kids = False
+    # its values are entries of its one child's, so its subtree maximum
+    # is the child's (see _Mag.update)
+    bounded_by_kid = False
 
     def eval_jet(self, point, order=0):
         """Jet of this field at ``point`` up to ``order`` over all its
-        coordinates: a one-root tape run over a one-point block."""
+        coordinates, as ``(rows, cols, T)``: a one-root tape run over a
+        one-point block."""
         ((jet,), _), = Tape([[self]], order).run([point])
         full = tuple(range(self.ncoords))
-        return _serve(jet, _view(order, self.support, order, full))
+        return np.moveaxis(_serve(jet, _view(order, self.support, order,
+                                             full)), 0, -1)
 
     def _support(self):
         """The union of the children's supports."""
@@ -739,13 +749,14 @@ def _support(coords):
 
 
 def evaluate(field, point, order=0):
-    """Jet matrix of ``field`` at ``point`` (tuple of reals)."""
+    """Jet matrix of ``field`` at ``point`` (tuple of reals), as
+    ``(rows, cols, T)``."""
     return field.eval_jet(point, order)
 
 
 def _transposed(jets, n):
     """The transposes of the stacked jets of ``n`` points, stacked alike."""
-    return join_points(split_points(jets, n).swapaxes(1, 2))
+    return join_points(split_points(jets, n).swapaxes(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +897,8 @@ class GridField(Field):
         self.ncoords = entries[0][0].ncoords
 
     def _compute(self, at, order, kids):
-        entries = np.stack([jet[:, 0] for jet in kids], axis=1)
-        return join_points(entries.reshape(at.n, *self.shape, -1))
+        entries = np.stack([jet[..., 0] for jet in kids], axis=2)
+        return entries.reshape(len(entries), -1, self.shape[1])
 
     def _deriv(self, gamma):
         return GridField([[e.deriv(gamma) for e in row] for row in self.entries])
@@ -1009,6 +1020,7 @@ class ScalarMulField(_Unary):
 
 class ConjTransposeField(_Unary):
     params = ()
+    bounded_by_kid = True
 
     def __init__(self, child):
         super().__init__(child)
@@ -1031,6 +1043,7 @@ class TransposeField(_Unary):
     """Plain transpose, no conjugation."""
 
     params = ()
+    bounded_by_kid = True
 
     def __init__(self, child):
         super().__init__(child)
@@ -1180,7 +1193,7 @@ class PositiveGuardField(_Unary):
 
     def _compute(self, at, order, kids):
         jet = kids[0]
-        v = jet[:, 0, 0]
+        v = jet[0, :, 0]
         good = (v.real > 0) & (np.abs(v.imag) <= 1e-12 * (1 + np.abs(v.real)))
         if not good.all():
             raise ValueError(
@@ -1195,6 +1208,7 @@ class EntryField(_Unary):
     """Scalar extraction of one matrix entry."""
 
     params = ("r", "c")
+    bounded_by_kid = True
 
     def __init__(self, child, r, c):
         super().__init__(child)
@@ -1203,7 +1217,7 @@ class EntryField(_Unary):
         self.c = c
 
     def _compute(self, at, order, kids):
-        return split_points(kids[0], at.n)[:, self.r, self.c:self.c + 1, :]
+        return split_points(kids[0], at.n)[:, :, self.r, self.c:self.c + 1]
 
     def _deriv(self, gamma):
         return EntryField(self.child.deriv(gamma), self.r, self.c)
@@ -1227,7 +1241,7 @@ class DiagField(_Unary):
     def _compute(self, at, order, kids):
         out = self._space(order).zeros(self.n, self.n, at.n)
         diag = range(self.n)
-        split_points(out, at.n)[:, diag, diag] = kids[0]
+        split_points(out, at.n)[:, :, diag, diag] = kids[0]
         return out
 
     def _deriv(self, gamma):
@@ -1273,7 +1287,7 @@ class RestrictField(Field):
         table = self._space(order).embedding(
             tuple([sub.index(self.keep[k]) for k in self.support]),
             jet_space(len(sub), order))
-        return kids[0][:, :, table]
+        return kids[0][table]
 
     def describe(self):
         return f"restrict({self.child.describe()})"
@@ -1419,7 +1433,7 @@ def fexp(field):
 
 def _const_expm(m):
     space = jet_space(0, 0)
-    return space.matrix_exp(m[:, :, None].astype(np.complex128))[:, :, 0]
+    return space.matrix_exp(m[None].astype(np.complex128))[0]
 
 
 def finv(field):

@@ -5,18 +5,19 @@ A jet of order K at a point packs every partial-derivative value
 All arithmetic here propagates derivative values exactly through the
 Leibniz rule; nothing in this module uses finite differences.
 
-Matrix jets are complex ndarrays of shape ``(rows, cols, nterms)``
-whose last axis runs over the multi-index basis of a :class:`JetSpace`
-in graded lexicographic order (so index 0 is always the plain value).
-Scalar jets are 1x1 matrix jets.
+Matrix jets are complex ndarrays of shape ``(nterms, rows, cols)``,
+term-major: the first axis runs over the multi-index basis of a
+:class:`JetSpace` in graded lexicographic order, so each term is one
+contiguous ``(rows, cols)`` plane, ``jet[0]`` is the plain value and the
+order-k prefix is ``jet[:T_k]``.  Scalar jets are 1x1 matrix jets.
 
-A jet may also hold a block of P points: the ``(P, rows, cols,
-nterms)`` array of their jets, passed as its ``(P*rows, cols, nterms)``
+A jet may also hold a block of P points: the ``(nterms, P, rows,
+cols)`` array of their jets, passed as its ``(nterms, P*rows, cols)``
 view, so every operand stays 3-D and a one-point block is the plain jet.
 Each kernel reads P off its operands' shapes (a product's second factor
 has ``P*m`` rows for ``m`` columns of the first, a scalar jet has P
 rows, a square matrix ``P*n`` rows for ``n`` columns) and splits the
-first axis back into ``(P, rows)``, which is always a view.  Every
+middle axis back into ``(P, rows)``, which is always a view.  Every
 point's result is bit for bit its result in a block of its own, and
 what depends on a point's values stays per point: a matrix exponential
 scales, sums and squares each point by that point's own norm and
@@ -28,14 +29,19 @@ Products (:meth:`JetSpace.mul`, :meth:`JetSpace.scal_mul`) run over
 the term pairs ``(alpha, beta)`` with ``|alpha + beta| <= order`` and
 multiply only the pairs whose two terms are both live, i.e. not
 entirely zero in their factor at every point of the block.  A skipped
-pair would only add exact zeros, and the kept pairs are summed in the
-same order as the full table, so the result is bit for bit the dense
-one for finite factors.  A pair live at only some points of a block
-adds exact zeros at the others, so it can change only the sign of a
-zero there; and where the other factor is infinite, that pair's
-``0 * inf`` gives NaN, as a dense product does, where a point alone
-would have skipped it.  (A residual with a NaN or infinite part fails
-either way.)
+pair would only add exact zeros.  The kept pairs are summed into each
+target term from +0, one at a time, in the order of the full table: a
+pair's rank is its position among its target's pairs, and pass q adds
+every rank-q pair at once, whose targets are distinct.  So the result is
+bit for bit the dense one for finite factors, and the pair-by-pair
+``ufunc.at`` sum over the table, zero signs included (a sum of two NaNs
+may keep the other one's sign bit).  Pairwise sums such as
+``np.add.reduceat`` would round differently.  A pair live at only some
+points of a block adds exact zeros at the others, so it can change only
+the sign of a zero there; and where the other factor is infinite, that
+pair's ``0 * inf`` gives NaN, as a dense product does, where a point
+alone would have skipped it.  (A residual with a NaN or infinite part
+fails either way.)
 """
 
 from __future__ import annotations
@@ -102,10 +108,21 @@ class JetSpace:
                 jj.append(j)
                 kk.append(self.index[c])
                 ww.append(_binom_multi(c, a))
-        self._ii = np.asarray(ii, dtype=np.intp)
-        self._jj = np.asarray(jj, dtype=np.intp)
-        self._kk = np.asarray(kk, dtype=np.intp)
-        self._ww = np.asarray(ww, dtype=np.complex128)
+        # the pairs by rank, their position among their target's pairs in
+        # table order, and by target within a rank; _ends[q] is the
+        # position of the last pair of rank q
+        count = [0] * self.nterms
+        rank = []
+        for k in kk:
+            rank.append(count[k])
+            count[k] += 1
+        order = np.lexsort((kk, rank))
+        self._ii = np.asarray(ii, dtype=np.intp)[order]
+        self._jj = np.asarray(jj, dtype=np.intp)[order]
+        self._kk = np.asarray(kk, dtype=np.intp)[order]
+        self._ww = np.asarray(ww, dtype=np.complex128)[order]
+        self._ends = np.cumsum(np.bincount(rank)) - 1
+        self._plans = {}            # live masks -> the pairs (see _pairs)
         # each term's grade |alpha|, and the first term of each grade
         self._grade = np.asarray([sum(a) for a in self.midx], dtype=np.intp)
         self._grade_starts = np.flatnonzero(np.diff(self._grade, prepend=-1))
@@ -114,7 +131,7 @@ class JetSpace:
 
     def zeros(self, rows, cols, n=1):
         """Zero jets of ``n`` points."""
-        return np.zeros((n * rows, cols, self.nterms), dtype=np.complex128)
+        return np.zeros((self.nterms, n * rows, cols), dtype=np.complex128)
 
     def const(self, matrix, n=1):
         """Constant jets of ``n`` points with the value ``matrix``, or of
@@ -124,7 +141,7 @@ class JetSpace:
             n = len(matrix)
         rows, cols = matrix.shape[-2:]
         out = self.zeros(rows, cols, n)
-        out.reshape(n, rows, cols, self.nterms)[..., 0] = matrix
+        out[0].reshape(n, rows, cols)[:] = matrix
         return out
 
     def coordinate(self, i, values):
@@ -132,56 +149,87 @@ class JetSpace:
         ``values`` (one number for one point)."""
         values = np.ravel(values)
         out = self.zeros(1, 1, len(values))
-        out[:, 0, 0] = values
+        out[0, :, 0] = values
         if self.order >= 1:
             unit = tuple(1 if d == i else 0 for d in range(self.nvars))
-            out[:, 0, self.index[unit]] = 1.0
+            out[self.index[unit], :, 0] = 1.0
         return out
 
     # -- ring operations ----------------------------------------------
 
     def mul(self, A, B):
-        """Matrix product of jets: (P*r,m,T) x (P*m,c,T) -> (P*r,c,T).
-        Either factor may be a constant's one term, (P*r,m,1) or (P*m,c,1),
-        which stands for its jet with every other term zero."""
-        m, c = A.shape[1], B.shape[1]
-        n = B.shape[0] // m
+        """Matrix product of jets: (T,P*r,m) x (T,P*m,c) -> (T,P*r,c).
+        Either factor may be a constant's one term, (1,P*r,m) or (1,P*m,c),
+        which stands for its jet with every other term zero.  Each live
+        pair's product is one matrix product of two term planes, scaled
+        by its binomial weight and summed by :meth:`_scatter`."""
+        m, c = A.shape[2], B.shape[2]
+        n = B.shape[1] // m
         if self.nterms == 1:
-            return value_product(A, B, n).reshape(-1, c, 1)
-        live = self._live(A)[self._ii] & self._live(B)[self._jj]
-        prod = np.matmul(_terms(A, n, self._ii[live]),
-                         _terms(B, n, self._jj[live]))  # (L, P, r, c)
-        prod *= self._ww[live, None, None, None]
-        return self._scatter(self._kk[live], prod)
+            return value_product(A, B, n).reshape(1, -1, c)
+        ii, jj, ww, passes = self._pairs(self._live(A), self._live(B))
+        prod = np.matmul(split_points(A[ii], n), split_points(B[jj], n))
+        prod *= ww[:, None]
+        return self._scatter(passes, join_points(prod))
 
     def scal_mul(self, s, A):
-        """Multiply matrix jets A by scalar jets s (shape (P,1,T)); either
-        may be a constant's one term, as in :meth:`mul`."""
-        n = s.shape[0]
+        """Multiply matrix jets A by scalar jets s (shape (T,P,1)); either
+        may be a constant's one term, as in :meth:`mul`.  Each live pair
+        scales a term plane of A by a weighted term of s, summed by
+        :meth:`_scatter`."""
+        n = s.shape[1]
         if self.nterms == 1:
-            return join_points(s.reshape(n, 1, 1, 1) * split_points(A, n))
-        live = self._live(s)[self._ii] & self._live(A)[self._jj]
-        s = s[:, 0]
-        sp = (s[:, self._ii[live]] * self._ww[live]).T   # (L, P)
-        prod = sp[:, :, None, None] * _terms(A, n, self._jj[live])
-        return self._scatter(self._kk[live], prod)
+            return join_points(s.reshape(1, n, 1, 1) * split_points(A, n))
+        ii, jj, ww, passes = self._pairs(self._live(s), self._live(A))
+        prod = (s[ii] * ww)[..., None] * split_points(A[jj], n)
+        return self._scatter(passes, join_points(prod))
 
     def _live(self, jet):
         """Which of this space's terms are live in ``jet``, not zero at
         every entry and point; a one-term jet's other terms are zero."""
-        live = jet.any(axis=(0, 1))
+        live = jet.any(axis=(1, 2))
         if len(live) == self.nterms:
             return live
         out = np.zeros(self.nterms, dtype=bool)
         out[:len(live)] = live
         return out
 
-    def _scatter(self, kk, prod):
-        """Sum the pair products ``prod`` (L, P, r, c) into their terms
-        ``kk``, in pair order, as a (P*r, c, T) jet."""
+    def _pairs(self, live_a, live_b):
+        """The pairs whose terms are live in both factors, for the terms
+        ``live_a`` of the first and ``live_b`` of the second, in rank
+        order: their terms in each factor, their weights (L, 1, 1), and
+        the passes of :meth:`_scatter`, each ``(targets, pairs)``: an
+        ascending slice or index array of distinct target terms, and the
+        slice of the pairs of one rank.  Built once per pair of masks."""
+        key = live_a.tobytes() + live_b.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            live = live_a[self._ii] & live_b[self._jj]
+            kk = self._kk[live]
+            passes, start = [], 0
+            for stop in np.cumsum(live)[self._ends].tolist():
+                if stop > start:
+                    lo, hi = int(kk[start]), int(kk[stop - 1]) + 1
+                    targets = (slice(lo, hi) if hi - lo == stop - start
+                               else kk[start:stop])
+                    passes.append((targets, slice(start, stop)))
+                    start = stop
+            plan = self._plans[key] = (self._ii[live], self._jj[live],
+                                       self._ww[live, None, None],
+                                       tuple(passes))
+        return plan
+
+    def _scatter(self, passes, prod):
+        """Sum the products ``prod`` (L, P*r, c) of the live pairs into
+        their target terms, as a (T, P*r, c) jet: each target from +0,
+        its pairs one at a time in table order, as the pair-by-pair
+        ``ufunc.at`` sum over the table would.  Each of the ``passes``
+        (see :meth:`_pairs`) adds the pairs of one rank, whose targets
+        are distinct, in one step."""
         out = np.zeros((self.nterms,) + prod.shape[1:], dtype=np.complex128)
-        np.add.at(out, kk, prod)
-        return join_points(out.transpose(1, 2, 3, 0))
+        for targets, pairs in passes:
+            out[targets] += prod[pairs]
+        return out
 
     # -- derivative extraction -----------------------------------------
 
@@ -196,7 +244,7 @@ class JetSpace:
 
     def extract(self, A, gamma, target):
         """Jet of d^gamma f in ``target`` from a jet of f in this space."""
-        return A[:, :, self.extract_table(gamma, target)]
+        return A[self.extract_table(gamma, target)]
 
     @cache
     def embedding(self, positions, target):
@@ -221,26 +269,26 @@ class JetSpace:
         vanishes in the truncation.
         """
         if self.nterms == 1:
-            out = self.zeros(1, 1, len(u))
-            out[:, 0, 0] = derivs[0]
+            out = self.zeros(1, 1, u.shape[1])
+            out[0, :, 0] = derivs[0]
             return out
         du = u.copy()
-        du[:, 0, 0] = 0.0
+        du[0] = 0.0
         out = self.const(
             (derivs[self.order] / math.factorial(self.order))[:, None, None])
         for m in range(self.order - 1, -1, -1):
             out = self.scal_mul(du, out)
-            out[:, 0, 0] += derivs[m] / math.factorial(m)
+            out[0, :, 0] += derivs[m] / math.factorial(m)
         return out
 
     # -- scalar functions ------------------------------------------------
 
     def exp(self, u):
-        e = np.exp(u[:, 0, 0])
+        e = np.exp(u[0, :, 0])
         return self.compose_univariate([e] * (self.order + 1), u)
 
     def log(self, u):
-        u0 = u[:, 0, 0]
+        u0 = u[0, :, 0]
         if not u0.all():
             raise ZeroDivisionError("log of zero in jet evaluation")
         derivs = [np.log(u0)]
@@ -252,7 +300,7 @@ class JetSpace:
     def powr(self, u, p, q=1):
         """u ** (p/q) for integer p, q.  Integer powers are exact products."""
         if q == 1 and p >= 0:
-            out = self.const([[1.0]], len(u))
+            out = self.const([[1.0]], u.shape[1])
             base = u
             n = p
             while n:
@@ -262,7 +310,7 @@ class JetSpace:
                 if n:
                     base = self.scal_mul(base, base)
             return out
-        u0 = u[:, 0, 0]
+        u0 = u[0, :, 0]
         if not u0.all():
             raise ZeroDivisionError("fractional or negative power of zero")
         r = p / q
@@ -280,13 +328,13 @@ class JetSpace:
         return self.powr(u, -1, 1)
 
     def sin(self, u):
-        u0 = u[:, 0, 0]
+        u0 = u[0, :, 0]
         cycle = [np.sin(u0), np.cos(u0), -np.sin(u0), -np.cos(u0)]
         return self.compose_univariate(
             [cycle[m % 4] for m in range(self.order + 1)], u)
 
     def cos(self, u):
-        u0 = u[:, 0, 0]
+        u0 = u[0, :, 0]
         cycle = [np.cos(u0), -np.sin(u0), -np.cos(u0), np.sin(u0)]
         return self.compose_univariate(
             [cycle[m % 4] for m in range(self.order + 1)], u)
@@ -305,15 +353,15 @@ class JetSpace:
         have.  A grade's sum thus reads only the grades up to its own, as
         every product does, so the order-k exponential is bit for bit the
         first terms of a higher-order one."""
-        n = A.shape[1]
-        P = A.shape[0] // n if n else 1
+        n = A.shape[2]
+        P = A.shape[1] // n if n else 1
         A4 = split_points(A, P)
         scales = []
-        for a in A4:
-            norm = float(np.abs(a[..., 0]).sum(axis=1).max(initial=0.0))
+        for a in A4[0]:
+            norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
             scales.append(max(0, int(math.ceil(math.log2(norm))) + 1)
                           if norm > 1.0 else 0)
-        M = A4 / (2.0 ** np.array(scales, dtype=float))[:, None, None, None]
+        M = A4 / (2.0 ** np.array(scales, dtype=float))[:, None, None]
         out = split_points(self.const(np.eye(n), P), P)
         term = self.const(np.eye(n), P)
         running = np.arange(P)          # the points still adding terms
@@ -321,12 +369,12 @@ class JetSpace:
         for k in range(1, _EXP_TERMS):
             term = self.mul(term, join_points(M)) / k
             term4 = split_points(term, len(running))
-            adding = ~stopped[:, self._grade][:, None, None, :]
-            acc = out[running]
+            adding = ~stopped[:, self._grade].T[:, :, None, None]
+            acc = out[:, running]
             np.add(acc, term4, out=acc, where=adding)
-            out[running] = acc
+            out[:, running] = acc
             size = np.maximum.accumulate(np.maximum.reduceat(
-                np.abs(term4).max(axis=(1, 2)), self._grade_starts, axis=1),
+                np.abs(term4).max(axis=(2, 3)).T, self._grade_starts, axis=1),
                 axis=1)
             # a non-finite term goes on into the result, whose residual
             # then fails its relation
@@ -335,8 +383,9 @@ class JetSpace:
             if not going.any():
                 break
             if not going.all():
-                running, M, stopped = running[going], M[going], stopped[going]
-                term = join_points(term4[going])
+                running, stopped = running[going], stopped[going]
+                M = M[:, going]
+                term = join_points(term4[:, going])
         else:
             raise SeriesError(f"matrix_exp: Taylor series not converged after "
                               f"{_EXP_TERMS} terms (last term "
@@ -344,8 +393,8 @@ class JetSpace:
         scales = np.array(scales)
         for j in range(max(scales, default=0)):
             square = np.flatnonzero(scales > j)
-            jets = join_points(out[square])
-            out[square] = split_points(self.mul(jets, jets), len(square))
+            jets = join_points(out[:, square])
+            out[:, square] = split_points(self.mul(jets, jets), len(square))
         return join_points(out)
 
     def matrix_inv(self, A):
@@ -358,9 +407,9 @@ class JetSpace:
         one: every iteration is products and a difference, which read only
         lower grades, whereas a count that grew with the order would add
         iterations that move the last bits of the lower grades."""
-        n = A.shape[1]
-        P = A.shape[0] // n
-        X = self.const(np.linalg.inv(split_points(A, P)[..., 0]), P)
+        n = A.shape[2]
+        P = A.shape[1] // n
+        X = self.const(np.linalg.inv(split_points(A, P)[0]), P)
         two_i = self.const(2.0 * np.eye(n), P)
         for _ in range(int(math.ceil(math.log2(MAX_ORDER + 1))) + 2):
             X = self.mul(X, two_i - self.mul(A, X))
@@ -368,46 +417,40 @@ class JetSpace:
 
     def det(self, A):
         """Determinant of square matrix jets (Leibniz expansion, n <= 5)."""
-        n = A.shape[1]
+        n = A.shape[2]
         if n > 5:
             raise ValueError("jet determinant implemented for n <= 5")
-        P = A.shape[0] // n
+        P = A.shape[1] // n
         A4 = split_points(A, P)
         out = self.zeros(1, 1, P)
         for perm in itertools.permutations(range(n)):
             sign = _perm_sign(perm)
             term = self.const([[sign]], P)
             for r, c in enumerate(perm):
-                term = self.scal_mul(A4[:, r, c:c + 1, :], term)
+                term = self.scal_mul(A4[:, :, r, c:c + 1], term)
             out = out + term
         return out
 
 
 def value_product(A, B, n, out=None):
     """The matrix products of the values (first terms) of the stacked
-    jets ``A`` (n*r, m, T) and ``B`` (n*m, c, T') of ``n`` points, as
+    jets ``A`` (T, n*r, m) and ``B`` (T', n*m, c) of ``n`` points, as
     ``(n, r, c)``, into ``out`` if given."""
-    m, c = A.shape[1], B.shape[1]
-    return np.matmul(np.ascontiguousarray(A[:, :, 0]).reshape(n, -1, m),
-                     np.ascontiguousarray(B[:, :, 0]).reshape(n, m, c),
-                     out=out)
+    m, c = A.shape[2], B.shape[2]
+    return np.matmul(A[0].reshape(n, -1, m), B[0].reshape(n, m, c), out=out)
 
 
 def split_points(jet, n):
-    """The ``(n, rows, cols, T)`` view of the stacked jets of ``n`` points."""
-    return jet.reshape(n, -1, *jet.shape[1:])
+    """The ``(T, n, rows, cols)`` view of the stacked jets of ``n``
+    points; also splits any ``(K, n*rows, cols)`` stack of such planes."""
+    return jet.reshape(len(jet), n, jet.shape[1] // n, jet.shape[2])
 
 
 def join_points(jets):
-    """The stacked ``(n*rows, cols, T)`` form of ``(n, rows, cols, T)``
+    """The stacked ``(T, n*rows, cols)`` form of ``(T, n, rows, cols)``
     jets."""
-    return jets.reshape(-1, *jets.shape[2:])
-
-
-def _terms(jet, n, idx):
-    """Terms ``idx`` of the stacked jets of ``n`` points, as ``(len(idx),
-    n, rows, cols)``."""
-    return split_points(jet, n)[..., idx].transpose(3, 0, 1, 2)
+    t, n, rows, cols = jets.shape
+    return jets.reshape(t, n * rows, cols)
 
 
 def _power(u0, e):

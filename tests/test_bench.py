@@ -27,7 +27,7 @@ SHAPES = pytest.mark.parametrize(
 
 
 def _jet(rng, space, rows, cols):
-    shape = (rows, cols, space.nterms)
+    shape = (space.nterms, rows, cols)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -84,7 +84,7 @@ def test_bench_jet_mul(benchmark, nvars, order, dim):
     rng = np.random.default_rng(0)
     a, b = _jet(rng, space, dim, dim), _jet(rng, space, dim, dim)
     out = benchmark(space.mul, a, b)
-    assert np.allclose(out[:, :, 0], a[:, :, 0] @ b[:, :, 0])
+    assert np.allclose(out[0], a[0] @ b[0])
 
 
 @SHAPES
@@ -93,7 +93,7 @@ def test_bench_jet_scal_mul(benchmark, nvars, order, dim):
     rng = np.random.default_rng(1)
     s, a = _jet(rng, space, 1, 1), _jet(rng, space, dim, dim)
     out = benchmark(space.scal_mul, s, a)
-    assert np.allclose(out[:, :, 0], s[0, 0, 0] * a[:, :, 0])
+    assert np.allclose(out[0], s[0, 0, 0] * a[0])
 
 
 def test_bench_jet_mul_term_sparse(benchmark):
@@ -103,12 +103,12 @@ def test_bench_jet_mul_term_sparse(benchmark):
     space = jet_space(6, 2)
     rng = np.random.default_rng(2)
     a, b = _jet(rng, space, 64, 64), _jet(rng, space, 64, 64)
-    a[:, :, 3:] = 0.0
-    b[:, :, 1:] = 0.0
+    a[3:] = 0.0
+    b[1:] = 0.0
     out = benchmark(space.mul, a, b)
     for t in range(3):
-        assert np.allclose(out[:, :, t], a[:, :, t] @ b[:, :, 0])
-    assert not out[:, :, 3:].any()
+        assert np.allclose(out[t], a[t] @ b[0])
+    assert not out[3:].any()
 
 
 def test_bench_matrix_exp(benchmark):

@@ -192,9 +192,16 @@ def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
      ["model needs a mapping with a 'constructor'"]),
     ("{constructor: torsion_rotate, params: {base: {params: {}}}}",
      ["model needs a mapping with a 'constructor'"]),
+    # a misspelt params key would otherwise run the default W and pass
+    ("{constructor: witten, parms: {W: \"x^4 - 3*x\"}}",
+     ["witten: unknown model keys ['parms']"]),
+    ("{constructor: torsion_rotate, params: {B: [[0, 1], [-1, 0]], "
+     "kind: holomorphic, base: {constructor: free_complex, d: 2}}}",
+     ["free_complex: unknown model keys ['d']"]),
 ], ids=["constructor-value-error", "ragged-grid", "evaluation-error",
         "constructor-not-string", "params-number", "params-list",
-        "base-not-mapping", "base-without-constructor"])
+        "base-not-mapping", "base-without-constructor", "unknown-model-key",
+        "unknown-base-key"])
 def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
                                                          model, messages):
     assert main(["run", _scenario(tmp_path, model, "[suite]")]) == 2

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sqmzoo.clifford import (bilinear, complex_fermions, const_tensor,
+from sqmzoo.clifford import (FermionBilinearField, FermionLinearField,
+                             bilinear, complex_fermions, const_tensor,
                              grade_decompose, hermitian_fermions, realify)
-from sqmzoo.fields import evaluate, fconst, fgrid, fexpr
+from sqmzoo.fields import _At, evaluate, fconst, fgrid, fexpr
 from sqmzoo.expr import parse
 
 
@@ -259,3 +260,45 @@ def test_grade_decompose_roundtrip():
     grades = grade_decompose(rep, m)
     assert set(grades) == {1, 0, -2}
     assert np.abs(sum(grades.values()) - m).max() < 1e-15
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("rep, kind", [
+    (complex_fermions(2), "pb"), (complex_fermions(4), "pb"),
+    (complex_fermions(4), "bb"), (hermitian_fermions(4), "pp"),
+    (complex_fermions(6), "pb")],
+    ids=["c2-pb", "c4-pb", "c4-bb", "h4-pp", "c6-pb"])
+def test_fermion_fields_equal_the_term_last_einsum(rep, kind):
+    """The fermion fields' einsums over term-major jets, (T, P*rows,
+    cols), equal bit for bit the term-last einsums over (P*rows, cols, T)
+    that they replaced, whole jets and prefixes alike: numpy sums each
+    entry over the same fermion pairs in the same order."""
+    nf = rep.n
+    names = ("x", "y")
+    x = fexpr(parse("x", names), 2)
+    matrix = fgrid([[x] * nf for _ in range(nf)])
+    row = fgrid([[x] * nf])
+    bil = FermionBilinearField(rep, matrix, kind)
+    lin = FermionLinearField(rep, row, "psi")
+    rng = np.random.default_rng(nf)
+    for T, P in [(1, 1), (6, 2), (15, 3), (35, 2)]:
+        at = _At(np.zeros((P, 2)))
+        for field, einsum, shape in [
+                (bil, "pabt,abrc->prct", (P * nf, nf, T)),
+                (lin, "pat,arc->prct", (P, nf, T))]:
+            old = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            old[..., 1::3] = 0.0
+            for k in sorted({T, max(1, T // 2)}):
+                term_last = old[..., :k]
+                operand = (term_last.reshape(P, nf, nf, k)
+                           if field is bil else term_last)
+                want = np.einsum(einsum, operand,
+                                 bil._pairs if field is bil else lin._ops)
+                want = want.reshape(P * rep.dim, rep.dim, k)
+                new = np.ascontiguousarray(np.moveaxis(old, -1, 0))[:k]
+                got = field._compute(at, 0, [new])
+                assert _same_bits(got, np.moveaxis(want, -1, 0)), (T, P, k)

@@ -55,7 +55,7 @@ def _brute_residual(group, points):
         for (order, at), nodes in need.items():
             tape = Tape([[node] for node in nodes.values()], order)
             for (jet,), _ in tape.run([at]):
-                scale = max(scale, float(np.max(np.abs(jet[..., 0]))))
+                scale = max(scale, float(np.max(np.abs(jet[0]))))
     return max_abs, argmax, scale
 
 
@@ -287,7 +287,8 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
 
     monkeypatch.setattr(fields._Combination, "combine", combining)
     for p, want in zip(points, expected):
-        got = [jet for jets, _ in tape.run([p]) for jet in jets]
+        got = [np.moveaxis(jet, 0, -1) for jets, _ in tape.run([p])
+               for jet in jets]
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         for f in {id(f): f for g in groups for f in g}.values():
@@ -436,19 +437,21 @@ def test_jets_over_their_support_match_full_space_arithmetic():
         return f.expr.eval_jet(sp, coords)
 
     def grid(entries):
-        return np.array([[e[0, 0] for e in row] for row in entries])
+        return np.array([[e[:, 0, 0] for e in row]
+                         for row in entries]).transpose(2, 0, 1)
 
     x, y, k = (expr_jet(f, space, p) for f in (fx, fy, c))
     full = jet_space(3, 2)
     z_jet = expr_jet(rz.child, full, p + (0.5,))
-    r = z_jet[:, :, [full.index[a + (0,)] for a in space.midx]]
+    r = z_jet[[full.index[a + (0,)] for a in space.midx]]
     dy3 = expr_jet(fy, space3, p)
     dxy, dyy = (space3.extract(dy3, g, space) for g in ((1, 0), (0, 1)))
     assert not dxy.any()
     want = space.mul(grid([[x, k], [k, x]]), grid([[y, k], [k, y]]))
     want += space.scal_mul(r, grid([[x, k], [k, x]]) + space.const(np.eye(2)))
     want += grid([[dxy, dyy], [dyy, k]])
-    assert np.array_equal(fields.evaluate(root, p, 2), want)
+    assert np.array_equal(fields.evaluate(root, p, 2),
+                          np.moveaxis(want, 0, -1))
 
 
 def test_derivative_outside_the_support_is_the_zero_field():
@@ -564,6 +567,54 @@ def test_non_finite_values_reach_residual_and_scale():
     assert inf.argmax_point == over[0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transpose_and_entry_rows_are_their_childs(monkeypatch):
+    """A transpose, conjugate transpose or entry step takes its child's
+    row of subtree maxima without reducing its own jet: every step's row
+    is, bit for bit, the row it gets when those steps reduce their jets
+    too, NaN included (exp(800 x) - exp(800 x) is NaN past x = 0.8873)."""
+    xy = ("x", "y")
+
+    def e(text):
+        return ExprField(parse(text, xy), 2)
+
+    blowup = e("exp(800*x)")
+    nan = SumField([blowup, ScaleField(-1.0, blowup)])
+    grid = GridField([[e("x + 2*i*y"), nan], [e("3*y - 1"), e("x*y")]])
+    square = MatMulField(grid, TransposeField(grid))
+    groups = [[TransposeField(grid)], [ConjTransposeField(square)],
+              [EntryField(grid, 0, 1), EntryField(square, 1, 0)],
+              [EntryField(ConjTransposeField(grid), 1, 1)]]
+    spec = SampleSpec(box=((0.5, 1.0), (-0.8, 0.8)), n_points=6, seed=0)
+    points = spec.points()
+    assert 1 <= sum(p[0] > 709.8 / 800 for p in points) < len(points)
+    bounded = (TransposeField, ConjTransposeField, EntryField)
+    assert {cls for cls in _subclasses(fields.Field)
+            if cls.bounded_by_kid} == set(bounded)
+    update = fields._Mag.update
+    rows = []
+
+    def recording(self, step, jet, kids, stack=None):
+        update(self, step, jet, kids, stack)
+        rows[-1][step] = self.value[step].copy()
+
+    monkeypatch.setattr(fields._Mag, "update", recording)
+    tape = Tape(groups, 1)
+    assert {type(step[0]) for step in tape._steps} >= set(bounded)
+    for reduce_own in (False, True):
+        if reduce_own:
+            for cls in bounded:
+                monkeypatch.setattr(cls, "bounded_by_kid", False)
+        rows.append({})
+        list(tape.run(points))
+    short, full = rows
+    assert set(short) == set(full) == set(range(len(tape._steps)))
+    for step, row in full.items():
+        assert row.tobytes() == short[step].tobytes(), tape._steps[step][0]
+    assert any(np.isnan(full[i]).any() for i, step in enumerate(tape._steps)
+               if isinstance(step[0], bounded))
+
+
 def _exp_scalings(generator, points):
     """The scaling exponent JetSpace.matrix_exp picks at each point."""
     out = []
@@ -613,7 +664,7 @@ def test_a_block_equals_its_points(monkeypatch):
             one_jets, one_scale = single[i][g]
             assert len(jets) == len(one_jets)
             for jet, one in zip(jets, one_jets):
-                assert np.array_equal(split_points(jet, n)[i], one)
+                assert np.array_equal(split_points(jet, n)[:, i], one)
             assert scales[i] == one_scale[0]
     assert _absorbed(tape)
     assert set(maxima[0]) == set(range(len(tape._steps)))
@@ -625,7 +676,7 @@ def test_a_block_equals_its_points(monkeypatch):
     # for most complex values differs from its array power in the last bit
     roots = whole[-1][0][0]
     for i, p in enumerate(points):
-        assert roots[i, 0, 0] == fields.evaluate(base, p)[0, 0, 0] ** 0.5
+        assert roots[0, i, 0] == fields.evaluate(base, p)[0, 0, 0] ** 0.5
 
 
 def _fails_near(point):

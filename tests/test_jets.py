@@ -1,12 +1,15 @@
 """Jet evaluation against central finite differences, and matrix series."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from sqmzoo.expr import parse
 from sqmzoo.fields import (evaluate, fconst, fdet, fexp, fexpr, fgrid, finv,
                            fmatmul, fpow, fscale, fsum)
-from sqmzoo.jets import jet_space
+from sqmzoo.jets import MAX_ORDER, jet_space
 
 STEP = 1e-5
 REL = 1e-6
@@ -208,13 +211,13 @@ def test_matexp_nonconvergence_raises():
     from sqmzoo.jets import SeriesError
     space = jet_space(1, 2)
     a = space.const([[0.9]])
-    a[0, 0, 1] = 1e15
+    a[1, 0, 0] = 1e15
     with pytest.raises(SeriesError, match="40 terms"):
         space.matrix_exp(a)
-    a[0, 0, 1] = 1.0
+    a[1, 0, 0] = 1.0
     out = space.matrix_exp(a)
     assert out[0, 0, 0] == pytest.approx(np.exp(0.9), rel=1e-14)
-    assert out[0, 0, 1] == pytest.approx(np.exp(0.9), rel=1e-14)
+    assert out[1, 0, 0] == pytest.approx(np.exp(0.9), rel=1e-14)
 
 
 
@@ -228,26 +231,27 @@ def test_matexp_lower_order_is_a_prefix_of_a_higher_one():
               [-3.4852919419664743e-07, 1.7539155081943755e-09]]
     grade2 = [[7.2960362385709153e-04, 7.2150994826525577e-03],
               [5.0050870671719859e-03, -1.1367513792835975e-02]]
-    a = np.stack([value, grade1, grade2], axis=-1).astype(np.complex128)
+    a = np.stack([value, grade1, grade2]).astype(np.complex128)
     top = jet_space(1, 2).matrix_exp(a)
-    assert np.array_equal(jet_space(1, 1).matrix_exp(a[..., :2].copy()),
-                          top[..., :2])
+    assert np.array_equal(jet_space(1, 1).matrix_exp(a[:2].copy()),
+                          top[:2])
 
 # -- term-sparse products against the per-pair formula ---------------------
 
 
 def _ref_mul(space, a, b):
-    """Pair by pair in table order, added into zeros: the dense formula."""
-    out = np.zeros((a.shape[0], b.shape[1], space.nterms), dtype=np.complex128)
+    """Pair by pair, each target's pairs in table order, added into
+    zeros: the dense formula."""
+    out = np.zeros((space.nterms, a.shape[1], b.shape[2]), dtype=np.complex128)
     for i, j, k, w in zip(space._ii, space._jj, space._kk, space._ww):
-        out[:, :, k] += np.matmul(a[:, :, i], b[:, :, j]) * w
+        out[k] += np.matmul(a[i], b[j]) * w
     return out
 
 
 def _ref_scal_mul(space, s, a):
     out = np.zeros(a.shape, dtype=np.complex128)
     for i, j, k, w in zip(space._ii, space._jj, space._kk, space._ww):
-        out[:, :, k] += (s[0, 0, i] * w) * a[:, :, j]
+        out[k] += (s[i, 0, 0] * w) * a[j]
     return out
 
 
@@ -259,10 +263,10 @@ def _sparse_jets(space, rows, cols, seed):
              np.arange(space.nterms) == 0,
              np.arange(space.nterms) == rng.integers(space.nterms),
              np.zeros(space.nterms, bool)]
-    shape = (rows, cols, space.nterms)
+    shape = (space.nterms, rows, cols)
     for live in masks:
         jet = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        jet[:, :, ~live] = 0.0
+        jet[~live] = 0.0
         yield jet
 
 
@@ -297,19 +301,179 @@ def test_one_term_operand_equals_its_embedding(nvars, dim):
     as the sign of a zero may differ."""
     space = jet_space(nvars, 2)
     rng = np.random.default_rng(dim)
-    shape = (dim, dim, 1)
+    shape = (1, dim, dim)
     for k, const in enumerate([rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape),
                                np.zeros(shape, dtype=np.complex128)]):
         embedded = space.zeros(dim, dim)
-        embedded[..., :1] = const
+        embedded[:1] = const
         for jet in _sparse_jets(space, dim, dim, seed=nvars + k):
             assert np.array_equal(space.mul(const, jet),
                                   space.mul(embedded, jet))
             assert np.array_equal(space.mul(jet, const),
                                   space.mul(jet, embedded))
-            scalar = jet[:1, :1]
+            scalar = jet[:, :1, :1]
             assert np.array_equal(space.scal_mul(scalar, const),
                                   space.scal_mul(scalar, embedded))
-            assert np.array_equal(space.scal_mul(const[:1, :1], jet),
-                                  space.scal_mul(embedded[:1, :1], jet))
+            assert np.array_equal(space.scal_mul(const[:, :1, :1], jet),
+                                  space.scal_mul(embedded[:, :1, :1], jet))
+
+
+# -- the product kernels against an independent term-last oracle ------------
+#
+# The oracle is the term-last product kernel: jets of shape (P*rows, cols,
+# T), its own pair table built here from ``space.midx`` in table order,
+# dead pairs dropped, and the pair products summed by ``np.add.at``.
+# JetSpace.mul and scal_mul must give its floats bit for bit, zero signs
+# and infinities included, and a NaN wherever it has one.  Only the sign
+# bit of a NaN may differ: where both addends are NaNs, np.add.at keeps
+# the first one's and numpy's in-place complex add may keep the second
+# one's, and nothing reads that bit.
+
+
+@functools.cache
+def _oracle_table(space):
+    position = {alpha: i for i, alpha in enumerate(space.midx)}
+    ii, jj, kk, ww = [], [], [], []
+    for i, a in enumerate(space.midx):
+        for j, b in enumerate(space.midx):
+            if sum(a) + sum(b) <= space.order:
+                c = tuple(x + y for x, y in zip(a, b))
+                ii.append(i)
+                jj.append(j)
+                kk.append(position[c])
+                w = 1
+                for cd, ad in zip(c, a):
+                    w *= math.comb(cd, ad)
+                ww.append(w)
+    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
+            np.array(kk, dtype=np.intp), np.array(ww, dtype=np.complex128))
+
+
+def _oracle_live(space, jet):
+    live = np.zeros(space.nterms, dtype=bool)
+    live[:jet.shape[2]] = jet.any(axis=(0, 1))
+    return live
+
+
+def _oracle_mul(space, a, b):
+    """(P*r, m, T) x (P*m, c, T) -> (P*r, c, T), term-last."""
+    m, c = a.shape[1], b.shape[1]
+    n = b.shape[0] // m
+    if space.nterms == 1:
+        return np.matmul(np.ascontiguousarray(a[:, :, 0]).reshape(n, -1, m),
+                         np.ascontiguousarray(b[:, :, 0]).reshape(n, m, c)
+                         ).reshape(-1, c, 1)
+    ii, jj, kk, ww = _oracle_table(space)
+    live = _oracle_live(space, a)[ii] & _oracle_live(space, b)[jj]
+    ta = a.reshape(n, -1, m, a.shape[2])[..., ii[live]].transpose(3, 0, 1, 2)
+    tb = b.reshape(n, m, c, b.shape[2])[..., jj[live]].transpose(3, 0, 1, 2)
+    prod = np.matmul(ta, tb)
+    prod *= ww[live, None, None, None]
+    out = np.zeros((space.nterms,) + prod.shape[1:], dtype=np.complex128)
+    np.add.at(out, kk[live], prod)
+    return out.transpose(1, 2, 3, 0).reshape(-1, c, space.nterms)
+
+
+def _oracle_scal_mul(space, s, a):
+    """(P, 1, T) scalars times (P*r, c, T) matrices, term-last."""
+    n, c = s.shape[0], a.shape[1]
+    if space.nterms == 1:
+        return (s.reshape(n, 1, 1, 1) * a.reshape(n, -1, c, 1)
+                ).reshape(-1, c, 1)
+    ii, jj, kk, ww = _oracle_table(space)
+    live = _oracle_live(space, s)[ii] & _oracle_live(space, a)[jj]
+    sp = (s[:, 0][:, ii[live]] * ww[live]).T
+    ta = a.reshape(n, -1, c, a.shape[2])[..., jj[live]].transpose(3, 0, 1, 2)
+    prod = sp[:, :, None, None] * ta
+    out = np.zeros((space.nterms,) + prod.shape[1:], dtype=np.complex128)
+    np.add.at(out, kk[live], prod)
+    return out.transpose(1, 2, 3, 0).reshape(-1, c, space.nterms)
+
+
+def _term_major(jet):
+    return np.ascontiguousarray(np.moveaxis(jet, -1, 0))
+
+
+def _same_bits(x, y):
+    """Equal float for float by bits, a NaN matching any NaN."""
+    x = np.ascontiguousarray(x).view(np.float64)
+    y = np.ascontiguousarray(y).view(np.float64)
+    if x.shape != y.shape:
+        return False
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x.view(np.uint64)[~nan],
+                               y.view(np.uint64)[~nan]))
+
+
+def _oracle_operands(space, rng, shapes):
+    """Term-last jets of ``shapes``: random live masks, one-term
+    constants, and entries of -0.0, inf and nan."""
+    def jet(rows, cols, nterms, live=None):
+        shape = (rows, cols, nterms)
+        out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if live is not None:
+            out[:, :, ~live[:nterms]] = 0.0
+        return out
+
+    for rows, cols in shapes:
+        T = space.nterms
+        yield jet(rows, cols, T)
+        yield jet(rows, cols, T, rng.random(T) < 0.5)
+        yield jet(rows, cols, T, np.arange(T) == rng.integers(T))
+        yield jet(rows, cols, 1)                    # a constant's one term
+        special = jet(rows, cols, T, rng.random(T) < 0.7)
+        flat = special.reshape(-1)
+        picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+        flat[picks[:1]] = -0.0
+        flat[picks[1:2]] = complex(-np.inf, 1.0)
+        flat[picks[2:]] = complex(0.5, np.nan)
+        yield special
+        negzero = np.full((rows, cols, T), -0.0 - 0.0j)
+        negzero[:, :, 0] = jet(rows, cols, 1)[:, :, 0]
+        yield negzero
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_products_bit_identical_to_term_last_oracle(nvars):
+    """For every space of 1 to 6 variables and order 0 to MAX_ORDER, at
+    blocks of 2 points: mul and scal_mul equal the term-last np.add.at
+    oracle bit for bit, over random live masks, one-term constants and
+    entries of -0.0, inf and nan."""
+    rng = np.random.default_rng(nvars)
+    for order in range(MAX_ORDER + 1):
+        space = jet_space(nvars, order)
+        P, r, m, c = 2, 2, 3, 2
+        lefts = list(_oracle_operands(space, rng, [(P * r, m)]))
+        rights = list(_oracle_operands(space, rng, [(P * m, c)]))
+        scalars = list(_oracle_operands(space, rng, [(P, 1)]))
+        for a in lefts:
+            for b in rights:
+                want = _oracle_mul(space, a, b)
+                got = space.mul(_term_major(a), _term_major(b))
+                assert _same_bits(got, _term_major(want)), (nvars, order)
+        for s in scalars:
+            for a in lefts:
+                want = _oracle_scal_mul(space, s, a)
+                got = space.scal_mul(_term_major(s), _term_major(a))
+                assert _same_bits(got, _term_major(want)), (nvars, order)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nvars, order, dim", [(4, 3, 16), (6, 2, 64)],
+                         ids=["n4-K3-16x16", "n6-K2-64x64"])
+def test_products_bit_identical_to_oracle_at_model_shapes(nvars, order, dim):
+    """The Fock-matrix shapes of the shipped models, two points a block."""
+    rng = np.random.default_rng(dim)
+    space = jet_space(nvars, order)
+    lefts = list(_oracle_operands(space, rng, [(2 * dim, dim)]))[:4]
+    scalars = list(_oracle_operands(space, rng, [(2, 1)]))
+    for a in lefts:
+        for b in lefts[:3]:
+            assert _same_bits(space.mul(_term_major(a), _term_major(b)),
+                              _term_major(_oracle_mul(space, a, b)))
+        for s in scalars:
+            assert _same_bits(space.scal_mul(_term_major(s), _term_major(a)),
+                              _term_major(_oracle_scal_mul(space, s, a)))
