@@ -32,6 +32,21 @@ support is folded to the zero field when it is built
 (:meth:`Field.deriv`), so it never becomes a node, and the products,
 scales and sums the folding constructors build from it vanish with it.
 
+A product with a constant factor whose matrix is a Fock monomial (at
+most one nonzero in each row and column, each purely real or purely
+imaginary: :func:`.jets.monomial`) runs as a signed gather of the other
+factor's rows or columns (:class:`.jets.Monomial`): a product's step at
+any order, a product a sum's step absorbs, and the folding of two
+constants by :func:`fmatmul`.  The constant's form is decided the
+first time a product asks and kept on the constant, and a tape picks
+each product's kernel when it is compiled, never per run.  For
+finite operands the gather equals the dense product as numbers, every
+zero +0 as in the rank passes of :meth:`JetSpace.mul`; a non-finite
+operand takes the dense path, so every ``0 * inf`` NaN stays.  A
+product by a unit monomial, whose entries are 1, -1, i or -i, takes its
+subtree maximum from its kids' (see :class:`Tape`) without reducing its
+own jet.
+
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
 equal those of a live node returns that live node (see :class:`_Interned`).
@@ -85,8 +100,8 @@ from operator import attrgetter
 import numpy as np
 
 from .expr import Binary, Coord, Expr, Pow, Unary, to_text
-from .jets import (MAX_ORDER, jet_space, join_points, split_points,
-                   value_product)
+from .jets import (MAX_ORDER, jet_space, join_points, monomial,
+                   split_points, value_product)
 
 
 class OrderOverflow(ValueError):
@@ -114,8 +129,9 @@ class _Mag:
         """Set the row of ``step`` from its jet, the rows ``kids`` of the
         steps it read and, for a combination's step, the ``stack`` of the
         jets of the nodes it absorbed (see :class:`_Combination`).  A
-        ``jet`` of None is one whose values are entries of its one kid's
-        (``Field.bounded_by_kid``), so the kid's row is its row."""
+        ``jet`` of None is one whose values are its kids' entries, or
+        zeros, times exact unit factors (``Field.bounded_by_kid``), so
+        its row folds only theirs."""
         value = self.value
         n = value.shape[1]
         m = value[step]
@@ -200,6 +216,49 @@ def _add_up(terms, nterms):
     return out
 
 
+def _gather(product):
+    """``(left, form)`` for a :class:`MatMulField` with a constant factor
+    of monomial form ``form``, the first factor if ``left``, so that it
+    runs as a signed gather; None for any other product."""
+    a, b = product.children
+    if a.__class__ is ConstField and a._monomial is not None:
+        return True, a._monomial
+    if b.__class__ is ConstField and b._monomial is not None:
+        return False, b._monomial
+    return None
+
+
+def _gathered(gather, A, B, n, out=None):
+    """The product of the stacked jets ``A`` and ``B`` of ``n`` points by
+    the signed gather ``gather`` (see :func:`_gather`), as ``(T, n,
+    rows, cols)`` into ``out`` if given, or None when the other factor
+    is not finite."""
+    left, form = gather
+    if left:
+        return form.left(split_points(B, n), out)
+    return form.right(split_points(A, n), out)
+
+
+class _Gather:
+    """The step of a product with a constant monomial factor (see
+    :func:`_gather`): its jet is the signed gather of the other factor,
+    or the product's own dense jet when that factor is not finite.  A
+    product by a unit monomial is ``bounded_by_kid``: its values are the
+    other factor's entries, or zeros, times exact unit factors."""
+
+    __slots__ = ("node", "gather", "bounded_by_kid")
+
+    def __init__(self, node, gather):
+        self.node, self.gather = node, gather
+        self.bounded_by_kid = gather[1].unit
+
+    def _compute(self, at, order, kids):
+        out = _gathered(self.gather, *kids, at.n)
+        if out is None:
+            return self.node._compute(at, order, kids)
+        return join_points(out)
+
+
 class _Combination:
     """The step of a sum with the children it absorbs, which get no step
     of their own (see :class:`Tape`): one-term products (kind ``p``),
@@ -216,8 +275,11 @@ class _Combination:
     it, and each child ``Y_i`` it did not absorb as the sum reads it.
 
     :meth:`combine` computes the absorbed nodes' jets into the slots of
-    one stack: first the products, the scaled ones (``s``) before the
-    others (``p``), each by :func:`value_product`, as
+    one stack: first the products, those by a unit monomial first, the
+    unscaled ones (``p``) before the scaled ones (``s``), then the other
+    scaled ones and the other unscaled ones, so that the scaled ones
+    are the slots from ``scaled`` on, each by its signed gather
+    (:func:`_gather`) or by :func:`value_product`, as
     :meth:`JetSpace.mul` computes it at one term; then the scaled
     products, by one broadcast ``coeffs * stack``, which rounds as each
     ``c * x`` does; then each ``c_j X_j`` (``x``).  The sum adds its
@@ -228,19 +290,37 @@ class _Combination:
     The step's row of subtree maxima (see :class:`_Mag`) folds those of
     the steps it reads and the largest ``|value|`` of its own jet and of
     each absorbed node's: an absorbed node has no row of its own, since
-    the sum's is the only one that would read it."""
+    the sum's is the only one that would read it.  The products by a
+    unit monomial, the first ``unit_slots``, are not reduced: their
+    values are entries of their operands', which the sum's step reads,
+    times unit factors.  Where such a product took the dense path for a
+    non-finite operand, its NaNs, or its infinities, reach the sum's own
+    jet, directly or scaled, so the row is what their reduction gives."""
 
     __slots__ = ("node", "absorbed", "shape", "nterms", "products",
-                 "coeffs", "scales", "terms", "read", "views")
+                 "gathers", "coeffs", "scales", "terms", "read", "views",
+                 "scaled", "unit_slots")
 
     def __init__(self, node, order, kids, tables, step_of, kind):
         nodes, kids_of, want = tables
         sup = node.support
-        kinds = [kind[kid] for kid in kids]
-        ks = kinds.count("s")
-        k = ks + kinds.count("p")
-        slot_of = {"s": 0, "p": ks, "x": k + ks}    # each kind's next slot
+        kinds, gathers = [], []     # each kid's kind, and its product's kernel
+        for kid in kids:
+            kd, gather = kind[kid], None
+            if kd == "p" or kd == "s":
+                gather = _gather(nodes[kids_of[kid][0] if kd == "s" else kid])
+                if gather is not None and gather[1].unit:
+                    kd += "u"
+            kinds.append(kd)
+            gathers.append(gather)
+        npu, nsu = kinds.count("pu"), kinds.count("su")
+        ks = nsu + kinds.count("s")
+        k = npu + ks + kinds.count("p")
+        # each kind's next slot: products by a unit monomial first
+        slot_of = {"pu": 0, "su": npu, "s": npu + nsu, "p": npu + ks,
+                   "x": k + ks}
         products, scales, coeffs = [None] * k, [], [0j] * ks
+        slot_gathers = [None] * k
         read, views, terms, taken = [], [], [], []
         seen = {}                   # step -> its read with no view
 
@@ -254,7 +334,7 @@ class _Combination:
                 seen[j] = len(read) - 1
             return len(read) - 1
 
-        for kid, kd in zip(kids, kinds):
+        for kid, kd, gather in zip(kids, kinds, gathers):
             c = nodes[kid]
             if kd is None:
                 view = None
@@ -274,16 +354,19 @@ class _Combination:
                 terms.append((0, slot))
                 continue
             product = kid
-            if kd == "s":
+            if kd[0] == "s":
                 product = kids_of[kid][0]
                 taken.append(nodes[product])
-                coeffs[slot] = c.coeff
+                coeffs[slot - npu] = c.coeff
             a, b = kids_of[product]
             products[slot] = (take(a), take(b))
-            terms.append((0, slot if kd == "p" else k + slot))
+            slot_gathers[slot] = gather
+            terms.append((0, slot if kd[0] == "p" else k + slot - npu))
         self.node, self.absorbed, self.shape = node, tuple(taken), node.shape
+        self.scaled, self.unit_slots = npu, npu + nsu
         self.nterms = jet_space(len(sup), order).nterms
         self.products, self.scales = tuple(products), tuple(scales)
+        self.gathers = tuple(slot_gathers)
         self.coeffs = np.reshape(np.array(coeffs, dtype=np.complex128),
                                  (-1, 1, 1, 1))
         self.terms = tuple(terms)
@@ -292,21 +375,28 @@ class _Combination:
 
     def combine(self, at, kids):
         """The sum's jet over the block ``at``, and the stack of the
-        absorbed nodes' jets."""
+        absorbed nodes' jets past the ``unit_slots``, or None when that
+        is empty."""
         n = at.n
         rows, cols = self.shape
-        products, coeffs = self.products, self.coeffs
+        products, coeffs, unit = self.products, self.coeffs, self.unit_slots
         k, ks = len(products), len(coeffs)
         stack = np.empty((k + ks + len(self.scales), self.nterms, n * rows,
                           cols), dtype=np.complex128)
-        for slot, (a, b) in zip(stack[:k].reshape(k, n, rows, cols),
-                                products):
-            value_product(kids[a], kids[b], n, out=slot)
+        for slot, (a, b), gather in zip(stack[:k].reshape(k, n, rows, cols),
+                                        products, self.gathers):
+            A, B = kids[a], kids[b]
+            if gather is None or _gathered(gather, A[:1], B[:1], n,
+                                           slot[None]) is None:
+                value_product(A, B, n, out=slot)
         if ks:
-            np.multiply(coeffs, stack[:ks], out=stack[k:k + ks])
+            first = self.scaled
+            np.multiply(coeffs, stack[first:first + ks], out=stack[k:k + ks])
         for slot, (x, c) in zip(stack[k + ks:], self.scales):
             np.multiply(c, kids[x], out=slot)
         sources = (stack, kids)
+        if unit:
+            stack = stack[unit:] if unit < len(stack) else None
         return _add_up([sources[s][i] for s, i in self.terms],
                        self.nterms), stack
 
@@ -368,10 +458,17 @@ class Tape:
     :class:`_Combination` in place of the node, and it reads the
     absorbed nodes' own operands, so each jet's last reader counts those
     reads at the sum's step.  The absorbed nodes' floats are unchanged;
-    :class:`_Combination` gives its slot layout and why.  The scale hook
-    :meth:`_Mag.update` runs once per executed step; the sum's step
-    folds the absorbed nodes' maxima into its own row, and a transpose
-    or entry step takes its child's row without reducing its own jet.
+    :class:`_Combination` gives its slot layout and why.  The step
+    record of a product with a constant monomial factor, which the
+    emission decides once, holds a :class:`_Gather` in place of the
+    node.  The scale hook :meth:`_Mag.update` runs once per executed
+    step; the sum's step folds the absorbed nodes' maxima into its own
+    row, and a transpose or entry step takes its child's row without
+    reducing its own jet.  So does the step of a product by a unit
+    monomial, its kids' rows, while those are finite; where one is not,
+    the step reduces its own jet too, since its operand may have taken
+    the dense path, whose ``0 * inf`` gives NaN where the kids' rows
+    hold inf.
 
     A run evaluates a block of points at once, each step once per block:
     a jet of the block is the ``(T, P, rows, cols)`` array of its points'
@@ -485,9 +582,13 @@ class Tape:
                                 views[len(read)] = view
                         read.append(j)
                     read, views = tuple(read), views and tuple(views)
+                    if node.__class__ is MatMulField:
+                        gather = _gather(node)
+                        if gather is not None:
+                            node = _Gather(node, gather)
                 steps.append((node, k, frame_of[i], read, views))
                 last.append(None)
-                rows, cols = node.shape
+                rows, cols = nodes[i].shape
                 size.append(16 * rows * cols * jet_space(
                     len(nodes[i].support), k).nterms)
             pairs = [ids[f] for f in roots]
@@ -560,7 +661,11 @@ class Tape:
                     del stack           # scratch, not to be held past its step
                 else:
                     jet = node._compute(ats[frame], order, args)
-                    mag.update(i, None if node.bounded_by_kid else jet, kids)
+                    bounded = node.bounded_by_kid
+                    mag.update(i, None if bounded else jet, kids)
+                    if bounded and node.__class__ is _Gather and \
+                            not np.isfinite(mag.value[i]).all():
+                        mag.update(i, jet, kids)
                 jets[i] = jet
                 for k in kids:
                     if last[k] == i:
@@ -828,6 +933,12 @@ class ConstField(Field):
 
     def _conj_t(self):
         return ConstField(self.matrix.conj().T, self.ncoords)
+
+    @cached_property
+    def _monomial(self):
+        """The matrix's :class:`~.jets.Monomial` form, or None; decided
+        the first time a product asks."""
+        return monomial(self.matrix)
 
     @cached_property
     def _identity(self):
@@ -1377,6 +1488,17 @@ def fmatmul(*factors):
     return out
 
 
+def _const_product(a, b):
+    """``a.matrix @ b.matrix``, as a signed gather when either is a
+    monomial (see :mod:`.jets`)."""
+    out = None
+    if a._monomial is not None:
+        out = a._monomial.left(b.matrix)
+    if out is None and b._monomial is not None:
+        out = b._monomial.right(a.matrix)
+    return a.matrix @ b.matrix if out is None else out
+
+
 def _is_identity(f):
     return isinstance(f, ConstField) and f._identity
 
@@ -1385,7 +1507,7 @@ def _fmatmul2(a, b):
     if isinstance(a, ZeroField) or isinstance(b, ZeroField):
         return ZeroField((a.shape[0], b.shape[1]), a.ncoords)
     if isinstance(a, ConstField) and isinstance(b, ConstField):
-        return fconst(a.matrix @ b.matrix, a.ncoords)
+        return fconst(_const_product(a, b), a.ncoords)
     if _is_identity(a):
         return b
     if _is_identity(b):

@@ -42,6 +42,22 @@ the sign of a zero there; and where the other factor is infinite, that
 pair's ``0 * inf`` gives NaN, as a dense product does, where a point
 alone would have skipped it.  (A residual with a NaN or infinite part
 fails either way.)
+
+A product by a constant :class:`Monomial`, a matrix with at most one
+nonzero in each row and each column, each nonzero purely real or
+purely imaginary (a Fock monomial, a signed permutation of the Fock
+basis), runs as a signed gather: the other factor's rows (or columns)
+picked and each multiplied by the one nonzero of its row (column).
+Every entry of the dense product is then that one product plus exact
+zeros, one exactly rounded multiply per real and imaginary part, as in
+BLAS; so for finite operands the gather equals the dense product as
+numbers.  It adds +0 last, so every zero is +0, as the rank passes
+leave them: a gather of jets of more than one term is bit for bit
+:meth:`JetSpace.mul`'s product by the constant's one term, and one of
+a single term differs from the BLAS product (:func:`value_product`)
+only where BLAS gives -0.  A non-finite operand has the gather return
+None and the caller take the dense path, so every ``0 * inf`` NaN of
+the dense product stays.
 """
 
 from __future__ import annotations
@@ -438,6 +454,72 @@ def value_product(A, B, n, out=None):
     ``(n, r, c)``, into ``out`` if given."""
     m, c = A.shape[2], B.shape[2]
     return np.matmul(A[0].reshape(n, -1, m), B[0].reshape(n, m, c), out=out)
+
+
+class Monomial:
+    """The monomial form of an ``r x c`` matrix M with at most one nonzero
+    in each row and each column, every nonzero finite and purely real or
+    purely imaginary (see :func:`monomial`): ``cols[i]`` and
+    ``row_vals[i]`` are the column and value of row i's nonzero,
+    ``rows[j]`` and ``col_vals[j]`` the row and value of column j's, and
+    an empty row or column has position 0 and value 0.  ``unit``: every
+    nonzero is 1, -1, i or -i, so a product's entries are its operand's
+    times exact unit factors, or zeros.
+
+    :meth:`left` and :meth:`right` are the products ``M @ X`` and ``X @
+    M`` over the last two axes of X, as gathers (see the module notes):
+    None when X is not finite, for the caller's dense path.  X counts as
+    finite when the sum of its entries is, which holds when every entry
+    is finite, short of an overflow that only sends it to the dense path."""
+
+    __slots__ = ("cols", "row_vals", "rows", "col_vals", "unit")
+
+    def __init__(self, shape, i, j, vals):
+        """The form of the ``shape`` matrix whose nonzeros are ``vals`` at
+        rows ``i`` and columns ``j``, in distinct rows and columns."""
+        r, c = shape
+        self.cols, self.rows = np.zeros(r, np.intp), np.zeros(c, np.intp)
+        self.row_vals = np.zeros(r, np.complex128)
+        self.col_vals = np.zeros(c, np.complex128)
+        self.cols[i], self.row_vals[i] = j, vals
+        self.rows[j], self.col_vals[j] = i, vals
+        self.unit = bool((abs(vals.real) + abs(vals.imag) == 1).all())
+
+    def left(self, X, out=None):
+        """``M @ X`` for X ``(..., c, k)``, into ``out`` if given, or None
+        when an entry of X is not finite."""
+        return _signed_take(X, self.cols, -2, self.row_vals[:, None], out)
+
+    def right(self, X, out=None):
+        """``X @ M`` for X ``(..., k, r)``, into ``out`` if given, or None
+        when an entry of X is not finite."""
+        return _signed_take(X, self.rows, -1, self.col_vals, out)
+
+
+def _signed_take(X, index, axis, vals, out):
+    """X's slices ``index`` along ``axis``, times ``vals``, plus +0, into
+    ``out`` if given; None when X is not finite."""
+    if not np.isfinite(X.sum()):
+        return None
+    out = np.take(X, index, axis=axis, out=out, mode="clip")
+    out *= vals
+    out += 0.0
+    return out
+
+
+def monomial(matrix):
+    """The :class:`Monomial` form of a 2-D ``matrix``, or None when a row
+    or column has two nonzeros, or a nonzero is not finite or has both a
+    real and an imaginary part."""
+    nz = matrix != 0
+    if nz.sum(axis=0).max(initial=0) > 1 or nz.sum(axis=1).max(initial=0) > 1:
+        return None
+    i, j = np.nonzero(nz)
+    vals = matrix[i, j]
+    if not np.isfinite(vals).all() or (vals.real.astype(bool)
+                                       & vals.imag.astype(bool)).any():
+        return None
+    return Monomial(matrix.shape, i, j, vals)
 
 
 def split_points(jet, n):

@@ -88,7 +88,3 @@ def render_report(reports, header=None):
     n_bad = sum(0 if r.ok else 1 for r in reports)
     lines.append(f"checks: {len(reports)} | failures: {n_bad}")
     return "\n".join(lines) + "\n"
-
-
-def all_ok(reports):
-    return all(r.ok for r in reports)

@@ -17,7 +17,7 @@ from sqmzoo.diffop import anticommutator, compose, is_zero, similarity
 from sqmzoo.expr import parse
 from sqmzoo.fields import evaluate, fexpr
 from sqmzoo.jets import jet_space
-from sqmzoo.report import VIOLATED, all_ok
+from sqmzoo.report import VIOLATED
 from sqmzoo.cli import run_scenario
 
 N_POINTS = 20
@@ -123,7 +123,7 @@ def test_criterion_06_theorem1():
     violated = (not fb) and rb.max_abs >= 1e-3 * (1 + rb.scale)
     reports_b = verify.run_check("theorem1", bad, spec_b, expect="any")
     ok &= violated and any(r.verdict == VIOLATED for r in reports_b) \
-        and all_ok(reports_b)
+        and all(r.ok for r in reports_b)
     _line(6, "theorem 1: warped Kahler passes, non-Kahler deformation violated",
           ok, f"control residual {rb.max_abs:.2e}")
 

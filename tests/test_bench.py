@@ -5,7 +5,7 @@ its 6 points (run as 3 blocks of 2 points), its compiled runs alone over
 those blocks, and the jet kernels at the
 shapes the shipped models use (16x16 Fock matrices over 4 coordinates,
 64x64 over 6, 4x4 matrix exponentials over 4), plus order 4 and a
-term-sparse 64x64 product.
+term-sparse 64x64 product and a product by a 64x64 Fock monomial.
 
 The pyproject's ``--benchmark-disable`` makes a plain test run execute
 each body once, as a smoke test; to time them run
@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 from sqmzoo import verify, zoo
+from sqmzoo.clifford import complex_fermions
 from sqmzoo.diffop import TOL_PASS, sampled_residual
-from sqmzoo.fields import Tape, _Combination
+from sqmzoo.expr import parse
+from sqmzoo.fields import (ConstField, DiagField, ExprField, MatMulField,
+                           Tape, _At, _Combination)
 from sqmzoo.jets import jet_space
 
 SHAPES = pytest.mark.parametrize(
@@ -109,6 +112,23 @@ def test_bench_jet_mul_term_sparse(benchmark):
     for t in range(3):
         assert np.allclose(out[t], a[t] @ b[0])
     assert not out[3:].any()
+
+
+@pytest.mark.parametrize("order", [0, 2], ids=["K0", "K2"])
+def test_bench_jet_mul_monomial(benchmark, order):
+    # a MatMulField step's product of the Majorana operator psi_1 +
+    # psibar_1 of six complex fermions, a 64x64 signed permutation with
+    # entries +-1, by a 64x64 jet over six coordinates at one point
+    rep = complex_fermions(6)
+    gamma = rep.psi[0] + rep.psibar[0]
+    names = [f"x{i}" for i in range(6)]
+    other = DiagField(ExprField(parse(" + ".join(names), names), 6), 64)
+    node = MatMulField(ConstField(gamma, 6), other)
+    space = jet_space(6, order)
+    kids = [space.const(gamma)[:1], _jet(np.random.default_rng(4), space,
+                                         64, 64)]
+    out = benchmark(node._compute, _At(np.zeros((1, 6))), order, kids)
+    assert np.array_equal(out, space.mul(*kids))
 
 
 def test_bench_matrix_exp(benchmark):

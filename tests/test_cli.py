@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -321,9 +322,28 @@ def test_module_runs_as_a_process():
 
 
 def test_console_script_entry_point():
+    """The installed ``sqmzoo`` script lists the models; where the
+    package is not installed, pyproject.toml maps ``sqmzoo`` to
+    ``sqmzoo.cli:main`` and that target, run as the script would run it
+    with the sources on the path, lists them."""
     exe = shutil.which("sqmzoo")
-    if exe is None:
-        pytest.skip("entry point not installed")
-    out = subprocess.run([exe, "list-models"], capture_output=True, text=True)
-    assert out.returncode == 0
+    if exe is not None:
+        cmd, env = [exe, "list-models"], None
+    else:
+        # a regex, not tomllib, which needs Python 3.11
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        section = re.search(r"^\[project\.scripts\]\n((?:(?:[^\[\n].*)?\n)*)",
+                            text, re.M)
+        assert section is not None, "no [project.scripts] table"
+        target = re.search(r'^sqmzoo\s*=\s*"([\w.]+):(\w+)"\s*$',
+                           section.group(1), re.M)
+        assert target is not None, "no sqmzoo script"
+        module, func = target.groups()
+        assert (module, func) == ("sqmzoo.cli", "main")
+        code = f"import sys; from {module} import {func}; sys.exit({func}())"
+        cmd = [sys.executable, "-c", code, "list-models"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                         cwd=ROOT, timeout=120)
+    assert out.returncode == 0, out.stderr
     assert "witten" in out.stdout

@@ -20,7 +20,7 @@ from sqmzoo.fields import (ConjTransposeField, ConstField, DerivativeField,
                            PositiveGuardField, PowField, RestrictField,
                            ScalarFnField, ScalarMulField, ScaleField,
                            SumField, Tape, TransposeField, ZeroField)
-from sqmzoo.jets import jet_space, split_points
+from sqmzoo.jets import JetSpace, jet_space, split_points
 
 SPEC2 = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=3, seed=4)
 
@@ -613,6 +613,136 @@ def test_transpose_and_entry_rows_are_their_childs(monkeypatch):
         assert row.tobytes() == short[step].tobytes(), tape._steps[step][0]
     assert any(np.isnan(full[i]).any() for i, step in enumerate(tape._steps)
                if isinstance(step[0], bounded))
+
+
+def _fock_like(values, seed):
+    """A 6x6 constant with one entry of ``values`` in each of five rows,
+    in distinct columns: a monomial with an empty row and column."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((6, 6), dtype=np.complex128)
+    out[rng.permutation(6)[:5], rng.permutation(6)[:5]] = \
+        rng.choice(np.array(values), 5)
+    return out
+
+
+def _monomial_groups(unit, half):
+    """Order-2 roots with products by the constants ``unit`` and
+    ``half`` on either side, one of them nested, and an order-0 sum
+    whose step absorbs plain and scaled products by each; the grid
+    overflows to inf past x = 0.8873."""
+    xy = ("x", "y")
+
+    def e(text):
+        return ExprField(parse(text, xy), 2)
+
+    texts = ["1 + x", "0.5*y + 0.3*i*x", "x*y", "exp(800*x)", "sin(y)",
+             "2 - y^2 + i"]
+    g = GridField([[e(texts[(r * 5 + c) % 6]) if (r + c) % 3 else
+                    e(f"{r} - {c}*x*y") for c in range(6)] for r in range(6)])
+    h = GridField([[e(f"{r + 1}*cos(x) + {c}*i*y") for c in range(6)]
+                   for r in range(6)])
+    high = [[MatMulField(unit, g)], [MatMulField(g, half)],
+            [MatMulField(half, MatMulField(h, unit))]]
+    low = [[SumField([MatMulField(unit, g),
+                      ScaleField(0.5, MatMulField(h, unit)),
+                      MatMulField(half, h),
+                      ScaleField(-2j, MatMulField(g, half)),
+                      ScaleField(3.0, g), MatMulField(g, h)])]]
+    return high, low
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
+    """Products by a constant monomial run as gathers, a MatMulField's at
+    order 2 and a sum's absorbed one-term products alike, and their
+    tapes give the same root jets under == with the same NaN positions,
+    the same scales and every step's row of subtree maxima bit for bit
+    as the same tapes with the constants taken as dense matrices, point
+    by point.  The products by the unit monomial skip their abs-reduce,
+    so their rows are their kids', and at the points where the grid is
+    infinite the products take the dense path and their rows the dense
+    product's own maxima."""
+    unit_m = _fock_like((1.0, -1.0, 1j, -1j), 1)
+    half_m = _fock_like((0.5, -np.sqrt(2.0), 0.7j), 2)
+    dense = [ConstField(m, 2, "dense") for m in (unit_m, half_m)]
+    for c in dense:
+        c._monomial = None          # the dense twin: no monomial form
+    gathered = [ConstField(m, 2, "gathered") for m in (unit_m, half_m)]
+    spec = SampleSpec(box=((0.5, 1.0), (-0.8, 0.8)), n_points=6, seed=0)
+    points = spec.points()
+    assert 1 <= sum(p[0] > 709.8 / 800 for p in points) < len(points)
+    update, mul = fields._Mag.update, JetSpace.mul
+    rows, muls, reduced = [], [0], []
+
+    def recording(self, step, jet, kids, stack=None):
+        update(self, step, jet, kids, stack)
+        mags = rows[-1].setdefault("mags", [])
+        if not mags or mags[-1] is not self:
+            mags.append(self)
+        rows[-1][len(mags), step] = self.value[step].copy()
+        reduced[-1] += (jet is not None) + (0 if stack is None else len(stack))
+
+    def counting(self, a, b):
+        muls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fields._Mag, "update", recording)
+    monkeypatch.setattr(JetSpace, "mul", counting)
+    outs, counts = [], []
+    for consts in (dense, gathered):
+        high, low = _monomial_groups(*consts)
+        out = []
+        muls[0] = 0
+        rows.append({})
+        reduced.append(0)
+        for groups, order in ((high, 2), (low, 0)):
+            tape = Tape(groups, order)
+            out += [out for p in points for out in tape.run([p])]
+        outs.append(out)
+        counts.append(muls[0])
+        products = [f for f in _nodes(high + low) if type(f) is MatMulField
+                    and (consts[0] in f.children or consts[1] in f.children)]
+        assert products and all(
+            (fields._gather(f) is None) == (consts is dense)
+            for f in products)
+    combination, = [s[0] for s in tape._steps
+                    if type(s[0]) is fields._Combination]
+    assert combination.unit_slots == 2
+    assert sum(g is not None for g in combination.gathers) == 4
+    # point by point: the gathers take the dense path where g is infinite
+    over = sum(p[0] > 709.8 / 800 for p in points)
+    assert counts == [4 * len(points), 2 * over] and reduced[1] < reduced[0]
+    for (jets_d, scales_d), (jets_g, scales_g) in zip(*outs):
+        assert scales_d.tobytes() == scales_g.tobytes()
+        for x, y in zip(jets_d, jets_g):
+            assert np.array_equal(x, y, equal_nan=True)
+            assert np.array_equal(np.isnan(x), np.isnan(y))
+    assert any(np.isnan(x).any() for jets, _ in outs[1] for x in jets)
+    del rows[0]["mags"], rows[1]["mags"]
+    assert rows[0].keys() == rows[1].keys()
+    for key, row in rows[0].items():
+        assert row.tobytes() == rows[1][key].tobytes(), key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_constant_products_fold_through_the_monomial_form():
+    """fmatmul of two constants folds to their product: a gather when
+    either is a monomial, equal to the dense product under == with +0
+    for every zero; a non-finite factor takes the dense product, NaNs
+    included."""
+    unit_m = _fock_like((1.0, -1.0, 1j, -1j), 3)
+    half_m = _fock_like((0.5, -np.sqrt(2.0), 0.7j), 4)
+    full = np.arange(36.0).reshape(6, 6) - 1j
+    bad = full.copy()
+    bad[2, 3] = np.inf
+    for a, b in [(unit_m, half_m), (half_m, unit_m), (full, unit_m),
+                 (half_m, full), (unit_m, bad), (bad, half_m)]:
+        folded = fields.fmatmul(ConstField(a, 2), ConstField(b, 2))
+        assert type(folded) is ConstField
+        assert np.array_equal(folded.matrix, a @ b, equal_nan=True)
+        assert np.array_equal(np.isnan(folded.matrix), np.isnan(a @ b))
+        zeros = folded.matrix.view(np.float64) == 0
+        assert not np.signbit(folded.matrix.view(np.float64)[zeros]).any()
 
 
 def _exp_scalings(generator, points):

@@ -9,7 +9,8 @@ import pytest
 from sqmzoo.expr import parse
 from sqmzoo.fields import (evaluate, fconst, fdet, fexp, fexpr, fgrid, finv,
                            fmatmul, fpow, fscale, fsum)
-from sqmzoo.jets import MAX_ORDER, jet_space
+from sqmzoo.jets import (MAX_ORDER, jet_space, join_points, monomial,
+                         split_points)
 
 STEP = 1e-5
 REL = 1e-6
@@ -477,3 +478,91 @@ def test_products_bit_identical_to_oracle_at_model_shapes(nvars, order, dim):
         for s in scalars:
             assert _same_bits(space.scal_mul(_term_major(s), _term_major(a)),
                               _term_major(_oracle_scal_mul(space, s, a)))
+
+
+# -- products by a constant monomial, as signed gathers ---------------------
+
+MONOMIAL_VALUES = {"unit": (1.0, -1.0, 1j, -1j),
+                   "non-unit": (0.5, -math.sqrt(2), 0.7j)}
+
+
+def _monomial_matrix(rng, rows, cols, values):
+    """A rows x cols matrix with one entry of ``values`` in each of
+    ``min(rows, cols) - 1`` rows, in distinct columns, so that a row and
+    a column at least are empty."""
+    k = min(rows, cols) - 1
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    out[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = \
+        rng.choice(np.array(values), k)
+    return out
+
+
+@pytest.mark.parametrize("values", sorted(MONOMIAL_VALUES))
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_monomial_gather_equals_dense_product(values, order, points):
+    """``M @ B`` and ``A @ M`` by a constant monomial's one term, as
+    gathers, equal JetSpace.mul's dense products (by value_product at
+    order 0) under ==, with +0 for every zero; at order 2, whose rank
+    passes add each product to +0, bit for bit.  Operands have dead
+    terms and zero entries; blocks of 1 to 3 points."""
+    rng = np.random.default_rng(10 * order + points)
+    space = jet_space(2, order)
+    first = _monomial_matrix(rng, 4, 5, MONOMIAL_VALUES[values])
+    second = _monomial_matrix(rng, 5, 3, MONOMIAL_VALUES[values])
+    for m in (first, second):
+        assert monomial(m).unit == (values == "unit")
+    b = next(_sparse_jets(space, 5 * points, 2, seed=order))
+    a = list(_sparse_jets(space, 3 * points, 5, seed=order + 1))[1]
+    a[a.real > 1.0] = 0.0
+    cases = [(space.mul(space.const(first, points)[:1], b),
+              monomial(first).left(split_points(b, points))),
+             (space.mul(a, space.const(second, points)[:1]),
+              monomial(second).right(split_points(a, points)))]
+    for dense, got in cases:
+        got = join_points(got)
+        assert got.shape == dense.shape
+        assert np.array_equal(got, dense)
+        zeros = got.view(np.float64) == 0
+        assert not np.signbit(got.view(np.float64)[zeros]).any()
+        if order:
+            assert _same_bits(got, dense)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_monomial_gather_leaves_a_non_finite_operand_to_the_dense_path():
+    """An operand with an inf or a NaN, even in a row the monomial never
+    picks, gets None from the gather, whose caller then takes the dense
+    product with its 0 * inf NaNs."""
+    rng = np.random.default_rng(5)
+    m = _monomial_matrix(rng, 4, 4, MONOMIAL_VALUES["unit"])
+    form = monomial(m)
+    skipped = int(np.flatnonzero(~m.any(axis=0))[0])  # a row no row picks
+    for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        b = rng.standard_normal((1, 1, 4, 3)).astype(np.complex128)
+        b[0, 0, skipped, 1] = bad
+        assert form.left(b) is None
+        assert form.right(b.swapaxes(2, 3)) is None
+        assert np.isnan(m @ b[0, 0]).any()
+
+
+def test_monomial_form_is_refused_for_two_nonzeros_or_a_complex_entry():
+    eye = np.eye(3, dtype=np.complex128)
+    assert monomial(eye) is not None and monomial(eye).unit
+    assert not monomial(0.5 * eye).unit
+    row = eye.copy()
+    row[0, 2] = 1.0                 # two nonzeros in row 0
+    column = eye.copy()
+    column[2, 0] = -1j              # two nonzeros in column 0
+    mixed = eye.copy()
+    mixed[1, 1] = (1 + 1j) / math.sqrt(2)   # unit modulus, both parts
+    for m in (row, column, mixed):
+        assert monomial(m) is None
+    for bad in (np.inf, np.nan):
+        m = eye.copy()
+        m[2, 2] = bad
+        assert monomial(m) is None
+    form = monomial(np.array([[0, 2j, 0], [0, 0, 0]]))
+    assert form.cols.tolist() == [1, 0] and form.rows.tolist() == [0, 0, 0]
+    assert form.row_vals.tolist() == [2j, 0] and not form.unit
+    assert form.col_vals.tolist() == [0, 2j, 0]

@@ -6,7 +6,7 @@ import pytest
 from sqmzoo import geometry, verify, zoo
 from sqmzoo.diffop import SampleSpec, anticommutator, compose, is_zero, mult_op
 from sqmzoo.fields import fconst
-from sqmzoo.report import VIOLATED, all_ok
+from sqmzoo.report import VIOLATED
 
 
 def assert_zero(op, spec, tol=1e-9):
@@ -88,7 +88,7 @@ def test_non_kahler_deformation_violates():
     assert res.max_abs >= 1e-3 * (1 + res.scale)
     reports = verify.run_check("theorem1", m, spec, expect="any")
     assert any(r.verdict == VIOLATED for r in reports)
-    assert all_ok(reports)
+    assert all(r.ok for r in reports)
 
 
 # -- hyper-Kahler ------------------------------------------------------------------
