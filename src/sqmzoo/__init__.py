@@ -8,7 +8,6 @@ from .diffop import (DiffOp, Exclusion, Residual, SampleSpec,
                      compose, is_zero, momentum_op, mult_op, naive_dagger,
                      partial_op, pretty, reduce_cyclic, similarity)
 from .expr import Expr, parse
-from .fields import evaluate
 from .geometry import (ComplexStructure, GeometryData, canonical_triple,
                        from_omega, from_vielbein, gibbons_hawking,
                        kahler_block_structure, select_orientation)
@@ -19,12 +18,11 @@ __all__ = [
     "CATALOG", "CheckReport", "ComplexStructure", "DiffOp", "Exclusion",
     "Expr", "FermionRep", "GeometryData", "Model", "Residual", "SampleSpec",
     "adjoint_with_measure", "anticommutator", "bilinear", "canonical_triple",
-    "commutator", "complex_fermions", "compose", "const_tensor", "evaluate",
-    "from_omega", "from_vielbein", "gibbons_hawking", "hermitian_fermions",
-    "is_zero", "kahler_block_structure", "linear", "list_models",
-    "momentum_op", "mult_op", "naive_dagger", "parse", "partial_op", "pretty",
-    "realify", "reduce_cyclic", "render_report", "select_orientation",
-    "similarity",
+    "commutator", "complex_fermions", "compose", "const_tensor", "from_omega",
+    "from_vielbein", "gibbons_hawking", "hermitian_fermions", "is_zero",
+    "kahler_block_structure", "linear", "list_models", "momentum_op",
+    "mult_op", "naive_dagger", "parse", "partial_op", "pretty", "realify",
+    "reduce_cyclic", "render_report", "select_orientation", "similarity",
 ]
 
 __version__ = "0.1.0"

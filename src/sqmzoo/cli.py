@@ -26,10 +26,15 @@ six rules:
   else the check adds a failing ``<check>: no relation violated`` record;
 * the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
   ``0 < pass < violation``, so no gate can pass a violated relation;
-* a model section or ``torsion_rotate`` ``base`` that is not a mapping
-  with a catalog ``constructor`` and mapping ``params``, a model param
-  the constructor does not take, a missing or unparsable one, a param
-  value the constructor rejects with a ValueError or ArithmeticError,
+* a scenario file that cannot be read or is not UTF-8 text, a
+  ``report`` that is not a path or cannot be written, a model section
+  or ``torsion_rotate`` ``base`` that is not a mapping with a catalog
+  ``constructor`` and mapping ``params``, a ``params``, ``tolerances``,
+  ``box`` or ``exclusions`` value of the wrong type, falsy ones such as
+  ``false``, ``[]`` or ``0`` included (only an absent or null section
+  means the defaults), a model param the constructor does not take, a
+  missing or unparsable one, a param value the constructor rejects with
+  a ValueError or ArithmeticError,
   ``checks`` that are not a list of names or mappings with a string
   ``name``, an unknown check name, ``expect`` value, entry key or
   operator name, a missing ``equal`` operand, ``points < 1``, a negative
@@ -89,8 +94,12 @@ def _parse_yaml(text):
 
 
 def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"{path}: cannot read scenario: {why}") from None
     try:
         doc = _parse_yaml(text)
     except yaml.YAMLError as exc:
@@ -117,24 +126,33 @@ def build_model(model_section):
     if unknown:
         raise ScenarioError(f"{ctor_name}: unknown model keys "
                             f"{sorted(map(str, unknown))}")
-    params = model_section.get("params") or {}
-    if not isinstance(params, dict):
-        raise ScenarioError(f"{ctor_name}: params must be a mapping, got "
-                            f"{params!r}")
-    params = dict(params)
+    params = dict(_section(model_section, "params", dict,
+                           f"{ctor_name}: params must be a mapping"))
     try:
         ctor = zoo.CATALOG[ctor_name][0]
     except KeyError:
         raise ScenarioError(f"unknown constructor {ctor_name!r}") from None
     if ctor_name == "torsion_rotate":
         base = params.pop("base", None)
-        if not base:
+        if base is None:
             raise ScenarioError("torsion_rotate needs a 'base' model block")
         params["model"] = build_model(base)
     try:
         return ctor(**params)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"{ctor_name}: {exc}") from exc
+
+
+def _section(doc, key, kind, what):
+    """``doc[key]``, or an empty ``kind`` when it is absent or null.  Any
+    other value that is not a ``kind``, a falsy one too, is a
+    ScenarioError ``what``."""
+    value = doc.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what}, got {value!r}")
+    return value
 
 
 def _number(value, what, kind=float):
@@ -155,9 +173,7 @@ def _number(value, what, kind=float):
 def build_tolerances(doc, tol=None):
     """The (pass, violation) gates of a scenario; ``tol`` overrides the
     pass gate, and the pair must satisfy 0 < pass < violation."""
-    section = doc.get("tolerances") or {}
-    if not isinstance(section, dict):
-        raise ScenarioError(f"tolerances must be a mapping, got {section!r}")
+    section = _section(doc, "tolerances", dict, "tolerances must be a mapping")
     tol_pass = _number(tol if tol is not None
                        else section.get("pass", TOL_PASS), "tolerances.pass")
     tol_violation = _number(section.get("violation", TOL_VIOLATION),
@@ -177,10 +193,8 @@ def build_sample_spec(doc, model, seed=None, points=None):
                      "points", int)
     if points < 1:
         raise ScenarioError(f"points must be at least 1, got {points}")
-    box_map = doc.get("box") or {}
-    if not isinstance(box_map, dict):
-        raise ScenarioError(f"box must map coordinates to [lo, hi], got "
-                            f"{box_map!r}")
+    box_map = _section(doc, "box", dict,
+                       "box must map coordinates to [lo, hi]")
     unknown = set(box_map) - set(model.coords)
     if unknown:
         raise ScenarioError(f"box keys {sorted(unknown)} are not coordinates "
@@ -202,9 +216,7 @@ def build_sample_spec(doc, model, seed=None, points=None):
         else:
             box.append((-1.0, 1.0))
     exclusions = list(model.default_exclusions)
-    entries = doc.get("exclusions") or []
-    if not isinstance(entries, list):
-        raise ScenarioError(f"exclusions must be a list, got {entries!r}")
+    entries = _section(doc, "exclusions", list, "exclusions must be a list")
     for exc in entries:
         if not isinstance(exc, dict) or "expr" not in exc:
             raise ScenarioError(f"exclusion needs {{expr: ..., min: ...}}, "
@@ -268,6 +280,7 @@ def run_checks(doc, model, spec, tols):
 
 def run_scenario(path, seed=None, points=None, tol=None, report_path=None):
     doc = load_scenario(path)
+    report = _section(doc, "report", str, "report must be a path")
     tols = build_tolerances(doc, tol)
     model = build_model(doc["model"])
     spec = build_sample_spec(doc, model, seed=seed, points=points)
@@ -275,10 +288,14 @@ def run_scenario(path, seed=None, points=None, tol=None, report_path=None):
     header = (f"scenario: {doc.get('name', path)} | model: {model.name} | "
               f"seed: {spec.seed} | points: {spec.n_points}")
     text = render_report(reports, header=header)
-    out_path = report_path or doc.get("report")
+    out_path = report_path or report
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"{out_path}: cannot write report: "
+                                f"{exc.strerror or exc}") from None
     return (0 if all(r.ok for r in reports) else 1), text
 
 

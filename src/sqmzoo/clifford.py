@@ -67,12 +67,6 @@ class FermionRep:
     def dim(self):
         return self.fock_dim * self.color_dim
 
-    def parity(self):
-        """Fermion parity (-1)^N as a matrix."""
-        num = self.number_op()
-        diag = np.round(np.diag(num).real).astype(int)
-        return np.diag((-1.0) ** diag).astype(np.complex128)
-
     def number_op(self):
         if self.kind == "complex":
             return sum(p @ pb for p, pb in zip(self.psi, self.psibar))
@@ -151,27 +145,6 @@ def _realify(rep):
         herm.append(1j * (p - pb) / np.sqrt(2.0))
     return FermionRep("hermitian", 2 * rep.n, rep.fock_dim, rep.color_dim,
                       tuple(herm), (), rep.color)
-
-
-def number_projectors(rep):
-    """Projectors onto fermion-number eigenspaces (diagonal in this basis)."""
-    num = np.round(np.diag(rep.number_op()).real).astype(int)
-    return {n: np.diag((num == n).astype(np.complex128))
-            for n in sorted(set(num))}
-
-
-def grade_decompose(rep, matrix):
-    """Split a Fock matrix by fermion-number transfer g: M = sum_g M_g,
-    with M_g mapping number-n states to number-(n+g) states."""
-    projs = number_projectors(rep)
-    out = {}
-    for n_out, p_out in projs.items():
-        for n_in, p_in in projs.items():
-            block = p_out @ matrix @ p_in
-            if np.abs(block).max() > 0:
-                out.setdefault(n_out - n_in, np.zeros_like(matrix))
-                out[n_out - n_in] += block
-    return out
 
 
 def _color_generators(fock_dim, color_dim):

@@ -45,7 +45,7 @@ zero +0 as in the rank passes of :meth:`JetSpace.mul`; a non-finite
 operand takes the dense path, so every ``0 * inf`` NaN stays.  A
 product by a unit monomial, whose entries are 1, -1, i or -i, takes its
 subtree maximum from its kids' (see :class:`Tape`) without reducing its
-own jet.
+own jet; it is the only step that does.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -129,9 +129,9 @@ class _Mag:
         """Set the row of ``step`` from its jet, the rows ``kids`` of the
         steps it read and, for a combination's step, the ``stack`` of the
         jets of the nodes it absorbed (see :class:`_Combination`).  A
-        ``jet`` of None is one whose values are its kids' entries, or
-        zeros, times exact unit factors (``Field.bounded_by_kid``), so
-        its row folds only theirs."""
+        ``jet`` of None is the jet of a product by a unit monomial, whose
+        values are its kids' entries, or zeros, times exact unit factors
+        (:class:`_Gather`), so its row folds only theirs."""
         value = self.value
         n = value.shape[1]
         m = value[step]
@@ -243,14 +243,14 @@ class _Gather:
     """The step of a product with a constant monomial factor (see
     :func:`_gather`): its jet is the signed gather of the other factor,
     or the product's own dense jet when that factor is not finite.  A
-    product by a unit monomial is ``bounded_by_kid``: its values are the
-    other factor's entries, or zeros, times exact unit factors."""
+    product by a ``unit`` monomial has values that are the other
+    factor's entries, or zeros, times exact unit factors."""
 
-    __slots__ = ("node", "gather", "bounded_by_kid")
+    __slots__ = ("node", "gather", "unit")
 
     def __init__(self, node, gather):
         self.node, self.gather = node, gather
-        self.bounded_by_kid = gather[1].unit
+        self.unit = gather[1].unit
 
     def _compute(self, at, order, kids):
         out = _gathered(self.gather, *kids, at.n)
@@ -463,12 +463,11 @@ class Tape:
     emission decides once, holds a :class:`_Gather` in place of the
     node.  The scale hook :meth:`_Mag.update` runs once per executed
     step; the sum's step folds the absorbed nodes' maxima into its own
-    row, and a transpose or entry step takes its child's row without
-    reducing its own jet.  So does the step of a product by a unit
-    monomial, its kids' rows, while those are finite; where one is not,
-    the step reduces its own jet too, since its operand may have taken
-    the dense path, whose ``0 * inf`` gives NaN where the kids' rows
-    hold inf.
+    row.  Every other step reduces its own jet, except the step of a
+    product by a unit monomial, which takes its kids' rows while those
+    are finite; where one is not, the step reduces its own jet too,
+    since its operand may have taken the dense path, whose ``0 * inf``
+    gives NaN where the kids' rows hold inf.
 
     A run evaluates a block of points at once, each step once per block:
     a jet of the block is the ``(T, P, rows, cols)`` array of its points'
@@ -661,10 +660,9 @@ class Tape:
                     del stack           # scratch, not to be held past its step
                 else:
                     jet = node._compute(ats[frame], order, args)
-                    bounded = node.bounded_by_kid
-                    mag.update(i, None if bounded else jet, kids)
-                    if bounded and node.__class__ is _Gather and \
-                            not np.isfinite(mag.value[i]).all():
+                    unit = node.__class__ is _Gather and node.unit
+                    mag.update(i, None if unit else jet, kids)
+                    if unit and not np.isfinite(mag.value[i]).all():
                         mag.update(i, jet, kids)
                 jets[i] = jet
                 for k in kids:
@@ -772,9 +770,6 @@ class Field(metaclass=_Interned):
     ncoords = 0
     children = ()
     one_term_kids = False
-    # its values are entries of its one child's, so its subtree maximum
-    # is the child's (see _Mag.update)
-    bounded_by_kid = False
 
     def eval_jet(self, point, order=0):
         """Jet of this field at ``point`` up to ``order`` over all its
@@ -851,12 +846,6 @@ def _support(coords):
     """The one ascending tuple of the coordinate set ``coords``."""
     key = tuple(sorted(coords))
     return _SUPPORTS.setdefault(key, key)
-
-
-def evaluate(field, point, order=0):
-    """Jet matrix of ``field`` at ``point`` (tuple of reals), as
-    ``(rows, cols, T)``."""
-    return field.eval_jet(point, order)
 
 
 def _transposed(jets, n):
@@ -1131,7 +1120,6 @@ class ScalarMulField(_Unary):
 
 class ConjTransposeField(_Unary):
     params = ()
-    bounded_by_kid = True
 
     def __init__(self, child):
         super().__init__(child)
@@ -1154,7 +1142,6 @@ class TransposeField(_Unary):
     """Plain transpose, no conjugation."""
 
     params = ()
-    bounded_by_kid = True
 
     def __init__(self, child):
         super().__init__(child)
@@ -1319,7 +1306,6 @@ class EntryField(_Unary):
     """Scalar extraction of one matrix entry."""
 
     params = ("r", "c")
-    bounded_by_kid = True
 
     def __init__(self, child, r, c):
         super().__init__(child)

@@ -89,13 +89,6 @@ def _christoffel_entries(g, ginv, dim, ncoords):
     return entries
 
 
-def _christoffel_matrices(entries, dim):
-    """christoffel[N][M, K] matrix fields from the scalar entry table."""
-    return tuple(
-        fgrid([[entries[(n, m, k)] for k in range(dim)] for m in range(dim)])
-        for n in range(dim))
-
-
 def _gamma_slice(entries, dim, p):
     """Matrix field G[S, M] = Gamma^S_{PM} for fixed lower index P."""
     return fgrid([[entries[(s, p, m)] for m in range(dim)] for s in range(dim)])
@@ -125,16 +118,8 @@ def from_omega(omega):
     ncoords = omega.ncoords
     if ncoords != dim:
         raise ValueError("geometry from omega needs dim == ncoords")
-    e = fexp(omega)
-    einv = fexp(fscale(-1.0, omega))
-    g = fexp(fscale(-2.0, omega))
-    ginv = fexp(fscale(2.0, omega))
-    entries = _christoffel_entries(g, ginv, dim, ncoords)
-    return GeometryData(
-        dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
-        christoffel=_christoffel_matrices(entries, dim),
-        spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
-        christoffel_entries=entries)
+    return _geometry(fexp(omega), fexp(fscale(-1.0, omega)),
+                     fexp(fscale(-2.0, omega)), fexp(fscale(2.0, omega)))
 
 
 def from_vielbein(einv):
@@ -142,14 +127,21 @@ def from_vielbein(einv):
     dim = einv.shape[0]
     if einv.shape[1] != dim:
         raise ValueError("vielbein must be square")
-    ncoords = einv.ncoords
     e = finv(einv)
-    g = fmatmul(einv, ftranspose(einv))
-    ginv = fmatmul(ftranspose(e), e)
+    return _geometry(e, einv, fmatmul(einv, ftranspose(einv)),
+                     fmatmul(ftranspose(e), e))
+
+
+def _geometry(e, einv, g, ginv):
+    """The geometry of vielbein ``e``, its inverse ``einv``, metric ``g``
+    and inverse metric ``ginv``, with its Levi-Civita connection:
+    christoffel[N][M, K] is Gamma^N_MK."""
+    dim, ncoords = g.shape[0], g.ncoords
     entries = _christoffel_entries(g, ginv, dim, ncoords)
     return GeometryData(
         dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
-        christoffel=_christoffel_matrices(entries, dim),
+        christoffel=tuple(fgrid([[entries[(n, m, k)] for k in range(dim)]
+                                 for m in range(dim)]) for n in range(dim)),
         spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
         christoffel_entries=entries)
 
@@ -258,11 +250,6 @@ def require_quaternion(triple, spec):
     r, = sampled_residual([quaternion_fields(triple)], spec)
     if r.relative > TOL_PASS:
         raise ValueError(f"triple fails the quaternion algebra: {r}")
-
-
-def metric_compatibility_fields(geo):
-    """Matrix fields D_P g_MN (should vanish for Levi-Civita)."""
-    return _covariant_derivative(geo.metric, geo)
 
 
 # ---------------------------------------------------------------------------

@@ -365,10 +365,13 @@ class JetSpace:
         result does not depend on the other points of the block.  The
         stopping test is per grade: grade g adds terms up to the first one
         whose largest entry over the grades up to g is below 1e-18, or not
-        finite, and then stays stopped; a point stops once all its grades
-        have.  A grade's sum thus reads only the grades up to its own, as
-        every product does, so the order-k exponential is bit for bit the
-        first terms of a higher-order one."""
+        finite, and then stays stopped; the series ends once every grade
+        of every point has.  A stopped grade's later terms are still
+        computed with the block's but masked out of its sum, so each
+        point's sum is what a block of its own gives.  A grade's sum thus
+        reads only the grades up to its own, as every product does, so
+        the order-k exponential is bit for bit the first terms of a
+        higher-order one."""
         n = A.shape[2]
         P = A.shape[1] // n if n else 1
         A4 = split_points(A, P)
@@ -377,18 +380,15 @@ class JetSpace:
             norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
             scales.append(max(0, int(math.ceil(math.log2(norm))) + 1)
                           if norm > 1.0 else 0)
-        M = A4 / (2.0 ** np.array(scales, dtype=float))[:, None, None]
+        M = join_points(A4 / 2.0 ** np.array(scales, float)[:, None, None])
         out = split_points(self.const(np.eye(n), P), P)
         term = self.const(np.eye(n), P)
-        running = np.arange(P)          # the points still adding terms
         stopped = np.zeros((P, len(self._grade_starts)), dtype=bool)
         for k in range(1, _EXP_TERMS):
-            term = self.mul(term, join_points(M)) / k
-            term4 = split_points(term, len(running))
+            term = self.mul(term, M) / k
+            term4 = split_points(term, P)
             adding = ~stopped[:, self._grade].T[:, :, None, None]
-            acc = out[:, running]
-            np.add(acc, term4, out=acc, where=adding)
-            out[:, running] = acc
+            np.add(out, term4, out=out, where=adding)
             size = np.maximum.accumulate(np.maximum.reduceat(
                 np.abs(term4).max(axis=(2, 3)).T, self._grade_starts, axis=1),
                 axis=1)
@@ -398,10 +398,6 @@ class JetSpace:
             going = ~stopped.all(axis=1)
             if not going.any():
                 break
-            if not going.all():
-                running, stopped = running[going], stopped[going]
-                M = M[:, going]
-                term = join_points(term4[:, going])
         else:
             raise SeriesError(f"matrix_exp: Taylor series not converged after "
                               f"{_EXP_TERMS} terms (last term "

@@ -993,16 +993,6 @@ def hyperkahler_gibbons_hawking(centers=((0.0, 0.0, 0.0),), weights=(0.5,),
         meta={**m.meta, "orientation": variant})
 
 
-def hyperkahler_kahler_control(u="0.3*sin(x1) + 0.2*x2^2"):
-    """Negative control: warped Kahler metric with the flat canonical
-    triple; only one structure is covariantly constant, so parts of the
-    N=8 algebra must fail."""
-    geo, _om = _warped_geometry(u)
-    trio = [geometry.constant_structure(c, 4, label=a + 1)
-            for a, c in enumerate(geometry.canonical_triple(4))]
-    return hyperkahler(geo, trio)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 

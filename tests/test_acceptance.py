@@ -15,7 +15,7 @@ from sqmzoo import verify, zoo
 from sqmzoo.clifford import const_tensor
 from sqmzoo.diffop import anticommutator, compose, is_zero, similarity
 from sqmzoo.expr import parse
-from sqmzoo.fields import evaluate, fexpr
+from sqmzoo.fields import fexpr
 from sqmzoo.jets import jet_space
 from sqmzoo.report import VIOLATED
 from sqmzoo.cli import run_scenario
@@ -268,14 +268,14 @@ def test_criterion_13_fd_oracle():
         space = jet_space(n, 2)
         for f in fields:
             for p in pts:
-                jet = evaluate(f, p, order=2)
+                jet = f.eval_jet(p, order=2)
                 for i in range(n):
                     unit = tuple(1 if k == i else 0 for k in range(n))
                     pp, pm = list(p), list(p)
                     pp[i] += step
                     pm[i] -= step
-                    fd = (evaluate(f, tuple(pp))[:, :, 0]
-                          - evaluate(f, tuple(pm))[:, :, 0]) / (2 * step)
+                    fd = (f.eval_jet(tuple(pp))[:, :, 0]
+                          - f.eval_jet(tuple(pm))[:, :, 0]) / (2 * step)
                     exact = jet[:, :, space.index[unit]]
                     scale = max(1.0, float(np.abs(exact).max()))
                     err = float(np.abs(exact - fd).max()) / scale
@@ -290,17 +290,17 @@ def test_criterion_13_fd_oracle():
                             pp, pm = list(p), list(p)
                             pp[i] += step
                             pm[i] -= step
-                            acc = (evaluate(f, tuple(pp))[:, :, 0]
-                                   - 2 * evaluate(f, p)[:, :, 0]
-                                   + evaluate(f, tuple(pm))[:, :, 0]) / step ** 2
+                            acc = (f.eval_jet(tuple(pp))[:, :, 0]
+                                   - 2 * f.eval_jet(p)[:, :, 0]
+                                   + f.eval_jet(tuple(pm))[:, :, 0]) / step ** 2
                         else:
                             for si in (1, -1):
                                 for sj in (1, -1):
                                     q2 = list(p)
                                     q2[i] += si * step
                                     q2[j] += sj * step
-                                    acc = acc + si * sj * evaluate(
-                                        f, tuple(q2))[:, :, 0]
+                                    acc = acc + si * sj * f.eval_jet(
+                                        tuple(q2))[:, :, 0]
                             acc = acc / (4 * step ** 2)
                         exact = jet[:, :, space.index[idx]]
                         scale = max(1.0, float(np.abs(exact).max()))

@@ -189,8 +189,15 @@ def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
     ("{constructor: [witten]}", ["model needs a mapping with a 'constructor'"]),
     ("{constructor: witten, params: 5}", ["witten: params must be a mapping"]),
     ("{constructor: witten, params: [1]}", ["params must be a mapping"]),
+    # a falsy params of the wrong type would otherwise run the default W
+    ("{constructor: witten, params: false}",
+     ["witten: params must be a mapping, got False"]),
+    ("{constructor: witten, params: []}",
+     ["witten: params must be a mapping, got []"]),
     ("{constructor: torsion_rotate, params: {base: witten}}",
      ["model needs a mapping with a 'constructor'"]),
+    ("{constructor: torsion_rotate, params: {base: false}}",
+     ["model needs a mapping with a 'constructor' name, got False"]),
     ("{constructor: torsion_rotate, params: {base: {params: {}}}}",
      ["model needs a mapping with a 'constructor'"]),
     # a misspelt params key would otherwise run the default W and pass
@@ -201,7 +208,8 @@ def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
      ["free_complex: unknown model keys ['d']"]),
 ], ids=["constructor-value-error", "ragged-grid", "evaluation-error",
         "constructor-not-string", "params-number", "params-list",
-        "base-not-mapping", "base-without-constructor", "unknown-model-key",
+        "params-false", "params-empty-list", "base-not-mapping",
+        "base-false", "base-without-constructor", "unknown-model-key",
         "unknown-base-key"])
 def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
                                                          model, messages):
@@ -282,6 +290,15 @@ def test_expect_any_requires_a_violation(tmp_path):
     ("points: yes\n", [], "points"),
     ("seed: true\n", [], "seed"),
     ("box: {x: [false, true]}\n", [], "box x"),
+    # a falsy section of the wrong type is no request for the defaults
+    ("tolerances: []\n", [], "tolerances must be a mapping, got []"),
+    ("tolerances: false\n", [], "tolerances must be a mapping, got False"),
+    ("box: []\n", [], "box must map coordinates to [lo, hi], got []"),
+    ("box: 0\n", [], "box must map coordinates to [lo, hi], got 0"),
+    ("exclusions: 0\n", [], "exclusions must be a list, got 0"),
+    ("exclusions: {}\n", [], "exclusions must be a list, got {}"),
+    # open(True) would write the report to file descriptor 1 and close it
+    ("report: true\n", [], "report must be a path, got True"),
 ], ids=["points-0", "points-negative", "unknown-box-key", "empty-box",
         "reversed-box", "box-number", "box-one-number", "box-three-numbers",
         "box-not-numeric", "box-infinite", "box-not-mapping",
@@ -290,12 +307,52 @@ def test_expect_any_requires_a_violation(tmp_path):
         "seed-not-numeric", "seed-negative",
         "pass-not-numeric", "violation-not-numeric", "pass-above-violation",
         "pass-zero", "tol-option-above-violation", "tol-option-negative",
-        "points-boolean", "seed-boolean", "box-booleans"])
+        "points-boolean", "seed-boolean", "box-booleans",
+        "tolerances-empty-list", "tolerances-false", "box-empty-list",
+        "box-zero", "exclusions-zero", "exclusions-empty-mapping",
+        "report-boolean"])
 def test_vacuous_sample_is_scenario_error(tmp_path, capsys, extra, argv,
                                           message):
     path = _scenario(tmp_path, WITTEN, "[suite]", extra)
     assert main(["run", path, *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    """The one line, on stderr, that is all a scenario error prints."""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, \
+        err
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "show-op"])
+def test_missing_scenario_file_is_scenario_error(tmp_path, capsys, command):
+    path = tmp_path / "nonexistent.yaml"
+    argv = [command, str(path)] + (["Q"] if command == "show-op" else [])
+    assert main(argv) == 2
+    assert f"{path}: cannot read scenario: No such file" in \
+        _one_error_line(capsys)
+
+
+def test_non_utf8_scenario_file_is_scenario_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: caf\u00e9\nmodel: {constructor: witten}\n"
+                     .encode("latin-1"))
+    assert main(["run", str(path)]) == 2
+    assert f"{path}: cannot read scenario: 'utf-8' codec can't decode" in \
+        _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["file", "option"])
+def test_unwritable_report_is_scenario_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "r.txt"
+    extra = f"report: {out}\n" if where == "file" else ""
+    argv = [] if where == "file" else ["--report", str(out)]
+    path = _scenario(tmp_path, WITTEN, "[suite]", extra)
+    assert main(["run", path, *argv]) == 2
+    assert f"{out}: cannot write report: No such file" in \
+        _one_error_line(capsys)
 
 
 def test_points_zero_in_file_is_scenario_error(tmp_path, capsys):

@@ -20,7 +20,7 @@ from sqmzoo.diffop import (DiffOp, OpError, ReductionError, Residual,
                            rename_coords, sampled_residual, similarity,
                            zero_op)
 from sqmzoo.expr import parse
-from sqmzoo.fields import evaluate, fconst, fexpr, fidentity, fscale
+from sqmzoo.fields import fconst, fexpr, fidentity, fscale
 from sqmzoo.report import TOL_PASS
 
 REP1 = complex_fermions(1)
@@ -51,7 +51,7 @@ def test_p_squared_direct():
     p = momentum_op(X, REP1, "x")
     p2 = compose(p, p)
     assert set(p2.terms) == {(2,)}
-    val = evaluate(p2.terms[(2,)], (0.3,))[:, :, 0]
+    val = p2.terms[(2,)].eval_jet((0.3,))[:, :, 0]
     assert np.allclose(val, -np.eye(2))
 
 
@@ -90,7 +90,7 @@ def test_compose_matches_sympy(ftext, m, gtext, k):
         for order, cexpr in coeffs.items():
             want = complex(cexpr.subs(x, pt))
             gotf = engine.terms.get((order,))
-            got = evaluate(gotf, (pt,))[0, 0, 0] if gotf is not None else 0.0
+            got = gotf.eval_jet((pt,))[0, 0, 0] if gotf is not None else 0.0
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_car_via_mult_ops():
             pb = mult_op(fconst(rep.psibar[b], 1), coords, rep)
             acm = anticommutator(pa, pb)
             if a == b:
-                val = evaluate(acm.terms[(0,)], (0.0,))[:, :, 0]
+                val = acm.terms[(0,)].eval_jet((0.0,))[:, :, 0]
                 assert np.array_equal(val, np.eye(4))
             else:
                 assert acm.is_structurally_zero() or ok(acm)[0]

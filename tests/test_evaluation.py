@@ -34,7 +34,7 @@ def _brute_residual(group, points):
     max_abs, argmax, scale = 0.0, None, 0.0
     for p in points:
         for f in group:
-            v = float(np.max(np.abs(fields.evaluate(f, p))))
+            v = float(np.max(np.abs(f.eval_jet(p))))
             if v > max_abs:
                 max_abs, argmax = v, p
         need = {}                   # (order, point) -> {id: node}
@@ -252,7 +252,7 @@ def test_planned_batch_frees_every_entry_and_computes_once(monkeypatch):
     groups.append([DerivativeField(groups[0][0], (1, 0))])
     groups += _combinations()
     points = SPEC2.points()
-    expected = [[fields.evaluate(f, p) for g in groups for f in g]
+    expected = [[f.eval_jet(p) for g in groups for f in g]
                 for p in points]
     computed, read = {}, {}     # (node id, point) -> orders
 
@@ -394,13 +394,13 @@ def test_lower_order_jet_is_a_prefix_of_a_higher_one():
     for f in nodes:
         p = at[f.ncoords]
         try:
-            top = fields.evaluate(f, p, 2)
+            top = f.eval_jet(p, 2)
         except fields.OrderOverflow:
             continue
         types.add(type(f))
         for k in (0, 1):
             nterms = jet_space(f.ncoords, k).nterms
-            assert np.array_equal(fields.evaluate(f, p, k),
+            assert np.array_equal(f.eval_jet(p, k),
                                   top[..., :nterms]), (f, k)
     assert types == _subclasses(fields.Field)
 
@@ -450,7 +450,7 @@ def test_jets_over_their_support_match_full_space_arithmetic():
     want = space.mul(grid([[x, k], [k, x]]), grid([[y, k], [k, y]]))
     want += space.scal_mul(r, grid([[x, k], [k, x]]) + space.const(np.eye(2)))
     want += grid([[dxy, dyy], [dyy, k]])
-    assert np.array_equal(fields.evaluate(root, p, 2),
+    assert np.array_equal(root.eval_jet(p, 2),
                           np.moveaxis(want, 0, -1))
 
 
@@ -490,7 +490,7 @@ def test_zero_derivative_past_max_order_evaluates():
     f = ExprField(parse("x", ("x", "y")), 2)
     zero = f.deriv((0, fields.MAX_ORDER + 1))
     assert zero is ZeroField((1, 1), 2)
-    jet = fields.evaluate(zero, (0.3, -0.2), 1)
+    jet = zero.eval_jet((0.3, -0.2), 1)
     assert jet.shape == (1, 1, 3) and not jet.any()
 
 
@@ -568,11 +568,12 @@ def test_non_finite_values_reach_residual_and_scale():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_transpose_and_entry_rows_are_their_childs(monkeypatch):
-    """A transpose, conjugate transpose or entry step takes its child's
-    row of subtree maxima without reducing its own jet: every step's row
-    is, bit for bit, the row it gets when those steps reduce their jets
-    too, NaN included (exp(800 x) - exp(800 x) is NaN past x = 0.8873)."""
+def test_transpose_and_entry_rows_are_their_childs():
+    """A transpose, conjugate transpose or entry step's row of subtree
+    maxima is its child's, bit for bit, NaN included (exp(800 x) -
+    exp(800 x) is NaN past x = 0.8873): its values are the child's, or
+    their conjugates, so they never exceed the child's maxima.  Each
+    such node is a group's one root, after a group of its child."""
     xy = ("x", "y")
 
     def e(text):
@@ -582,37 +583,21 @@ def test_transpose_and_entry_rows_are_their_childs(monkeypatch):
     nan = SumField([blowup, ScaleField(-1.0, blowup)])
     grid = GridField([[e("x + 2*i*y"), nan], [e("3*y - 1"), e("x*y")]])
     square = MatMulField(grid, TransposeField(grid))
-    groups = [[TransposeField(grid)], [ConjTransposeField(square)],
-              [EntryField(grid, 0, 1), EntryField(square, 1, 0)],
-              [EntryField(ConjTransposeField(grid), 1, 1)]]
+    pairs = [(TransposeField(grid), grid), (ConjTransposeField(square), square),
+             (EntryField(grid, 0, 1), grid), (EntryField(square, 1, 0), square),
+             (EntryField(ConjTransposeField(grid), 1, 1),
+              ConjTransposeField(grid))]
     spec = SampleSpec(box=((0.5, 1.0), (-0.8, 0.8)), n_points=6, seed=0)
     points = spec.points()
     assert 1 <= sum(p[0] > 709.8 / 800 for p in points) < len(points)
+    tape = Tape([[f] for pair in pairs for f in pair[::-1]], 1)
     bounded = (TransposeField, ConjTransposeField, EntryField)
-    assert {cls for cls in _subclasses(fields.Field)
-            if cls.bounded_by_kid} == set(bounded)
-    update = fields._Mag.update
-    rows = []
-
-    def recording(self, step, jet, kids, stack=None):
-        update(self, step, jet, kids, stack)
-        rows[-1][step] = self.value[step].copy()
-
-    monkeypatch.setattr(fields._Mag, "update", recording)
-    tape = Tape(groups, 1)
     assert {type(step[0]) for step in tape._steps} >= set(bounded)
-    for reduce_own in (False, True):
-        if reduce_own:
-            for cls in bounded:
-                monkeypatch.setattr(cls, "bounded_by_kid", False)
-        rows.append({})
-        list(tape.run(points))
-    short, full = rows
-    assert set(short) == set(full) == set(range(len(tape._steps)))
-    for step, row in full.items():
-        assert row.tobytes() == short[step].tobytes(), tape._steps[step][0]
-    assert any(np.isnan(full[i]).any() for i, step in enumerate(tape._steps)
-               if isinstance(step[0], bounded))
+    scales = [scale for _, scale in tape.run(points)]
+    kids, owns = scales[::2], scales[1::2]
+    for (node, _), kid, own in zip(pairs, kids, owns):
+        assert own.tobytes() == kid.tobytes(), node
+    assert any(np.isnan(own).any() for own in owns)
 
 
 def _fock_like(values, seed):
@@ -749,7 +734,7 @@ def _exp_scalings(generator, points):
     """The scaling exponent JetSpace.matrix_exp picks at each point."""
     out = []
     for p in points:
-        norm = np.abs(fields.evaluate(generator, p)[:, :, 0]).sum(axis=1).max()
+        norm = np.abs(generator.eval_jet(p)[:, :, 0]).sum(axis=1).max()
         out.append(max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1 else 0)
     return out
 
@@ -806,7 +791,7 @@ def test_a_block_equals_its_points(monkeypatch):
     # for most complex values differs from its array power in the last bit
     roots = whole[-1][0][0]
     for i, p in enumerate(points):
-        assert roots[0, i, 0] == fields.evaluate(base, p)[0, 0, 0] ** 0.5
+        assert roots[0, i, 0] == base.eval_jet(p)[0, 0, 0] ** 0.5
 
 
 def _fails_near(point):

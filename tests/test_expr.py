@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqmzoo.expr import Const, Coord, ExprError, parse, to_text
-from sqmzoo.fields import evaluate, fexpr
+from sqmzoo.fields import fexpr
 
 
 def value(text, coords, point):
-    return evaluate(fexpr(parse(text, coords), len(coords)), point)[0, 0, 0]
+    return fexpr(parse(text, coords), len(coords)).eval_jet(point)[0, 0, 0]
 
 
 def test_cubic_at_two():
@@ -22,7 +22,7 @@ def test_exp_at_origin_product():
 def test_rational_derivative():
     # oracle: d/dx (x^2+1)^-1 = -2x/(x^2+1)^2 -> -0.5 at x = 1
     f = fexpr(parse("1/(x^2+1)", ["x"]), 1)
-    jet = evaluate(f, (1.0,), order=1)
+    jet = f.eval_jet((1.0,), order=1)
     assert jet[0, 0, 1] == pytest.approx(-0.5, rel=1e-12)
 
 
@@ -100,8 +100,8 @@ def test_parse_print_roundtrip(text, x, y):
     e2 = parse(to_text(e1), coords)
     f1 = fexpr(e1, 2)
     f2 = fexpr(e2, 2)
-    j1 = evaluate(f1, (x, y), order=2)
-    j2 = evaluate(f2, (x, y), order=2)
+    j1 = f1.eval_jet((x, y), order=2)
+    j2 = f2.eval_jet((x, y), order=2)
     assert np.allclose(j1, j2, rtol=0, atol=1e-12)
 
 
@@ -110,6 +110,6 @@ def test_operator_sugar_matches_parser():
     built = (x + Const(2)) * y - x / y + x ** 3 + x ** (1, 2)
     parsed = parse("(x+2)*y - x/y + x^3 + x^(1/2)", ["x", "y"])
     p = (0.8, 1.7)
-    a = evaluate(fexpr(built, 2), p, order=1)
-    b = evaluate(fexpr(parsed, 2), p, order=1)
+    a = fexpr(built, 2).eval_jet(p, order=1)
+    b = fexpr(parsed, 2).eval_jet(p, order=1)
     assert np.allclose(a, b, atol=1e-14)

@@ -4,8 +4,7 @@ import pytest
 from sqmzoo import geometry, verify, zoo
 from sqmzoo.diffop import TOL_PASS, SampleSpec, sampled_residual
 from sqmzoo.expr import Const, Coord, parse
-from sqmzoo.fields import (ZeroField, evaluate, fexpr, fgrid, fmatmul, fpow,
-                           fscale)
+from sqmzoo.fields import ZeroField, fexpr, fgrid, fmatmul, fpow, fscale
 
 
 def _scalar_grid(texts, coords):
@@ -32,10 +31,10 @@ def test_flat_geometry():
     geo = geometry.from_omega(fgrid([[z, z], [z, z]]))
     spec = SampleSpec(box=((-1, 1), (-1, 1)), n_points=3, seed=2)
     p = spec.points()[0]
-    assert np.allclose(evaluate(geo.metric, p)[:, :, 0], np.eye(2))
+    assert np.allclose(geo.metric.eval_jet(p)[:, :, 0], np.eye(2))
     for n in range(2):
-        assert np.abs(evaluate(geo.christoffel[n], p)).max() == 0.0
-        assert np.abs(evaluate(geo.spin_connection[n], p)).max() == 0.0
+        assert np.abs(geo.christoffel[n].eval_jet(p)).max() == 0.0
+        assert np.abs(geo.spin_connection[n].eval_jet(p)).max() == 0.0
 
 
 def test_one_dimensional_closed_forms():
@@ -43,10 +42,11 @@ def test_one_dimensional_closed_forms():
     geo = geometry.from_omega(om)
     x = 0.6
     w, wp = 0.4 * x * x, 0.8 * x
-    assert evaluate(geo.metric, (x,))[0, 0, 0] == pytest.approx(np.exp(-2 * w))
-    assert evaluate(geo.christoffel[0], (x,))[0, 0, 0] == pytest.approx(-wp)
+    assert geo.metric.eval_jet((x,))[0, 0, 0] == pytest.approx(np.exp(-2 * w))
+    assert geo.christoffel[0].eval_jet((x,))[0, 0, 0] == pytest.approx(-wp)
     spec = SampleSpec(box=((-1.1, 1.1),), n_points=10, seed=3)
-    r, = sampled_residual([geometry.metric_compatibility_fields(geo)], spec)
+    r, = sampled_residual([geometry._covariant_derivative(geo.metric, geo)],
+                          spec)
     assert r.max_abs < 1e-10 * (1 + r.scale)
 
 
@@ -58,7 +58,7 @@ def test_conformally_flat_metric():
     geo = geometry.from_omega(om)
     p = (0.5, -0.3, 0.8, 0.1)
     gval = 0.2 * (0.25 + 0.64)
-    assert np.allclose(evaluate(geo.metric, p)[:, :, 0],
+    assert np.allclose(geo.metric.eval_jet(p)[:, :, 0],
                        np.exp(-2 * gval) * np.eye(4), rtol=1e-12)
 
 
@@ -70,17 +70,17 @@ def test_christoffels_match_finite_difference_oracle():
     h = 1e-5
     spec = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=5, seed=4)
     for p in spec.points():
-        gval = evaluate(geo.metric, p)[:, :, 0]
+        gval = geo.metric.eval_jet(p)[:, :, 0]
         ginv = np.linalg.inv(gval)
         dg = np.empty((2, 2, 2), dtype=complex)
         for m in range(2):
             pp, pm = list(p), list(p)
             pp[m] += h
             pm[m] -= h
-            dg[m] = (evaluate(geo.metric, tuple(pp))[:, :, 0]
-                     - evaluate(geo.metric, tuple(pm))[:, :, 0]) / (2 * h)
+            dg[m] = (geo.metric.eval_jet(tuple(pp))[:, :, 0]
+                     - geo.metric.eval_jet(tuple(pm))[:, :, 0]) / (2 * h)
         for n in range(2):
-            got = evaluate(geo.christoffel[n], p)[:, :, 0]
+            got = geo.christoffel[n].eval_jet(p)[:, :, 0]
             for mm in range(2):
                 for k in range(2):
                     want = 0.5 * sum(
@@ -94,9 +94,9 @@ def test_christoffel_symmetric_and_metric_compatible():
     geo = geometry.from_omega(om)
     p = SPEC4.points()[0]
     for n in range(4):
-        g = evaluate(geo.christoffel[n], p)[:, :, 0]
+        g = geo.christoffel[n].eval_jet(p)[:, :, 0]
         assert np.abs(g - g.T).max() == 0.0
-    r, = sampled_residual([geometry.metric_compatibility_fields(geo)],
+    r, = sampled_residual([geometry._covariant_derivative(geo.metric, geo)],
                           SPEC4)
     assert r.max_abs <= 1e-9 * (1 + r.scale)
 
@@ -108,7 +108,7 @@ def test_spin_connection_antisymmetry():
     spec = SampleSpec(box=((-0.8, 0.8), (-0.8, 0.8)), n_points=6, seed=5)
     for p in spec.points():
         for m in range(2):
-            om_val = evaluate(geo.spin_connection[m], p)[:, :, 0]
+            om_val = geo.spin_connection[m].eval_jet(p)[:, :, 0]
             assert np.abs(om_val + om_val.T).max() < 1e-10
 
 
@@ -193,8 +193,8 @@ def test_gh_gauge_satisfies_curl_condition():
     vf = fexpr(v, 4)
     afs = [fexpr(ax, 4) for ax in a]
     for p in GH_SPEC.points():
-        jv = evaluate(vf, p, 1)
-        ja = [evaluate(x, p, 1) for x in afs]
+        jv = vf.eval_jet(p, 1)
+        ja = [x.eval_jet(p, 1) for x in afs]
 
         def d(j, i):
             return j[0, 0, 1 + i]
@@ -291,4 +291,4 @@ def test_gh_nonpositive_weight_guard():
     geo, v, _a = geometry.gibbons_hawking([(0.0, 0.0, 0.0)], [-2.0], eps=0.0)
     # V < 0 on the sample box: the vielbein sqrt must fail there
     with pytest.raises(Exception):
-        evaluate(geo.metric, (1.0, 1.0, 1.0, 0.0))
+        geo.metric.eval_jet((1.0, 1.0, 1.0, 0.0))

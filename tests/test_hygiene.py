@@ -12,9 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sqmzoo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-# where a definition may be named for it to count as used
-READERS = ("src", "tests", "perfbench", "docs", "README.md")
-TEXT_SUFFIXES = {".py", ".md", ".yaml", ".txt", ".json"}
 
 
 def _unused_imports(tree):
@@ -80,24 +77,34 @@ def _top_level_definitions(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
 
 
+def _exports(tree):
+    """The names a module lists in ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def _word_counts(root):
-    """Occurrences of each identifier-like word in the text files that
-    may name a definition; the package ``__init__`` only re-exports."""
+    """Occurrences of each identifier-like word in the package's modules,
+    plus one for each name the package exports in ``__all__``.  The
+    package ``__init__`` only re-exports, and tests, benchmarks and
+    documents do not count: a definition that only they name is code
+    no shipped path needs."""
     counts = Counter()
-    for top in READERS:
-        base = root / top
-        files = [base] if base.is_file() else sorted(base.rglob("*"))
-        for path in files:
-            if (path.suffix in TEXT_SUFFIXES and path.is_file()
-                    and path != SRC / "__init__.py"):
-                counts.update(re.findall(r"\w+", path.read_text(
-                    encoding="utf-8", errors="replace")))
+    for path in sorted((root / "src" / "sqmzoo").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "__init__.py":
+            counts.update(_exports(ast.parse(text, filename=str(path))))
+        else:
+            counts.update(re.findall(r"\w+", text))
     return counts
 
 
 def test_every_definition_is_named_somewhere():
-    """A module-level function or class of the package that nothing
-    names apart from its own definition is dead code."""
+    """A module-level function or class of the package that no other
+    package code names, and that the package does not export, is dead
+    code."""
     counts = _word_counts(ROOT)
     unnamed = [f"{path.name}:{name}" for path in MODULES
                for name in _top_level_definitions(ast.parse(
@@ -107,11 +114,20 @@ def test_every_definition_is_named_somewhere():
 
 
 def test_unnamed_definition_is_found(tmp_path):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "m.py").write_text(
-        "def used():\n    pass\n\n\ndef dead():\n    return used()\n")
+    pkg = tmp_path / "src" / "sqmzoo"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        "def used():\n    pass\n\n\ndef dead():\n    return used()\n\n\n"
+        "def exported():\n    pass\n\n\ndef tested():\n    pass\n")
+    (pkg / "__init__.py").write_text(
+        "from .m import exported, tested\n\n__all__ = ['exported']\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from sqmzoo.m import tested\n\n\ndef test_m():\n"
+        "    assert tested() is None\n")
     counts = _word_counts(tmp_path)
-    assert (counts["used"], counts["dead"]) == (2, 1)
+    assert [counts[name] for name in ("used", "dead", "exported", "tested")] \
+        == [2, 1, 2, 1]
 
 
 def _node_types():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sqmzoo.expr import parse
-from sqmzoo.fields import (evaluate, fconst, fdet, fexp, fexpr, fgrid, finv,
-                           fmatmul, fpow, fscale, fsum)
+from sqmzoo.fields import (fconst, fdet, fexp, fexpr, fgrid, finv, fmatmul,
+                           fpow, fscale, fsum)
 from sqmzoo.jets import (MAX_ORDER, jet_space, join_points, monomial,
                          split_points)
 
@@ -21,8 +21,8 @@ def fd_first(field, point, i):
     p_minus = list(point)
     p_plus[i] += STEP
     p_minus[i] -= STEP
-    a = evaluate(field, tuple(p_plus))[:, :, 0]
-    b = evaluate(field, tuple(p_minus))[:, :, 0]
+    a = field.eval_jet(tuple(p_plus))[:, :, 0]
+    b = field.eval_jet(tuple(p_minus))[:, :, 0]
     return (a - b) / (2 * STEP)
 
 
@@ -31,9 +31,9 @@ def fd_second(field, point, i, j):
         p_plus, p_0, p_minus = list(point), list(point), list(point)
         p_plus[i] += STEP
         p_minus[i] -= STEP
-        a = evaluate(field, tuple(p_plus))[:, :, 0]
-        b = evaluate(field, tuple(p_0))[:, :, 0]
-        c = evaluate(field, tuple(p_minus))[:, :, 0]
+        a = field.eval_jet(tuple(p_plus))[:, :, 0]
+        b = field.eval_jet(tuple(p_0))[:, :, 0]
+        c = field.eval_jet(tuple(p_minus))[:, :, 0]
         return (a - 2 * b + c) / STEP ** 2
     acc = 0
     for si in (1, -1):
@@ -41,14 +41,14 @@ def fd_second(field, point, i, j):
             p = list(point)
             p[i] += si * STEP
             p[j] += sj * STEP
-            acc = acc + si * sj * evaluate(field, tuple(p))[:, :, 0]
+            acc = acc + si * sj * field.eval_jet(tuple(p))[:, :, 0]
     return acc / (4 * STEP ** 2)
 
 
 def assert_jets_match_fd(field, points, check_second=True):
     n = field.ncoords
     for point in points:
-        jet = evaluate(field, point, order=2 if check_second else 1)
+        jet = field.eval_jet(point, order=2 if check_second else 1)
         space = jet_space(n, 2 if check_second else 1)
         for i in range(n):
             unit = tuple(1 if k == i else 0 for k in range(n))
@@ -98,14 +98,14 @@ def test_composite_matrix_fields_match_fd():
 
 def test_constant_field_all_partials_zero():
     f = fconst(np.diag([1.0, 2.0]), 3)
-    jet = evaluate(f, (0.3, -0.2, 0.9), order=3)
+    jet = f.eval_jet((0.3, -0.2, 0.9), order=3)
     assert np.abs(jet[:, :, 1:]).max() == 0.0
 
 
 def test_mixed_partial_xy():
     f = fexpr(parse("x*y", ["x", "y"]), 2)
     space = jet_space(2, 2)
-    jet = evaluate(f, (1.7, -2.2), order=2)
+    jet = f.eval_jet((1.7, -2.2), order=2)
     assert jet[0, 0, space.index[(1, 1)]] == pytest.approx(1.0)
     assert jet[0, 0, space.index[(2, 0)]] == pytest.approx(0.0)
 
@@ -116,7 +116,7 @@ def test_jet_symmetry_of_mixed_partials():
     g1 = f.deriv((1, 0)).deriv((0, 1))
     g2 = f.deriv((0, 1)).deriv((1, 0))
     p = (0.4, 0.8)
-    assert np.allclose(evaluate(g1, p), evaluate(g2, p), atol=1e-13)
+    assert np.allclose(g1.eval_jet(p), g2.eval_jet(p), atol=1e-13)
 
 
 # -- matrix exponential ------------------------------------------------------
@@ -124,16 +124,16 @@ def test_jet_symmetry_of_mixed_partials():
 
 def test_matexp_zero_is_identity():
     z = fconst(np.zeros((3, 3)), 1)
-    # fexp folds the zero field; evaluate through the generic node too
+    # fexp folds the zero field; eval_jet through the generic node too
     from sqmzoo.fields import MatExpField
-    val = evaluate(MatExpField(z), (0.1,))[:, :, 0]
+    val = MatExpField(z).eval_jet((0.1,))[:, :, 0]
     assert np.allclose(val, np.eye(3), atol=1e-15)
 
 
 def test_matexp_diagonal():
     d = fgrid([[fexpr(parse("x", ["x", "y"]), 2), fexpr(parse("0", ["x", "y"]), 2)],
                [fexpr(parse("0", ["x", "y"]), 2), fexpr(parse("y", ["x", "y"]), 2)]])
-    val = evaluate(fexp(d), (0.3, -1.2))[:, :, 0]
+    val = fexp(d).eval_jet((0.3, -1.2))[:, :, 0]
     assert np.allclose(np.diag(val), [np.exp(0.3), np.exp(-1.2)], rtol=1e-14)
 
 
@@ -145,7 +145,7 @@ def test_matexp_inverse_identity():
         om = fconst(w, 1)
         from sqmzoo.fields import MatExpField
         prod = fmatmul(MatExpField(om), MatExpField(fscale(-1.0, om)))
-        val = evaluate(prod, (0.0,))[:, :, 0]
+        val = prod.eval_jet((0.0,))[:, :, 0]
         assert np.abs(val - np.eye(3)).max() < 1e-12
 
 
@@ -161,8 +161,8 @@ def test_matexp_commuting_factorisation():
     lhs = fexp(fsum([A, B]))
     rhs = fmatmul(fexp(A), fexp(B))
     for x in (0.0, 0.7, -1.1):
-        va = evaluate(lhs, (x,))[:, :, 0]
-        vb = evaluate(rhs, (x,))[:, :, 0]
+        va = lhs.eval_jet((x,))[:, :, 0]
+        vb = rhs.eval_jet((x,))[:, :, 0]
         assert np.abs(va - vb).max() < 1e-10
 
 
@@ -173,7 +173,7 @@ def test_matexp_jets_vs_fd_spec_example():
                [fexpr(parse("0", coords), 1), fexpr(parse("-x", coords), 1)]])
     e = fexp(m)
     point = (0.3,)
-    jet = evaluate(e, point, order=1)
+    jet = e.eval_jet(point, order=1)
     approx = fd_first(e, point, 0)
     exact = jet[:, :, 1]
     assert np.abs(exact - approx).max() / np.abs(exact).max() < 1e-6
@@ -184,18 +184,18 @@ def test_scipy_expm_oracle():
     rng = np.random.default_rng(11)
     w = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
     from sqmzoo.fields import MatExpField
-    val = evaluate(MatExpField(fconst(w, 1)), (0.0,))[:, :, 0]
+    val = MatExpField(fconst(w, 1)).eval_jet((0.0,))[:, :, 0]
     assert np.abs(val - scipy_linalg.expm(w)).max() < 1e-12
 
 
 def test_inverse_and_det_values():
     rng = np.random.default_rng(7)
     w = rng.uniform(-1, 1, (4, 4)) + np.eye(4) * 3
-    inv = evaluate(finv(fconst(w, 1)), (0.5,))[:, :, 0]
+    inv = finv(fconst(w, 1)).eval_jet((0.5,))[:, :, 0]
     assert np.abs(inv - np.linalg.inv(w)).max() < 1e-12
     det_f = fdet(fconst(w, 1))
     # fdet folds constants; check value
-    assert evaluate(det_f, (0.5,))[0, 0, 0] == pytest.approx(np.linalg.det(w))
+    assert det_f.eval_jet((0.5,))[0, 0, 0] == pytest.approx(np.linalg.det(w))
 
 
 def test_order_cap_enforced():
@@ -203,7 +203,7 @@ def test_order_cap_enforced():
     f = fexpr(parse("x^5", ["x"]), 1)
     g = f.deriv((3,))
     with pytest.raises(OrderOverflow):
-        evaluate(g, (0.5,), order=2)
+        g.eval_jet((0.5,), order=2)
 
 
 def test_matexp_nonconvergence_raises():

@@ -49,9 +49,8 @@ def test_free_complex_d1_hamiltonian():
     spec = m.sample_spec(n_points=4, seed=4)
     # H = pibar pi = (px^2 + py^2)/2: coefficient -1/2 on both second derivs
     h = m.op("H")
-    from sqmzoo.fields import evaluate
-    val_xx = evaluate(h.terms[(2, 0)], spec.points()[0])[:, :, 0]
-    val_yy = evaluate(h.terms[(0, 2)], spec.points()[0])[:, :, 0]
+    val_xx = h.terms[(2, 0)].eval_jet(spec.points()[0])[:, :, 0]
+    val_yy = h.terms[(0, 2)].eval_jet(spec.points()[0])[:, :, 0]
     assert np.allclose(val_xx, -0.5 * np.eye(2))
     assert np.allclose(val_yy, -0.5 * np.eye(2))
     assert_zero(anticommutator(m.op("Qbar"), m.op("Q")) - 2.0 * h, spec)

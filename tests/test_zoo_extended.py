@@ -131,7 +131,13 @@ def test_gibbons_hawking_theorem2():
 
 
 def test_kahler_but_not_hyperkahler_violates():
-    m = zoo.hyperkahler_kahler_control()
+    """Negative control: the warped Kahler metric with the flat canonical
+    triple; only one structure is covariantly constant, so parts of the
+    N=8 algebra must fail."""
+    geo, _om = zoo._warped_geometry("0.3*sin(x1) + 0.2*x2^2")
+    m = zoo.hyperkahler(geo, [
+        geometry.constant_structure(c, 4, label=a + 1)
+        for a, c in enumerate(geometry.canonical_triple(4))])
     spec = m.sample_spec(n_points=6, seed=7)
     hypotheses = {r.name: r.verdict for r in verify.run_check(
         "structure", m, spec, expect="any")}
@@ -274,8 +280,7 @@ def test_instanton_large_rho_approaches_free():
     spec = m.sample_spec(n_points=3, seed=16)
     # the gauge field scales like 1/rho^2: the order-0 part of Q vanishes
     zero_coeff = m.op("Q1").terms.get((0, 0, 0, 0))
-    from sqmzoo.fields import evaluate
-    val = evaluate(zero_coeff, spec.points()[0])[:, :, 0]
+    val = zero_coeff.eval_jet(spec.points()[0])[:, :, 0]
     assert np.abs(val).max() < 1e-11
 
 

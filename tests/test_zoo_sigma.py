@@ -4,12 +4,41 @@ import numpy as np
 import pytest
 
 from sqmzoo import zoo
-from sqmzoo.clifford import bilinear, grade_decompose
+from sqmzoo.clifford import bilinear, complex_fermions
 from sqmzoo.diffop import anticommutator, compose, is_zero, similarity
-from sqmzoo.fields import evaluate, fdet, fidentity, flog, fscale, ftranspose
+from sqmzoo.fields import fdet, fidentity, flog, fscale, ftranspose
 
 OMEGA_2D = [["0.2*sin(x1)", "0.1*(x2 + y1)"],
             ["0.1*x1*y2", "0.15*(x2^2 - y2)"]]
+
+
+def number_projectors(rep):
+    """Projectors onto fermion-number eigenspaces (diagonal in this basis)."""
+    num = np.round(np.diag(rep.number_op()).real).astype(int)
+    return {n: np.diag((num == n).astype(np.complex128))
+            for n in sorted(set(num))}
+
+
+def grade_decompose(rep, matrix):
+    """Split a Fock matrix by fermion-number transfer g: M = sum_g M_g,
+    with M_g mapping number-n states to number-(n+g) states."""
+    projs = number_projectors(rep)
+    out = {}
+    for n_out, p_out in projs.items():
+        for n_in, p_in in projs.items():
+            block = p_out @ matrix @ p_in
+            if np.abs(block).max() > 0:
+                out.setdefault(n_out - n_in, np.zeros_like(matrix))
+                out[n_out - n_in] += block
+    return out
+
+
+def test_grade_decompose_roundtrip():
+    rep = complex_fermions(2)
+    m = rep.psi[0] + rep.psi[0] @ rep.psibar[1] + rep.psibar[0] @ rep.psibar[1]
+    grades = grade_decompose(rep, m)
+    assert set(grades) == {1, 0, -2}
+    assert np.abs(sum(grades.values()) - m).max() < 1e-15
 
 
 def assert_zero(op, spec, tol=1e-9):
@@ -35,7 +64,7 @@ def test_dolbeault_scalar_metric():
     # h = e^{2u} for scalar omega = u
     p = spec.points()[0]
     u = 0.25 * (p[0] ** 2 + p[1] ** 2)
-    h = evaluate(m.meta["hermitian_metric"], p)[0, 0, 0]
+    h = m.meta["hermitian_metric"].eval_jet(p)[0, 0, 0]
     assert h == pytest.approx(np.exp(2 * u), rel=1e-12)
 
 
@@ -163,7 +192,7 @@ def test_antiholomorphic_rotation_structure():
     for alpha, f in m.op("Q").terms.items():
         if sum(alpha) != 1:
             continue
-        val = evaluate(f, p)[:, :, 0]
+        val = f.eval_jet(p)[:, :, 0]
         grades = grade_decompose(m.rep, val)
         if -1 in grades and np.abs(grades[-1]).max() > 1e-10:
             found = True
