@@ -16,8 +16,11 @@ strings, and numbers (see docs/scenarios.md for the exact schema):
     report: witten.report.txt
 
 Check entries (``verify.CHECKS`` names the checks) and values follow
-six rules:
+seven rules:
 
+* an absent or null key means its default, for a section and for an
+  optional scalar alike: ``seed``, ``points``, ``tolerances.pass``,
+  ``tolerances.violation``, an exclusion's ``min`` and a check's ``tol``;
 * ``expect`` applies to every check: it replaces the expectation of each
   relation expected to pass, while built-in ``violated`` (gauge Q^2) and
   ``exploratory`` relations keep theirs;
@@ -31,11 +34,10 @@ six rules:
   or ``torsion_rotate`` ``base`` that is not a mapping with a catalog
   ``constructor`` and mapping ``params``, a ``params``, ``tolerances``,
   ``box`` or ``exclusions`` value of the wrong type, falsy ones such as
-  ``false``, ``[]`` or ``0`` included (only an absent or null section
-  means the defaults), a model param the constructor does not take, a
-  missing or unparsable one, a param value the constructor rejects with
-  a ValueError or ArithmeticError,
-  ``checks`` that are not a list of names or mappings with a string
+  ``false``, ``[]`` or ``0`` included, a model param the constructor
+  does not take, a missing or unparsable one, a param value the
+  constructor rejects with a ValueError or ArithmeticError, ``checks``
+  that are not a list of at least one name or mapping with a string
   ``name``, an unknown check name, ``expect`` value, entry key or
   operator name, a missing ``equal`` operand, ``points < 1``, a negative
   ``seed``, a ``box`` key that is not a model coordinate, a box value
@@ -170,13 +172,20 @@ def _number(value, what, kind=float):
     return x
 
 
+def _value(doc, key, default):
+    """``doc[key]``, or ``default`` when it is absent or null."""
+    value = doc.get(key)
+    return default if value is None else value
+
+
 def build_tolerances(doc, tol=None):
     """The (pass, violation) gates of a scenario; ``tol`` overrides the
     pass gate, and the pair must satisfy 0 < pass < violation."""
     section = _section(doc, "tolerances", dict, "tolerances must be a mapping")
     tol_pass = _number(tol if tol is not None
-                       else section.get("pass", TOL_PASS), "tolerances.pass")
-    tol_violation = _number(section.get("violation", TOL_VIOLATION),
+                       else _value(section, "pass", TOL_PASS),
+                       "tolerances.pass")
+    tol_violation = _number(_value(section, "violation", TOL_VIOLATION),
                             "tolerances.violation")
     if not 0 < tol_pass < tol_violation:
         raise ScenarioError(f"tolerances need 0 < pass < violation, got pass "
@@ -185,12 +194,12 @@ def build_tolerances(doc, tol=None):
 
 
 def build_sample_spec(doc, model, seed=None, points=None):
-    seed = _number(seed if seed is not None else doc.get("seed", 0), "seed",
-                   int)
+    seed = _number(seed if seed is not None else _value(doc, "seed", 0),
+                   "seed", int)
     if seed < 0:
         raise ScenarioError(f"seed must not be negative, got {seed}")
-    points = _number(points if points is not None else doc.get("points", 20),
-                     "points", int)
+    points = _number(points if points is not None
+                     else _value(doc, "points", 20), "points", int)
     if points < 1:
         raise ScenarioError(f"points must be at least 1, got {points}")
     box_map = _section(doc, "box", dict,
@@ -225,7 +234,7 @@ def build_sample_spec(doc, model, seed=None, points=None):
             expr = parse_expr(exc["expr"], model.coords)
         except ExprError as err:
             raise ScenarioError(f"exclusion {exc['expr']!r}: {err}") from None
-        exclusions.append(Exclusion(expr, _number(exc.get("min", 0.1),
+        exclusions.append(Exclusion(expr, _number(_value(exc, "min", 0.1),
                                                   "exclusion min")))
     return SampleSpec(box=tuple(box), n_points=points, seed=seed,
                       exclusions=tuple(exclusions))
@@ -252,7 +261,9 @@ def _check_entry(chk):
         inspect.signature(verify.CHECKS[name]).bind(None, **params)
     except TypeError as exc:
         raise ScenarioError(f"check {name!r}: {exc}") from None
-    if "tol" in params:
+    if params.get("tol") is None:
+        params.pop("tol", None)
+    else:
         params["tol"] = _number(params["tol"], f"check {name!r}: tol")
         if params["tol"] <= 0:
             raise ScenarioError(f"check {name!r}: tol must be positive, got "
@@ -261,10 +272,11 @@ def _check_entry(chk):
 
 
 def run_checks(doc, model, spec, tols):
-    checks = doc.get("checks")
-    if checks is not None and not isinstance(checks, list):
-        raise ScenarioError(f"checks must be a list, got {checks!r}")
-    entries = [_check_entry(chk) for chk in checks or ["suite"]]
+    checks = _value(doc, "checks", ["suite"])
+    if not isinstance(checks, list) or not checks:
+        raise ScenarioError(f"checks must be a list of at least one check, "
+                            f"got {checks!r}")
+    entries = [_check_entry(chk) for chk in checks]
     reports = []
     for name, expect, params in entries:
         try:

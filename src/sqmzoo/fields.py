@@ -22,30 +22,31 @@ takes the union of its children's.  So a product of two fields of one
 coordinate each runs over two coordinates' terms, whatever the model's
 coordinate count; a reader over more coordinates reads a jet embedded
 by a compile-time table, and :meth:`Field.eval_jet` returns the jet
-over all the node's coordinates.
-A sum, a product or a scalar product reads a child of empty support, a
-constant, as its one term in place: a sum adds it to term 0, and
-:meth:`JetSpace.mul` and :meth:`JetSpace.scal_mul` multiply through it
-over the other factor's live terms, the very pairs its embedding would
-leave live.  A derivative along a coordinate outside its field's
-support is folded to the zero field when it is built
-(:meth:`Field.deriv`), so it never becomes a node, and the products,
-scales and sums the folding constructors build from it vanish with it.
+over all the node's coordinates.  Two reads take no embedding.  An
+order-0 jet is its value over any coordinates, one term, so a read at
+order 0 is the jet itself, or its one-term prefix, whatever the two
+supports (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  And
+above order 0 only a product or a scalar product reads a child of empty
+support, a constant, as its one term in place: :meth:`JetSpace.mul` and
+:meth:`JetSpace.scal_mul` multiply through it over the other factor's
+live terms, the very pairs its embedding would leave live.  A
+derivative along a coordinate outside its field's support is folded to
+the zero field when it is built (:meth:`Field.deriv`), so it never
+becomes a node, and the products, scales and sums the folding
+constructors build from it vanish with it.
 
-A product with a constant factor whose matrix is a Fock monomial (at
-most one nonzero in each row and column, each purely real or purely
-imaginary: :func:`.jets.monomial`) runs as a signed gather of the other
-factor's rows or columns (:class:`.jets.Monomial`): a product's step at
-any order, a product a sum's step absorbs, and the folding of two
-constants by :func:`fmatmul`.  The constant's form is decided the
-first time a product asks and kept on the constant, and a tape picks
-each product's kernel when it is compiled, never per run.  For
-finite operands the gather equals the dense product as numbers, every
-zero +0 as in the rank passes of :meth:`JetSpace.mul`; a non-finite
-operand takes the dense path, so every ``0 * inf`` NaN stays.  A
-product by a unit monomial, whose entries are 1, -1, i or -i, takes its
-subtree maximum from its kids' (see :class:`Tape`) without reducing its
-own jet; it is the only step that does.
+A product picks its own kernel.  A :class:`MatMulField` with a constant
+factor whose matrix is a Fock monomial (at most one nonzero in each row
+and column, each purely real or purely imaginary: :func:`.jets.monomial`)
+settles that form once, when it is built, and runs as a signed gather
+of the other factor's rows or columns (:class:`.jets.Monomial`): in its
+own step at any order and in a sum's step that absorbs it.  The folding
+of two constants by :func:`fmatmul` gathers too.  For finite operands the gather equals the dense product
+as numbers, every zero +0 as in the rank passes of :meth:`JetSpace.mul`;
+a non-finite operand takes the dense path, so every ``0 * inf`` NaN
+stays.  A product by a unit monomial, whose entries are 1, -1, i or -i,
+takes its subtree maximum from its kids' (see :class:`Tape`) without
+reducing its own jet; it is the only step that does.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -131,7 +132,7 @@ class _Mag:
         jets of the nodes it absorbed (see :class:`_Combination`).  A
         ``jet`` of None is the jet of a product by a unit monomial, whose
         values are its kids' entries, or zeros, times exact unit factors
-        (:class:`_Gather`), so its row folds only theirs."""
+        (:attr:`MatMulField._form`), so its row folds only theirs."""
         value = self.value
         n = value.shape[1]
         m = value[step]
@@ -174,9 +175,11 @@ def _view(have, sub, order, sup, reader=None):
     """How ``reader``, over the coordinates ``sup``, reads at ``order`` a
     jet held over ``sub`` at order ``have``: None for the jet itself, a
     term count for a prefix, or ``(table, nterms)`` for an embedding.  A
-    constant's one term, held over no coordinates, is read in place by a
-    reader whose ``_compute`` takes it so (``one_term_kids``)."""
-    if sub == sup:
+    jet's order-0 part is its value over any coordinates, so an order-0
+    read is never embedded.  Above order 0, a constant's one term, held
+    over no coordinates, is read in place by a product, whose
+    ``_compute`` takes it so (``one_term_kids``)."""
+    if sub == sup or order == 0:
         return None if have == order else jet_space(len(sub), order).nterms
     if not sub and reader is not None and reader.one_term_kids:
         return None
@@ -197,66 +200,24 @@ def _serve(jet, view):
     return out
 
 
-def _add_up(terms, nterms):
-    """The sum of the jets ``terms`` of ``nterms`` terms, added in order
-    as the first one's copy plus each of the others.  A one-term jet in
-    a sum of more terms is a constant read in place: it adds to plane 0
-    only, where its embedding would also add zeros to the other terms."""
-    first = terms[0]
-    if len(first) == nterms:
-        out = first.copy()
-    else:
-        out = np.zeros((nterms,) + first.shape[1:], dtype=np.complex128)
-        out[:1] = first
+def _add_up(terms):
+    """The sum of the jets ``terms``, all of one shape, added in order as
+    the first one's copy plus each of the others."""
+    out = terms[0].copy()
     for jet in terms[1:]:
-        if len(jet) == nterms:
-            out += jet
-        else:
-            out[:1] += jet
+        out += jet
     return out
 
 
-def _gather(product):
-    """``(left, form)`` for a :class:`MatMulField` with a constant factor
-    of monomial form ``form``, the first factor if ``left``, so that it
-    runs as a signed gather; None for any other product."""
-    a, b = product.children
-    if a.__class__ is ConstField and a._monomial is not None:
-        return True, a._monomial
-    if b.__class__ is ConstField and b._monomial is not None:
-        return False, b._monomial
-    return None
-
-
-def _gathered(gather, A, B, n, out=None):
+def _gathered(form, A, B, n, out=None):
     """The product of the stacked jets ``A`` and ``B`` of ``n`` points by
-    the signed gather ``gather`` (see :func:`_gather`), as ``(T, n,
-    rows, cols)`` into ``out`` if given, or None when the other factor
-    is not finite."""
-    left, form = gather
+    a product's monomial form ``form`` (:attr:`MatMulField._form`), as
+    ``(T, n, rows, cols)`` into ``out`` if given, or None when the other
+    factor is not finite."""
+    left, mono = form
     if left:
-        return form.left(split_points(B, n), out)
-    return form.right(split_points(A, n), out)
-
-
-class _Gather:
-    """The step of a product with a constant monomial factor (see
-    :func:`_gather`): its jet is the signed gather of the other factor,
-    or the product's own dense jet when that factor is not finite.  A
-    product by a ``unit`` monomial has values that are the other
-    factor's entries, or zeros, times exact unit factors."""
-
-    __slots__ = ("node", "gather", "unit")
-
-    def __init__(self, node, gather):
-        self.node, self.gather = node, gather
-        self.unit = gather[1].unit
-
-    def _compute(self, at, order, kids):
-        out = _gathered(self.gather, *kids, at.n)
-        if out is None:
-            return self.node._compute(at, order, kids)
-        return join_points(out)
+        return mono.left(split_points(B, n), out)
+    return mono.right(split_points(A, n), out)
 
 
 class _Combination:
@@ -278,8 +239,9 @@ class _Combination:
     one stack: first the products, those by a unit monomial first, the
     unscaled ones (``p``) before the scaled ones (``s``), then the other
     scaled ones and the other unscaled ones, so that the scaled ones
-    are the slots from ``scaled`` on, each by its signed gather
-    (:func:`_gather`) or by :func:`value_product`, as
+    are the slots from ``scaled`` on, each by the kernel its product
+    node picked, the signed gather of its monomial form
+    (:attr:`MatMulField._form`), or else :func:`value_product`, as
     :meth:`JetSpace.mul` computes it at one term; then the scaled
     products, by one broadcast ``coeffs * stack``, which rounds as each
     ``c * x`` does; then each ``c_j X_j`` (``x``).  The sum adds its
@@ -304,11 +266,11 @@ class _Combination:
     def __init__(self, node, order, kids, tables, step_of, kind):
         nodes, kids_of, want = tables
         sup = node.support
-        kinds, gathers = [], []     # each kid's kind, and its product's kernel
+        kinds, gathers = [], []     # each kid's kind, and its product's form
         for kid in kids:
             kd, gather = kind[kid], None
             if kd == "p" or kd == "s":
-                gather = _gather(nodes[kids_of[kid][0] if kd == "s" else kid])
+                gather = nodes[kids_of[kid][0] if kd == "s" else kid]._form
                 if gather is not None and gather[1].unit:
                     kd += "u"
             kinds.append(kd)
@@ -397,8 +359,7 @@ class _Combination:
         sources = (stack, kids)
         if unit:
             stack = stack[unit:] if unit < len(stack) else None
-        return _add_up([sources[s][i] for s, i in self.terms],
-                       self.nterms), stack
+        return _add_up([sources[s][i] for s, i in self.terms]), stack
 
 
 # the most bytes of jets a tape run may hold at once (see Tape.blocks)
@@ -440,9 +401,10 @@ class Tape:
     reverse, every reader of a pair before the pair, and gives each pair
     its order, its read count and its absorption kind.  The emission
     gives each group's pairs their steps in table order, after the steps
-    they read, and skips the absorbed pairs.  A reader over more
-    coordinates than a step's support reads its jet embedded by a
-    compile-time table (:func:`_view`).  A group's roots are read out
+    they read, and skips the absorbed pairs.  A reader above order 0
+    over more coordinates than a step's support reads its jet embedded
+    by a compile-time table, unless it is a product reading a constant
+    (:func:`_view`).  A group's roots are read out
     over their support after the last step it needs, and each jet is
     dropped after its last use, by a step or a read-out.  The compile
     tables are dropped when the constructor returns; a step record is
@@ -458,13 +420,13 @@ class Tape:
     :class:`_Combination` in place of the node, and it reads the
     absorbed nodes' own operands, so each jet's last reader counts those
     reads at the sum's step.  The absorbed nodes' floats are unchanged;
-    :class:`_Combination` gives its slot layout and why.  The step
-    record of a product with a constant monomial factor, which the
-    emission decides once, holds a :class:`_Gather` in place of the
-    node.  The scale hook :meth:`_Mag.update` runs once per executed
-    step; the sum's step folds the absorbed nodes' maxima into its own
-    row.  Every other step reduces its own jet, except the step of a
-    product by a unit monomial, which takes its kids' rows while those
+    :class:`_Combination` gives its slot layout and why.  Every other
+    step record holds its node, and a product's node picks its own
+    kernel (:attr:`MatMulField._form`).  The scale hook
+    :meth:`_Mag.update` runs once per executed step; the sum's step
+    folds the absorbed nodes' maxima into its own row.  Every other step
+    reduces its own jet, except the step of a product by a unit
+    monomial, read from its node, which takes its kids' rows while those
     are finite; where one is not, the step reduces its own jet too,
     since its operand may have taken the dense path, whose ``0 * inf``
     gives NaN where the kids' rows hold inf.
@@ -581,10 +543,6 @@ class Tape:
                                 views[len(read)] = view
                         read.append(j)
                     read, views = tuple(read), views and tuple(views)
-                    if node.__class__ is MatMulField:
-                        gather = _gather(node)
-                        if gather is not None:
-                            node = _Gather(node, gather)
                 steps.append((node, k, frame_of[i], read, views))
                 last.append(None)
                 rows, cols = nodes[i].shape
@@ -660,7 +618,9 @@ class Tape:
                     del stack           # scratch, not to be held past its step
                 else:
                     jet = node._compute(ats[frame], order, args)
-                    unit = node.__class__ is _Gather and node.unit
+                    form = (node._form if node.__class__ is MatMulField
+                            else None)
+                    unit = form is not None and form[1].unit
                     mag.update(i, None if unit else jet, kids)
                     if unit and not np.isfinite(mag.value[i]).all():
                         mag.update(i, jet, kids)
@@ -748,9 +708,11 @@ class Field(metaclass=_Interned):
     coordinate jets.
 
     A jet of a block of ``at.n`` points stacks their jets as in
-    :meth:`JetSpace.mul`: ``(T, at.n * rows, cols)``.  A class that sets
-    ``one_term_kids`` is given a child of empty support as its one term,
-    ``(1, at.n * rows, cols)``, not embedded over the node's support.
+    :meth:`JetSpace.mul`: ``(T, at.n * rows, cols)``.  At order 0 each
+    kid is its one term, its value, whatever its support.  Above order 0
+    a kid arrives over the node's support, except that a class that sets
+    ``one_term_kids`` (a product) is given a child of empty support as
+    its one term, ``(1, at.n * rows, cols)``, not embedded.
 
     Two facts of a node are settled when it is built, from its
     children's (see :class:`_Interned`): ``support``, the ascending
@@ -1013,7 +975,6 @@ class GridField(Field):
 
 class SumField(Field):
     params = ()
-    one_term_kids = True
 
     def __init__(self, children):
         first = children[0]
@@ -1025,7 +986,7 @@ class SumField(Field):
         self.ncoords = first.ncoords
 
     def _compute(self, at, order, kids):
-        return _add_up(kids, self._space(order).nterms)
+        return _add_up(kids)
 
     def _deriv(self, gamma):
         return fsum([ch.deriv(gamma) for ch in self.children],
@@ -1040,6 +1001,13 @@ class SumField(Field):
 
 
 class MatMulField(Field):
+    """The matrix product of two fields.  It picks its own kernel when it
+    is built: ``_form`` is ``(left, form)`` when a factor is a constant
+    of monomial form ``form`` (:func:`.jets.monomial`), the first factor
+    if ``left``, and None otherwise.  With a form, :meth:`_compute` runs
+    the signed gather, and :meth:`JetSpace.mul` only for a non-finite
+    other factor."""
+
     params = ()
     one_term_kids = True
 
@@ -1051,8 +1019,17 @@ class MatMulField(Field):
         self.children = (a, b)
         self.shape = (a.shape[0], b.shape[1])
         self.ncoords = a.ncoords
+        self._form = None
+        if a.__class__ is ConstField and a._monomial is not None:
+            self._form = True, a._monomial
+        elif b.__class__ is ConstField and b._monomial is not None:
+            self._form = False, b._monomial
 
     def _compute(self, at, order, kids):
+        if self._form is not None:
+            out = _gathered(self._form, *kids, at.n)
+            if out is not None:
+                return join_points(out)
         return self._space(order).mul(*kids)
 
     def _conj_t(self):

@@ -43,7 +43,6 @@ class GeometryData:
     metric: object            # g[M, N]
     christoffel: tuple        # christoffel[N] is the matrix field [M, K]
     spin_connection: tuple    # spin_connection[M] is the matrix field [A, B]
-    christoffel_entries: dict  # scalar fields keyed (N, M, K)
 
     def sqrt_det_metric(self):
         return fpow(fdet(self.metric), 1, 2)
@@ -89,12 +88,13 @@ def _christoffel_entries(g, ginv, dim, ncoords):
     return entries
 
 
-def _gamma_slice(entries, dim, p):
+def _gamma_slice(christoffel, dim, p):
     """Matrix field G[S, M] = Gamma^S_{PM} for fixed lower index P."""
-    return fgrid([[entries[(s, p, m)] for m in range(dim)] for s in range(dim)])
+    return fgrid([[fentry(christoffel[s], p, m) for m in range(dim)]
+                  for s in range(dim)])
 
 
-def _spin_connection(e, einv, entries, dim, ncoords):
+def _spin_connection(e, einv, christoffel, dim, ncoords):
     """Omega[M][A, B] = sum_N einv[N, A] (d_M e[B, N] + sum_K Gamma^N_MK e[B, K])."""
     omegas = []
     for m in range(dim):
@@ -102,7 +102,7 @@ def _spin_connection(e, einv, entries, dim, ncoords):
         # first part: sum_N einv[N,A] dM e[B,N] = (de . einv)^T [A, B]
         part1 = ftranspose(fmatmul(de, einv))
         # second: sum_{N,K} einv[N,A] Gamma^N_MK e[B,K] = (einv^T Gamma_M e^T)[A, B]
-        gm = _gamma_slice(entries, dim, m)
+        gm = _gamma_slice(christoffel, dim, m)
         part2 = fmatmul(ftranspose(einv), gm, ftranspose(e))
         omegas.append(fsum([part1, part2], (dim, dim), ncoords))
     return tuple(omegas)
@@ -138,12 +138,12 @@ def _geometry(e, einv, g, ginv):
     christoffel[N][M, K] is Gamma^N_MK."""
     dim, ncoords = g.shape[0], g.ncoords
     entries = _christoffel_entries(g, ginv, dim, ncoords)
+    christoffel = tuple(fgrid([[entries[(n, m, k)] for k in range(dim)]
+                               for m in range(dim)]) for n in range(dim))
     return GeometryData(
         dim=dim, ncoords=ncoords, e=e, einv=einv, metric=g,
-        christoffel=tuple(fgrid([[entries[(n, m, k)] for k in range(dim)]
-                                 for m in range(dim)]) for n in range(dim)),
-        spin_connection=_spin_connection(e, einv, entries, dim, ncoords),
-        christoffel_entries=entries)
+        christoffel=christoffel,
+        spin_connection=_spin_connection(e, einv, christoffel, dim, ncoords))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def _covariant_derivative(t, geo):
     dim, nc = geo.dim, geo.ncoords
     out = []
     for p in range(dim):
-        gp = _gamma_slice(geo.christoffel_entries, dim, p)
+        gp = _gamma_slice(geo.christoffel, dim, p)
         out.append(fsum([t.deriv(unit_index(nc, p)),
                          fscale(-1.0, fmatmul(ftranspose(gp), t)),
                          fscale(-1.0, fmatmul(t, gp))], (dim, dim), nc))

@@ -165,11 +165,13 @@ FREE_COMPLEX = "{constructor: free_complex, params: {d: 2}}"
     (WITTEN, "{name: suite}", "checks must be a list"),
     (WITTEN, "[7]", "check entry must be"),
     (WITTEN, "[{name: [suite]}]", "check entry must be"),
+    # a list that names no check is no request for the default suite
+    (WITTEN, "[]", "checks must be a list of at least one check, got []"),
 ], ids=["typo-and-bad-expect", "typo-key", "bad-expect", "missing-operand",
         "unknown-operator", "unknown-check", "non-numeric-tol", "zero-tol",
         "unparsable-model-param", "missing-model-param",
         "no-complex-structure", "checks-number", "checks-mapping",
-        "check-entry-number", "check-name-not-string"])
+        "check-entry-number", "check-name-not-string", "checks-empty"])
 def test_bad_check_entry_is_scenario_error(tmp_path, capsys, model, checks,
                                            message):
     assert main(["run", _scenario(tmp_path, model, checks)]) == 2
@@ -221,6 +223,26 @@ def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
     # a failed guard's text ends at the value: the point is printed once,
     # by the "at point (...)" prefix, not again after the value
     assert " at (" not in err, err
+
+
+def test_null_scalars_mean_their_defaults(tmp_path):
+    """``seed``, ``points``, both tolerances, an exclusion's ``min`` and
+    a check's ``tol`` set to null read as absent, as a null section does:
+    the report is that of the scenario without them."""
+    def run(name, body):
+        path = tmp_path / name
+        path.write_text(f"name: t\nmodel: {WITTEN}\n{body}")
+        return run_scenario(str(path))
+
+    nulls = run("nulls.yaml",
+                "checks: [suite, {name: equal, a: Q, b: Q, tol: null}]\n"
+                "seed: null\npoints: null\n"
+                "tolerances: {pass: null, violation: null}\n"
+                "exclusions: [{expr: x, min: null}]\n")
+    plain = run("plain.yaml", "checks: [suite, {name: equal, a: Q, b: Q}]\n"
+                "exclusions: [{expr: x}]\n")
+    assert nulls == plain
+    assert nulls[0] == 0 and "seed: 0 | points: 20" in nulls[1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

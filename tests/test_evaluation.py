@@ -110,7 +110,8 @@ def _combinations():
     one-term products, two scales of a product both read, a scale of a
     jet held at a higher order, a constant and a product of a constant.
     A sum a derivative asks for at order 1 has products of three terms, a
-    constant read in place and products of a constant.  A root of group 0
+    constant it reads embedded and products that read a constant in
+    place.  A root of group 0
     is read by group 1's sum, and a sum reads one product twice."""
     xy = ("x", "y")
 
@@ -362,6 +363,48 @@ def test_sums_absorb_only_children_they_alone_read(monkeypatch):
     for order, absorbed, stack in stacks:
         assert sorted(slot.tobytes() for slot in stack) == sorted(
             _one_by_one(f, at, order).tobytes() for f in absorbed)
+
+
+def test_an_order_0_read_takes_no_embedding():
+    """A jet's order-0 part is its value over any coordinates: in a DAG
+    of supports {x}, {y}, {z} and their unions, every read at order 0,
+    by a step or a read-out, is the jet itself or its one-term prefix,
+    the prefix of a jet a derivative lifted to order 1 included.  The
+    root jets are the node-by-node ones bit for bit, and equal the values
+    of their order-1 jets over all coordinates, whose reads are
+    embedded."""
+    xyz = ("x", "y", "z")
+
+    def e(text):
+        return ExprField(parse(text, xyz), 3)
+
+    gx = GridField([[e("1 + x"), e("x^2")], [e("sin(x)"), e("2*x - i")]])
+    gy = GridField([[e("y"), e("cos(y)")], [e("1 - y"), e("0.5*i*y^3")]])
+    total = SumField([gx, gy, ScaleField(2.0, MatMulField(gx, gy))])
+    groups = [[total, GridField([[e("x"), e("y")]])],
+              [ScalarMulField(e("z"), gx), DerivativeField(gx, (1, 0, 0))]]
+    tape = Tape(groups)
+
+    def node_of(step):
+        node = step[0]
+        return node.node if type(node) is fields._Combination else node
+
+    views, crossing = [], 0
+    for step in tape._steps:
+        if step[1] == 0:
+            views += step[4] or ()
+            crossing += sum(node_of(tape._steps[k]).support !=
+                            node_of(step).support for k in step[3])
+    views += [v for _, root_views, _ in tape._reads for v in root_views]
+    assert crossing >= 6 and 1 in views
+    assert all(v is None or type(v) is int for v in views)
+    points = [(0.3, -0.7, 0.2), (-0.1, 0.5, -0.4)]
+    at = fields._At(np.array(points))
+    for (jets, _), group in zip(tape.run(points), groups):
+        for jet, f in zip(jets, group):
+            assert jet.tobytes() == _one_by_one(f, at, 0).tobytes()
+            for j, p in zip(split_points(jet, len(points))[0], points):
+                assert np.array_equal(j, f.eval_jet(p, 1)[..., 0])
 
 
 def test_fusion_does_not_change_theorem2():
@@ -688,7 +731,7 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
         products = [f for f in _nodes(high + low) if type(f) is MatMulField
                     and (consts[0] in f.children or consts[1] in f.children)]
         assert products and all(
-            (fields._gather(f) is None) == (consts is dense)
+            (f._form is None) == (consts is dense)
             for f in products)
     combination, = [s[0] for s in tape._steps
                     if type(s[0]) is fields._Combination]

@@ -247,3 +247,83 @@ def test_report_name_is_found():
             "verdict, tol = classify(res)\n"
             "reclassify = CheckReports = 1\n")
     assert _report_names(text) == ["classify", "make_report"]
+
+
+# a Sphinx cross-reference in a docstring: its role and its target
+_REFERENCE = re.compile(r":(class|func|meth|attr):`~?\.?([\w.]+)`")
+
+
+def _bound(node):
+    """The names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {node.name}
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def _stale_references(paths):
+    """``(file, target)`` for each ``:class:``, ``:func:``, ``:meth:`` or
+    ``:attr:`` reference in the docstrings of the modules ``paths`` that
+    names nothing.  A target, less a leading module name of the package,
+    resolves when it names a module-level definition or a class member
+    of any of the modules, or is ``Class.member``; a class's members are
+    the names its body defines and the ``self.`` attributes it sets."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path)) for path in paths}
+    modules = {Path(name).stem for name in trees}
+    top, members = set(), {}
+    for tree in trees.values():
+        for node in tree.body:
+            top |= _bound(node)
+            if isinstance(node, ast.ClassDef):
+                names = members.setdefault(node.name, set())
+                for item in node.body:
+                    names |= _bound(item)
+                names |= {n.attr for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute)
+                          and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name)
+                          and n.value.id == "self"}
+    anywhere = top.union(*members.values())
+    stale = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for _, target in _REFERENCE.findall(
+                    ast.get_docstring(node, clean=False) or ""):
+                parts = target.split(".")
+                if len(parts) > 1 and parts[0] in modules:
+                    parts = parts[1:]
+                if len(parts) == 1 and parts[0] in anywhere or \
+                        len(parts) == 2 and parts[1] in members.get(parts[0],
+                                                                    ()):
+                    continue
+                stale.append((name, target))
+    return sorted(stale)
+
+
+def test_docstring_references_name_something():
+    """A docstring that points the reader at a class, function, method or
+    attribute points at one the package still has."""
+    assert _stale_references(sorted(SRC.glob("*.py"))) == []
+
+
+def test_stale_reference_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        '"""See :class:`Kept`, :meth:`Kept.run`, :attr:`Kept.size`,\n'
+        ':func:`.m.helper`, :class:`~.m.Kept`, :meth:`run` and\n'
+        ':data:`LIMIT`; not :func:`_gone`, :meth:`Kept.gone`,\n'
+        ':class:`.m.Gone` or :meth:`Kept.run.inner`."""\n\n'
+        'LIMIT: int = 3\n\n\n'
+        'def helper():\n    pass\n\n\n'
+        'class Kept:\n    """Its :attr:`width` and :attr:`size`."""\n\n'
+        '    def __init__(self):\n        self.size = 1\n\n'
+        '    def run(self):\n        """Not :func:`helper2`."""\n')
+    assert [target for _, target in _stale_references([path])] == [
+        "Kept.gone", "Kept.run.inner", "_gone", "helper2", "m.Gone", "width"]
