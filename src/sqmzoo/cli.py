@@ -19,8 +19,10 @@ Check entries (``verify.CHECKS`` names the checks) and values follow
 seven rules:
 
 * an absent or null key means its default, for a section and for an
-  optional scalar alike: ``seed``, ``points``, ``tolerances.pass``,
-  ``tolerances.violation``, an exclusion's ``min`` and a check's ``tol``;
+  optional scalar alike: ``name`` (the scenario's path), ``seed``,
+  ``points``, a ``box`` entry (that coordinate's default range),
+  ``tolerances.pass``, ``tolerances.violation``, an exclusion's ``min``
+  and a check's ``tol``;
 * ``expect`` applies to every check: it replaces the expectation of each
   relation expected to pass, while built-in ``violated`` (gauge Q^2) and
   ``exploratory`` relations keep theirs;
@@ -29,14 +31,15 @@ seven rules:
   else the check adds a failing ``<check>: no relation violated`` record;
 * the pass gate, from ``tolerances.pass`` or ``--tol``, must satisfy
   ``0 < pass < violation``, so no gate can pass a violated relation;
-* a scenario file that cannot be read or is not UTF-8 text, a
-  ``report`` that is not a path or cannot be written, a model section
-  or ``torsion_rotate`` ``base`` that is not a mapping with a catalog
-  ``constructor`` and mapping ``params``, a ``params``, ``tolerances``,
-  ``box`` or ``exclusions`` value of the wrong type, falsy ones such as
-  ``false``, ``[]`` or ``0`` included, a model param the constructor
-  does not take, a missing or unparsable one, a param value the
-  constructor rejects with a ValueError or ArithmeticError, ``checks``
+* a scenario file that cannot be read or is not UTF-8 text, a ``name``
+  that is not a string, a ``report`` that is not a path or cannot be
+  written, a model section or ``torsion_rotate`` ``base`` that is not a
+  mapping with a catalog ``constructor`` and mapping ``params``, a
+  ``params``, ``tolerances``, ``box`` or ``exclusions`` value of the
+  wrong type, falsy ones such as ``false``, ``[]`` or ``0`` included, a
+  model param the constructor does not take, a missing or unparsable
+  one, a param value the constructor rejects with a ValueError or
+  ArithmeticError, ``checks``
   that are not a list of at least one name or mapping with a string
   ``name``, an unknown check name, ``expect`` value, entry key or
   operator name, a missing ``equal`` operand, ``points < 1``, a negative
@@ -210,8 +213,8 @@ def build_sample_spec(doc, model, seed=None, points=None):
                             f"of model {model.name} {list(model.coords)}")
     box = []
     for i, cname in enumerate(model.coords):
-        if cname in box_map:
-            value = box_map[cname]
+        value = box_map.get(cname)
+        if value is not None:
             if not isinstance(value, list) or len(value) != 2:
                 raise ScenarioError(f"box {cname}: need a list [lo, hi] of "
                                     f"two numbers, got {value!r}")
@@ -292,12 +295,15 @@ def run_checks(doc, model, spec, tols):
 
 def run_scenario(path, seed=None, points=None, tol=None, report_path=None):
     doc = load_scenario(path)
+    name = _value(doc, "name", str(path))
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     report = _section(doc, "report", str, "report must be a path")
     tols = build_tolerances(doc, tol)
     model = build_model(doc["model"])
     spec = build_sample_spec(doc, model, seed=seed, points=points)
     reports = run_checks(doc, model, spec, tols)
-    header = (f"scenario: {doc.get('name', path)} | model: {model.name} | "
+    header = (f"scenario: {name} | model: {model.name} | "
               f"seed: {spec.seed} | points: {spec.n_points}")
     text = render_report(reports, header=header)
     out_path = report_path or report

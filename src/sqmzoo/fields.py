@@ -41,12 +41,10 @@ and column, each purely real or purely imaginary: :func:`.jets.monomial`)
 settles that form once, when it is built, and runs as a signed gather
 of the other factor's rows or columns (:class:`.jets.Monomial`): in its
 own step at any order and in a sum's step that absorbs it.  The folding
-of two constants by :func:`fmatmul` gathers too.  For finite operands the gather equals the dense product
-as numbers, every zero +0 as in the rank passes of :meth:`JetSpace.mul`;
-a non-finite operand takes the dense path, so every ``0 * inf`` NaN
-stays.  A product by a unit monomial, whose entries are 1, -1, i or -i,
-takes its subtree maximum from its kids' (see :class:`Tape`) without
-reducing its own jet; it is the only step that does.
+of two constants by :func:`fmatmul` gathers too.  For finite operands
+the gather equals the dense product as numbers, every zero +0 as in the
+rank passes of :meth:`JetSpace.mul`; a non-finite operand takes the
+dense path, so every ``0 * inf`` NaN stays.
 
 Nodes are hash-consed: every node class states its own parameters in
 ``params``, and building a node whose type, parameters and children
@@ -72,10 +70,11 @@ are scales or one-term products, and the one-term products such a scale
 alone reads, as one linear combination, so those nodes get no step of
 their own (superinstructions, after Proebsting 1995, "Optimizing an
 ANSI C interpreter with superoperators").  Each step also records its
-subtree maximum, the largest ``|value|`` of its own jet and of every jet
-it was computed from, absorbed nodes' included, which is the scale a
-residual is measured against.  Fields themselves hold no evaluation
-state.
+own maximum, the largest ``|value|`` of its own jet and of the jets it
+absorbs, and a group's scale, the one a residual is measured against,
+folds those of every step its roots reach: the largest ``|value|`` of
+every jet the roots are computed from.  Fields themselves hold no
+evaluation state.
 
 A tape run evaluates a block of sample points at once, each step once
 per block.  A jet of a block of P points is the C-order ``(T, P, rows,
@@ -110,39 +109,31 @@ class OrderOverflow(ValueError):
 
 
 class _Mag:
-    """Subtree maxima of one tape run over a block of ``n`` points, by
-    step: for each point, the largest ``|value|`` of a step's jet and of
-    every jet it was computed from, the jets of the nodes a sum's step
-    absorbs included, one row of ``value`` per step.  A NaN, once met,
-    stays."""
+    """Own maxima of one tape run over a block of ``n`` points, by step:
+    for each point, the largest ``|value|`` of a step's jet and, for a
+    sum's step, of the jets of the nodes it absorbs, one row of ``value``
+    per step.  A group's scale folds the rows of the steps its roots
+    reach (see :class:`Tape`).  A NaN, once met, stays."""
 
     def __init__(self, nsteps, n):
         self.value = np.zeros((nsteps, n))
 
     def fold(self, steps):
-        """The subtree maxima of ``steps`` folded, point by point."""
-        m = np.zeros(self.value.shape[1])
-        for k in steps:
-            _max2(m, self.value[k], out=m)
-        return m
+        """The rows of the index array ``steps`` folded, point by point."""
+        return _max(self.value[steps], axis=0, initial=0.0)
 
-    def update(self, step, jet, kids, stack=None):
-        """Set the row of ``step`` from its jet, the rows ``kids`` of the
-        steps it read and, for a combination's step, the ``stack`` of the
-        jets of the nodes it absorbed (see :class:`_Combination`).  A
-        ``jet`` of None is the jet of a product by a unit monomial, whose
-        values are its kids' entries, or zeros, times exact unit factors
-        (:attr:`MatMulField._form`), so its row folds only theirs."""
+    def update(self, step, jet, stack=None):
+        """Set the row of ``step`` from its jet and, for a combination's
+        step, the ``stack`` of the jets of the nodes it absorbed (see
+        :class:`_Combination`)."""
         value = self.value
         n = value.shape[1]
         m = value[step]
-        if jet is not None and jet.size:
+        if jet.size:
             _max(np.abs(jet[0].reshape(n, -1)), axis=1, out=m)
         if stack is not None:
             _max2(m, _max(np.abs(stack[:, 0]).reshape(len(stack), n, -1),
                           axis=(0, 2), initial=0.0), out=m)
-        for k in kids:
-            _max2(m, value[k], out=m)
 
 
 # NaN-propagating maxima: along an axis, and of two arrays
@@ -236,53 +227,34 @@ class _Combination:
     it, and each child ``Y_i`` it did not absorb as the sum reads it.
 
     :meth:`combine` computes the absorbed nodes' jets into the slots of
-    one stack: first the products, those by a unit monomial first, the
-    unscaled ones (``p``) before the scaled ones (``s``), then the other
-    scaled ones and the other unscaled ones, so that the scaled ones
-    are the slots from ``scaled`` on, each by the kernel its product
-    node picked, the signed gather of its monomial form
-    (:attr:`MatMulField._form`), or else :func:`value_product`, as
-    :meth:`JetSpace.mul` computes it at one term; then the scaled
-    products, by one broadcast ``coeffs * stack``, which rounds as each
-    ``c * x`` does; then each ``c_j X_j`` (``x``).  The sum adds its
-    terms one at a time in child order, as :class:`SumField` does
-    (``np.add.reduce`` would not: over one entry per slot it sums
-    pairwise), so every float is what the nodes' own steps would compute.
+    one stack: first the products, the scaled ones (``s``) before the
+    unscaled ones (``p``), each by the kernel its product node picked,
+    the signed gather of its monomial form (:attr:`MatMulField._form`),
+    or else :func:`value_product`, as :meth:`JetSpace.mul` computes it at
+    one term; then the scaled products, by one broadcast ``coeffs *
+    stack``, which rounds as each ``c * x`` does; then each ``c_j X_j``
+    (``x``).  The sum adds its terms one at a time in child order, as
+    :class:`SumField` does (``np.add.reduce`` would not: over one entry
+    per slot it sums pairwise), so every float is what the nodes' own
+    steps would compute.
 
-    The step's row of subtree maxima (see :class:`_Mag`) folds those of
-    the steps it reads and the largest ``|value|`` of its own jet and of
-    each absorbed node's: an absorbed node has no row of its own, since
-    the sum's is the only one that would read it.  The products by a
-    unit monomial, the first ``unit_slots``, are not reduced: their
-    values are entries of their operands', which the sum's step reads,
-    times unit factors.  Where such a product took the dense path for a
-    non-finite operand, its NaNs, or its infinities, reach the sum's own
-    jet, directly or scaled, so the row is what their reduction gives."""
+    The step's row of own maxima (see :class:`_Mag`) is the largest
+    ``|value|`` of its own jet and of the whole stack: an absorbed node
+    has no row of its own, since the sum's is the only one that would
+    read it."""
 
     __slots__ = ("node", "absorbed", "shape", "nterms", "products",
-                 "gathers", "coeffs", "scales", "terms", "read", "views",
-                 "scaled", "unit_slots")
+                 "gathers", "coeffs", "scales", "terms", "read", "views")
 
     def __init__(self, node, order, kids, tables, step_of, kind):
         nodes, kids_of, want = tables
         sup = node.support
-        kinds, gathers = [], []     # each kid's kind, and its product's form
-        for kid in kids:
-            kd, gather = kind[kid], None
-            if kd == "p" or kd == "s":
-                gather = nodes[kids_of[kid][0] if kd == "s" else kid]._form
-                if gather is not None and gather[1].unit:
-                    kd += "u"
-            kinds.append(kd)
-            gathers.append(gather)
-        npu, nsu = kinds.count("pu"), kinds.count("su")
-        ks = nsu + kinds.count("s")
-        k = npu + ks + kinds.count("p")
-        # each kind's next slot: products by a unit monomial first
-        slot_of = {"pu": 0, "su": npu, "s": npu + nsu, "p": npu + ks,
-                   "x": k + ks}
-        products, scales, coeffs = [None] * k, [], [0j] * ks
-        slot_gathers = [None] * k
+        kinds = [kind[kid] for kid in kids]
+        ks = kinds.count("s")
+        k = ks + kinds.count("p")
+        slot_of = {"s": 0, "p": ks, "x": k + ks}   # each kind's next slot
+        products, gathers = [None] * k, [None] * k
+        scales, coeffs = [], [0j] * ks
         read, views, terms, taken = [], [], [], []
         seen = {}                   # step -> its read with no view
 
@@ -296,7 +268,7 @@ class _Combination:
                 seen[j] = len(read) - 1
             return len(read) - 1
 
-        for kid, kd, gather in zip(kids, kinds, gathers):
+        for kid, kd in zip(kids, kinds):
             c = nodes[kid]
             if kd is None:
                 view = None
@@ -316,19 +288,18 @@ class _Combination:
                 terms.append((0, slot))
                 continue
             product = kid
-            if kd[0] == "s":
+            if kd == "s":
                 product = kids_of[kid][0]
                 taken.append(nodes[product])
-                coeffs[slot - npu] = c.coeff
+                coeffs[slot] = c.coeff
             a, b = kids_of[product]
             products[slot] = (take(a), take(b))
-            slot_gathers[slot] = gather
-            terms.append((0, slot if kd[0] == "p" else k + slot - npu))
+            gathers[slot] = nodes[product]._form
+            terms.append((0, slot if kd == "p" else k + slot))
         self.node, self.absorbed, self.shape = node, tuple(taken), node.shape
-        self.scaled, self.unit_slots = npu, npu + nsu
         self.nterms = jet_space(len(sup), order).nterms
         self.products, self.scales = tuple(products), tuple(scales)
-        self.gathers = tuple(slot_gathers)
+        self.gathers = tuple(gathers)
         self.coeffs = np.reshape(np.array(coeffs, dtype=np.complex128),
                                  (-1, 1, 1, 1))
         self.terms = tuple(terms)
@@ -337,11 +308,10 @@ class _Combination:
 
     def combine(self, at, kids):
         """The sum's jet over the block ``at``, and the stack of the
-        absorbed nodes' jets past the ``unit_slots``, or None when that
-        is empty."""
+        absorbed nodes' jets."""
         n = at.n
         rows, cols = self.shape
-        products, coeffs, unit = self.products, self.coeffs, self.unit_slots
+        products, coeffs = self.products, self.coeffs
         k, ks = len(products), len(coeffs)
         stack = np.empty((k + ks + len(self.scales), self.nterms, n * rows,
                           cols), dtype=np.complex128)
@@ -352,13 +322,10 @@ class _Combination:
                                            slot[None]) is None:
                 value_product(A, B, n, out=slot)
         if ks:
-            first = self.scaled
-            np.multiply(coeffs, stack[first:first + ks], out=stack[k:k + ks])
+            np.multiply(coeffs, stack[:ks], out=stack[k:k + ks])
         for slot, (x, c) in zip(stack[k + ks:], self.scales):
             np.multiply(c, kids[x], out=slot)
         sources = (stack, kids)
-        if unit:
-            stack = stack[unit:] if unit < len(stack) else None
         return _add_up([sources[s][i] for s, i in self.terms]), stack
 
 
@@ -408,7 +375,10 @@ class Tape:
     over their support after the last step it needs, and each jet is
     dropped after its last use, by a step or a read-out.  The compile
     tables are dropped when the constructor returns; a step record is
-    ``(node, order, frame, kid steps, kid views)``.
+    ``(node, order, frame, kid steps, kid views)``.  The emission also
+    settles each group's reached steps, ``_reached``: a step reaches
+    itself and every step its reads reach, and a group the steps its
+    roots reach.
 
     A sum's step absorbs each child that the sum alone reads, read once
     in all, which no group reads out, and which the sum reads with no
@@ -423,13 +393,11 @@ class Tape:
     :class:`_Combination` gives its slot layout and why.  Every other
     step record holds its node, and a product's node picks its own
     kernel (:attr:`MatMulField._form`).  The scale hook
-    :meth:`_Mag.update` runs once per executed step; the sum's step
-    folds the absorbed nodes' maxima into its own row.  Every other step
-    reduces its own jet, except the step of a product by a unit
-    monomial, read from its node, which takes its kids' rows while those
-    are finite; where one is not, the step reduces its own jet too,
-    since its operand may have taken the dense path, whose ``0 * inf``
-    gives NaN where the kids' rows hold inf.
+    :meth:`_Mag.update` runs once per executed step and reduces its own
+    jet, a sum's step the absorbed nodes' jets too.  A group's scale
+    folds the rows of its reached steps, once per group: the largest
+    ``|value|`` of every jet its roots are computed from, absorbed nodes'
+    included, since a sum's step reads their operands.
 
     A run evaluates a block of points at once, each step once per block:
     a jet of the block is the ``(T, P, rows, cols)`` array of its points'
@@ -515,6 +483,8 @@ class Tape:
         steps = self._steps = []    # (node, order, frame, kid steps, views)
         last = self._last = []      # each step's last reader: step or ~group
         reads = self._reads = []    # (root steps, root views, end of group)
+        reached = self._reached = []    # each group's reached steps
+        reach = []                  # each step's reached steps, as a bit set
         tables = (nodes, kids_of, want)
         for g, roots in enumerate(groups):
             for i in range(ends[g], ends[g + 1]):
@@ -545,12 +515,21 @@ class Tape:
                     read, views = tuple(read), views and tuple(views)
                 steps.append((node, k, frame_of[i], read, views))
                 last.append(None)
+                bits = 1 << s
+                for j in read:
+                    bits |= reach[j]
+                reach.append(bits)
                 rows, cols = nodes[i].shape
                 size.append(16 * rows * cols * jet_space(
                     len(nodes[i].support), k).nterms)
             pairs = [ids[f] for f in roots]
+            bits = 0
             for i in pairs:
                 last[step_of[i]] = ~g
+                bits |= reach[step_of[i]]
+            reached.append(np.flatnonzero(np.unpackbits(np.frombuffer(
+                bits.to_bytes(-(-bits.bit_length() // 8), "little"),
+                np.uint8), bitorder="little")))
             reads.append((tuple([step_of[i] for i in pairs]), tuple([
                 _view(want[i], f.support, order, f.support)
                 for i, f in zip(pairs, roots)]), len(steps)))
@@ -589,9 +568,9 @@ class Tape:
 
     def run(self, points):
         """Evaluate at the block ``points``: yield ``(root jets, scales)``
-        for each group in order, its scales folding its roots' subtree
-        maxima, one per point, and raise OrderOverflow in place of the
-        overflow group.  A root jet holds the root's support, the points'
+        for each group in order, its scales folding the own maxima of its
+        reached steps, one per point, and raise OrderOverflow in place of
+        the overflow group.  A root jet holds the root's support, the points'
         jets stacked as in :meth:`JetSpace.mul`."""
         ats = [_At(np.array(points, dtype=float))]
         n = len(points)
@@ -600,7 +579,7 @@ class Tape:
             for k, pos in enumerate(keep):
                 full[:, pos] = ats[parent].points[:, k]
             ats.append(_At(full))
-        steps, last = self._steps, self._last
+        steps, last, reached = self._steps, self._last, self._reached
         jets = [None] * len(steps)
         mag = _Mag(len(steps), n)
         start = 0
@@ -614,23 +593,18 @@ class Tape:
                             for k, v in zip(kids, kid_views)]
                 if node.__class__ is _Combination:
                     jet, stack = node.combine(ats[frame], args)
-                    mag.update(i, jet, kids, stack)
+                    mag.update(i, jet, stack)
                     del stack           # scratch, not to be held past its step
                 else:
                     jet = node._compute(ats[frame], order, args)
-                    form = (node._form if node.__class__ is MatMulField
-                            else None)
-                    unit = form is not None and form[1].unit
-                    mag.update(i, None if unit else jet, kids)
-                    if unit and not np.isfinite(mag.value[i]).all():
-                        mag.update(i, jet, kids)
+                    mag.update(i, jet)
                 jets[i] = jet
                 for k in kids:
                     if last[k] == i:
                         jets[k] = None
             start = stop
             yield ([_serve(jets[k], v) for k, v in zip(roots, views)],
-                   mag.fold(roots))
+                   mag.fold(reached[g]))
             for k in roots:
                 if last[k] == ~g:
                     jets[k] = None

@@ -458,9 +458,7 @@ class Monomial:
     purely imaginary (see :func:`monomial`): ``cols[i]`` and
     ``row_vals[i]`` are the column and value of row i's nonzero,
     ``rows[j]`` and ``col_vals[j]`` the row and value of column j's, and
-    an empty row or column has position 0 and value 0.  ``unit``: every
-    nonzero is 1, -1, i or -i, so a product's entries are its operand's
-    times exact unit factors, or zeros.
+    an empty row or column has position 0 and value 0.
 
     :meth:`left` and :meth:`right` are the products ``M @ X`` and ``X @
     M`` over the last two axes of X, as gathers (see the module notes):
@@ -468,7 +466,7 @@ class Monomial:
     finite when the sum of its entries is, which holds when every entry
     is finite, short of an overflow that only sends it to the dense path."""
 
-    __slots__ = ("cols", "row_vals", "rows", "col_vals", "unit")
+    __slots__ = ("cols", "row_vals", "rows", "col_vals")
 
     def __init__(self, shape, i, j, vals):
         """The form of the ``shape`` matrix whose nonzeros are ``vals`` at
@@ -479,7 +477,6 @@ class Monomial:
         self.col_vals = np.zeros(c, np.complex128)
         self.cols[i], self.row_vals[i] = j, vals
         self.rows[j], self.col_vals[j] = i, vals
-        self.unit = bool((abs(vals.real) + abs(vals.imag) == 1).all())
 
     def left(self, X, out=None):
         """``M @ X`` for X ``(..., c, k)``, into ``out`` if given, or None

@@ -55,6 +55,8 @@ def test_bench_tape_compile(benchmark):
     assert sum([len(c.absorbed) for c in combinations]) == 4403
     assert sum([len(c.products) for c in combinations]) == 2148
     assert tape.point_bytes == 1770496
+    # each group's roots and every step they reach through step reads
+    assert sum([len(steps) for steps in tape._reached]) == 32128
     points = m.sample_spec(n_points=6, seed=7).points()
     assert [len(b) for b in tape.blocks(points)] == [2, 2, 2]
 

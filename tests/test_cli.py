@@ -226,23 +226,35 @@ def test_model_and_evaluation_errors_are_scenario_errors(tmp_path, capsys,
 
 
 def test_null_scalars_mean_their_defaults(tmp_path):
-    """``seed``, ``points``, both tolerances, an exclusion's ``min`` and
-    a check's ``tol`` set to null read as absent, as a null section does:
-    the report is that of the scenario without them."""
-    def run(name, body):
-        path = tmp_path / name
-        path.write_text(f"name: t\nmodel: {WITTEN}\n{body}")
+    """``name``, ``seed``, ``points``, a ``box`` entry, both tolerances,
+    an exclusion's ``min`` and a check's ``tol`` set to null read as
+    absent, as a null section does: the report is that of the scenario
+    without them, headed by the scenario's path."""
+    path = tmp_path / "s.yaml"
+
+    def run(body):
+        path.write_text(f"model: {WITTEN}\n{body}")
         return run_scenario(str(path))
 
-    nulls = run("nulls.yaml",
+    nulls = run("name: null\n"
                 "checks: [suite, {name: equal, a: Q, b: Q, tol: null}]\n"
-                "seed: null\npoints: null\n"
+                "seed: null\npoints: null\nbox: {x: null}\n"
                 "tolerances: {pass: null, violation: null}\n"
                 "exclusions: [{expr: x, min: null}]\n")
-    plain = run("plain.yaml", "checks: [suite, {name: equal, a: Q, b: Q}]\n"
+    plain = run("checks: [suite, {name: equal, a: Q, b: Q}]\n"
                 "exclusions: [{expr: x}]\n")
     assert nulls == plain
-    assert nulls[0] == 0 and "seed: 0 | points: 20" in nulls[1]
+    assert nulls[0] == 0
+    assert f"scenario: {path} | model: witten | seed: 0 | points: 20" in \
+        nulls[1]
+
+
+@pytest.mark.parametrize("name", ["5", "[t]"])
+def test_name_not_a_string_is_scenario_error(tmp_path, capsys, name):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"name: {name}\nmodel: {WITTEN}\n")
+    assert main(["run", str(bad)]) == 2
+    assert "error: name must be a string, got " in _one_error_line(capsys)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -30,12 +30,14 @@ def _brute_residual(group, points):
     largest |value| of every (node, order, point) the group needs, a
     RestrictField's child at the full point included, read from the jets
     of one tape per (order, point) that has each of them as a root of
-    its own group, instead of from stored subtree maxima."""
+    its own group, instead of from the maxima a tape stores.  A NaN ranks
+    above every number: the first NaN entry is kept with its point, and
+    a NaN value makes the scale NaN, as np.maximum folds it."""
     max_abs, argmax, scale = 0.0, None, 0.0
     for p in points:
         for f in group:
             v = float(np.max(np.abs(f.eval_jet(p))))
-            if v > max_abs:
+            if v > max_abs or (v != v and max_abs == max_abs):
                 max_abs, argmax = v, p
         need = {}                   # (order, point) -> {id: node}
         todo = [(f, 0, tuple(p)) for f in group]
@@ -55,7 +57,7 @@ def _brute_residual(group, points):
         for (order, at), nodes in need.items():
             tape = Tape([[node] for node in nodes.values()], order)
             for (jet,), _ in tape.run([at]):
-                scale = max(scale, float(np.max(np.abs(jet[0]))))
+                scale = float(np.maximum(scale, np.max(np.abs(jet[0]))))
     return max_abs, argmax, scale
 
 
@@ -581,7 +583,7 @@ def test_batched_check_matches_brute_force():
     """theorem1 on kahler_warped: max_abs, argmax and scale of every
     relation equal a brute-force computation that shares nothing between
     relations and reads the scale from every reachable jet instead of
-    from stored subtree maxima."""
+    from the maxima a tape stores."""
     m = zoo.kahler_warped()
     spec = m.sample_spec(n_points=2, seed=7)
     reports = verify.run_check("theorem1", m, spec)
@@ -612,11 +614,11 @@ def test_non_finite_values_reach_residual_and_scale():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_transpose_and_entry_rows_are_their_childs():
-    """A transpose, conjugate transpose or entry step's row of subtree
-    maxima is its child's, bit for bit, NaN included (exp(800 x) -
-    exp(800 x) is NaN past x = 0.8873): its values are the child's, or
-    their conjugates, so they never exceed the child's maxima.  Each
-    such node is a group's one root, after a group of its child."""
+    """The scale of a group whose one root is a transpose, conjugate
+    transpose or entry is its child's group's, bit for bit, NaN included
+    (exp(800 x) - exp(800 x) is NaN past x = 0.8873): its values are the
+    child's, or their conjugates, so they never exceed the child's
+    maxima.  Each such group follows a group of its child."""
     xy = ("x", "y")
 
     def e(text):
@@ -684,12 +686,10 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
     """Products by a constant monomial run as gathers, a MatMulField's at
     order 2 and a sum's absorbed one-term products alike, and their
     tapes give the same root jets under == with the same NaN positions,
-    the same scales and every step's row of subtree maxima bit for bit
-    as the same tapes with the constants taken as dense matrices, point
-    by point.  The products by the unit monomial skip their abs-reduce,
-    so their rows are their kids', and at the points where the grid is
-    infinite the products take the dense path and their rows the dense
-    product's own maxima."""
+    the same scales and every step's row of own maxima bit for bit as
+    the same tapes with the constants taken as dense matrices, point by
+    point.  At the points where the grid is infinite the products take
+    the dense path and their rows the dense product's own maxima."""
     unit_m = _fock_like((1.0, -1.0, 1j, -1j), 1)
     half_m = _fock_like((0.5, -np.sqrt(2.0), 0.7j), 2)
     dense = [ConstField(m, 2, "dense") for m in (unit_m, half_m)]
@@ -700,15 +700,14 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
     points = spec.points()
     assert 1 <= sum(p[0] > 709.8 / 800 for p in points) < len(points)
     update, mul = fields._Mag.update, JetSpace.mul
-    rows, muls, reduced = [], [0], []
+    rows, muls = [], [0]
 
-    def recording(self, step, jet, kids, stack=None):
-        update(self, step, jet, kids, stack)
+    def recording(self, step, jet, stack=None):
+        update(self, step, jet, stack)
         mags = rows[-1].setdefault("mags", [])
         if not mags or mags[-1] is not self:
             mags.append(self)
         rows[-1][len(mags), step] = self.value[step].copy()
-        reduced[-1] += (jet is not None) + (0 if stack is None else len(stack))
 
     def counting(self, a, b):
         muls[0] += 1
@@ -722,7 +721,6 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
         out = []
         muls[0] = 0
         rows.append({})
-        reduced.append(0)
         for groups, order in ((high, 2), (low, 0)):
             tape = Tape(groups, order)
             out += [out for p in points for out in tape.run([p])]
@@ -735,11 +733,10 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
             for f in products)
     combination, = [s[0] for s in tape._steps
                     if type(s[0]) is fields._Combination]
-    assert combination.unit_slots == 2
     assert sum(g is not None for g in combination.gathers) == 4
     # point by point: the gathers take the dense path where g is infinite
     over = sum(p[0] > 709.8 / 800 for p in points)
-    assert counts == [4 * len(points), 2 * over] and reduced[1] < reduced[0]
+    assert counts == [4 * len(points), 2 * over]
     for (jets_d, scales_d), (jets_g, scales_g) in zip(*outs):
         assert scales_d.tobytes() == scales_g.tobytes()
         for x, y in zip(jets_d, jets_g):
@@ -750,6 +747,34 @@ def test_products_by_a_monomial_equal_the_dense_products(monkeypatch):
     assert rows[0].keys() == rows[1].keys()
     for key, row in rows[0].items():
         assert row.tobytes() == rows[1][key].tobytes(), key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gathered_products_match_brute_force():
+    """sampled_residual over the groups of _monomial_groups, whose
+    products by a unit and a non-unit constant monomial run as gathers,
+    in steps of their own and absorbed into a sum's, equals the
+    brute-force residual group by group, NaN for NaN, where the grid
+    overflows past x = 0.8873 and the gathers take the dense path."""
+    unit = ConstField(_fock_like((1.0, -1.0, 1j, -1j), 1), 2)
+    half = ConstField(_fock_like((0.5, -np.sqrt(2.0), 0.7j), 2), 2)
+    assert unit._monomial is not None and half._monomial is not None
+    spec = SampleSpec(box=((0.5, 1.0), (-0.8, 0.8)), n_points=6, seed=0)
+    points = spec.points()
+    assert 1 <= sum(p[0] > 709.8 / 800 for p in points) < len(points)
+    high, low = _monomial_groups(unit, half)
+    combination, = [s[0] for s in Tape(low)._steps
+                    if type(s[0]) is fields._Combination]
+    assert sum(g is not None for g in combination.gathers) == 4
+    nan = False
+    for groups in (high, low):
+        for group, res in zip(groups, sampled_residual(groups, spec)):
+            max_abs, argmax, scale = _brute_residual(group, points)
+            assert res.argmax_point == argmax
+            assert np.array_equal([res.max_abs, res.scale], [max_abs, scale],
+                                  equal_nan=True)
+            nan |= bool(np.isnan(scale))
+    assert nan
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -784,7 +809,7 @@ def _exp_scalings(generator, points):
 
 def test_a_block_equals_its_points(monkeypatch):
     """One run over SPEC2's three points equals three one-point runs, bit
-    for bit, in every root jet, every group scale and the subtree maximum
+    for bit, in every root jet, every group scale and the own maximum
     of every executed step, a sum's that absorbs nodes included: with
     every node type, the combinations, an exponential whose scaling
     exponent differs between the points, and the powers where numpy's
@@ -800,11 +825,11 @@ def test_a_block_equals_its_points(monkeypatch):
         [MatExpField(generator)], [PowField(base, 1, 2), PowField(base, -1)]]
     points = SPEC2.points()
     assert len(set(_exp_scalings(generator, points))) > 1
-    maxima = []                     # the subtree maxima of each run, by step
+    maxima = []                     # the own maxima of each run, by step
     update = fields._Mag.update
 
-    def recording(self, step, jet, kids, stack=None):
-        update(self, step, jet, kids, stack)
+    def recording(self, step, jet, stack=None):
+        update(self, step, jet, stack)
         assert step not in maxima[-1]
         maxima[-1][step] = self.value[step].copy()
 

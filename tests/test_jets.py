@@ -510,8 +510,6 @@ def test_monomial_gather_equals_dense_product(values, order, points):
     space = jet_space(2, order)
     first = _monomial_matrix(rng, 4, 5, MONOMIAL_VALUES[values])
     second = _monomial_matrix(rng, 5, 3, MONOMIAL_VALUES[values])
-    for m in (first, second):
-        assert monomial(m).unit == (values == "unit")
     b = next(_sparse_jets(space, 5 * points, 2, seed=order))
     a = list(_sparse_jets(space, 3 * points, 5, seed=order + 1))[1]
     a[a.real > 1.0] = 0.0
@@ -548,8 +546,7 @@ def test_monomial_gather_leaves_a_non_finite_operand_to_the_dense_path():
 
 def test_monomial_form_is_refused_for_two_nonzeros_or_a_complex_entry():
     eye = np.eye(3, dtype=np.complex128)
-    assert monomial(eye) is not None and monomial(eye).unit
-    assert not monomial(0.5 * eye).unit
+    assert monomial(eye) is not None
     row = eye.copy()
     row[0, 2] = 1.0                 # two nonzeros in row 0
     column = eye.copy()
@@ -564,5 +561,5 @@ def test_monomial_form_is_refused_for_two_nonzeros_or_a_complex_entry():
         assert monomial(m) is None
     form = monomial(np.array([[0, 2j, 0], [0, 0, 0]]))
     assert form.cols.tolist() == [1, 0] and form.rows.tolist() == [0, 0, 0]
-    assert form.row_vals.tolist() == [2j, 0] and not form.unit
+    assert form.row_vals.tolist() == [2j, 0]
     assert form.col_vals.tolist() == [0, 2j, 0]
